@@ -263,28 +263,9 @@ class LstmCell:
     def parameters(self):
         return [self.w, self.u, self.b]
 
-    def step(self, x_t, h_prev, c_prev):
-        h = self.h
-        pre = tg.add(tg.add(tg.matmul(x_t, self.w), tg.matmul(h_prev, self.u)),
-                     self.b)
-        gate_i = tg.sigmoid(tg.narrow(pre, 0, 0, h))
-        gate_f = tg.sigmoid(tg.narrow(pre, 0, h, h))
-        gate_o = tg.sigmoid(tg.narrow(pre, 0, 2 * h, h))
-        cand = tg.tanh(tg.narrow(pre, 0, 3 * h, h))
-        c_t = tg.add(tg.mul(gate_f, c_prev), tg.mul(gate_i, cand))
-        h_t = tg.mul(gate_o, tg.tanh(c_t))
-        return h_t, c_t
-
-    def run(self, tape, rows):
-        """Hidden states for each input row, skipping nothing: callers
-        pass only real rows."""
-        h_t = tape.zeros(self.h)
-        c_t = tape.zeros(self.h)
-        states = []
-        for x_t in rows:
-            h_t, c_t = self.step(x_t, h_t, c_t)
-            states.append(h_t)
-        return states
+    def run(self, x, reverse=False):
+        """Hidden states (T, h) for the real rows x (T, m)."""
+        return tg.lstm_sequence(x, self.w, self.u, self.b, reverse=reverse)
 
 
 class BiLstm:
@@ -295,14 +276,10 @@ class BiLstm:
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def states(self, tape, rows):
-        forward = self.fwd.run(tape, rows)
-        backward = list(reversed(self.bwd.run(tape, list(reversed(rows)))))
-        return [tg.concat([f, b], axis=0) for f, b in zip(forward, backward)]
-
-
-def _real_rows(ctx):
-    return [tg.take_row(ctx.x, i) for i in range(ctx.n_real)]
+    def states(self, x):
+        """(T, 2h): row t joins both directions' states at row t."""
+        return tg.concat([self.fwd.run(x), self.bwd.run(x, reverse=True)],
+                         axis=1)
 
 
 def _expand_alpha(alpha_real, n):
@@ -311,7 +288,8 @@ def _expand_alpha(alpha_real, n):
     return full
 
 
-def _mean_rows(tape, mat, count):
+def _mean_rows(tape, mat):
+    count = mat.shape[0]
     weights = tape.constant(np.full(count, 1.0 / count))
     return tg.matmul(weights, mat)
 
@@ -386,8 +364,8 @@ class LstmEncoder:
         return self.cell.parameters()
 
     def encode(self, tape, ctx):
-        states = self.cell.run(tape, _real_rows(ctx))
-        return EncoderOutput(states[-1], self.z)
+        states = self.cell.run(tg.narrow(ctx.x, 0, 0, ctx.n_real))
+        return EncoderOutput(tg.take_row(states, ctx.n_real - 1), self.z)
 
 
 class BiLstmEncoder:
@@ -406,8 +384,8 @@ class BiLstmEncoder:
         return self.bilstm.parameters()
 
     def encode(self, tape, ctx):
-        states = self.bilstm.states(tape, _real_rows(ctx))
-        return EncoderOutput(states[-1], self.z)
+        states = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
+        return EncoderOutput(tg.take_row(states, ctx.n_real - 1), self.z)
 
 
 class AttBLstmEncoder:
@@ -427,8 +405,7 @@ class AttBLstmEncoder:
         return self.bilstm.parameters() + [self.w]
 
     def encode(self, tape, ctx):
-        states = self.bilstm.states(tape, _real_rows(ctx))
-        h_mat = tg.stack(states)
+        h_mat = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
         scores = tg.matmul(tg.tanh(h_mat), self.w)
         alpha = tg.softmax(scores)
         s = tg.tanh(tg.matmul(alpha, h_mat))
@@ -456,8 +433,7 @@ class AttBLstmZYangEncoder:
         return self.bilstm.parameters() + [self.w_a, self.b_a, self.u_w]
 
     def encode(self, tape, ctx):
-        states = self.bilstm.states(tape, _real_rows(ctx))
-        h_mat = tg.stack(states)
+        h_mat = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
         projected = tg.tanh(tg.add(tg.matmul(h_mat, self.w_a), self.b_a))
         alpha = tg.softmax(tg.matmul(projected, self.u_w))
         s = tg.matmul(alpha, h_mat)
@@ -488,17 +464,13 @@ class AttCnnEncoder:
     def encode(self, tape, ctx):
         pooled = self.pcnn.encode(tape, ctx)
         features = select_features(ctx, self.cfg.feature_mode, self.cfg.k)
-        rows = _real_rows(ctx)
         x_real = tg.narrow(ctx.x, 0, 0, ctx.n_real)
         summaries = []
         weights = []
         for feat in features:
-            scores = []
-            for x_i in rows:
-                hidden = tg.tanh(tg.add(
-                    tg.matmul(tg.concat([x_i, feat], axis=0), self.w1), self.b1))
-                scores.append(tg.matmul(hidden, self.w2))
-            alpha_j = tg.softmax(tg.stack(scores))
+            pairs = tg.concat([x_real, tg.stack([feat] * ctx.n_real)], axis=1)
+            hidden = tg.tanh(tg.add(tg.matmul(pairs, self.w1), self.b1))
+            alpha_j = tg.softmax(tg.matmul(hidden, self.w2))
             weights.append(alpha_j.data)
             summaries.append(tg.matmul(alpha_j, x_real))
         attended = summaries[0]
@@ -534,22 +506,22 @@ class IanEncoder:
         return (self.context_lstm.parameters() + self.feature_lstm.parameters()
                 + [self.w_c, self.b_c, self.w_t, self.b_t])
 
-    def _attend(self, tape, states, pooled, w, b):
-        mat = tg.stack(states)
-        scores = [tg.matmul(tg.matmul(s_i, w), pooled) for s_i in states]
-        weights = tg.softmax(tg.tanh(tg.add(tg.stack(scores), b)))
-        return tg.matmul(weights, mat), weights
+    def _attend(self, states, pooled, w, b):
+        scores = tg.matmul(tg.matmul(states, w), pooled)
+        weights = tg.softmax(tg.tanh(tg.add(scores, b)))
+        return tg.matmul(weights, states), weights
 
     def encode(self, tape, ctx, features=None):
-        context_states = self.context_lstm.states(tape, _real_rows(ctx))
+        context_states = self.context_lstm.states(
+            tg.narrow(ctx.x, 0, 0, ctx.n_real))
         if features is None:
             features = select_features(ctx, self.cfg.feature_mode, self.cfg.k)
-        feature_states = self.feature_lstm.states(tape, features)
-        c_mean = _mean_rows(tape, tg.stack(context_states), len(context_states))
-        t_mean = _mean_rows(tape, tg.stack(feature_states), len(feature_states))
-        attended_c, gamma = self._attend(tape, context_states, t_mean,
+        feature_states = self.feature_lstm.states(tg.stack(features))
+        c_mean = _mean_rows(tape, context_states)
+        t_mean = _mean_rows(tape, feature_states)
+        attended_c, gamma = self._attend(context_states, t_mean,
                                          self.w_c, self.b_c)
-        attended_t, _ = self._attend(tape, feature_states, c_mean,
+        attended_t, _ = self._attend(feature_states, c_mean,
                                      self.w_t, self.b_t)
         s = tg.concat([attended_c, attended_t], axis=0)
         return EncoderOutput(s, self.z,

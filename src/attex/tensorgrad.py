@@ -241,22 +241,66 @@ def tanh(a: Operand) -> Tensor:
     return out
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def lstm_sequence(
+    x: Operand, w: Operand, u: Operand, b: Operand, reverse: bool = False
+) -> Tensor:
+    """Hidden states (T, h) of an LSTM over the rows of x, as one tape op.
 
-
-def sigmoid(a: Operand) -> Tensor:
-    tape = _tape_of(a)
-    ov = _sigmoid_values(np.asarray(_value(a), dtype=np.float64))
-    out = Tensor(ov, tape)
+    x is (T, m), w (m, 4h), u (h, 4h), b (4h,); gates are packed [input,
+    forget, output, candidate] and the state starts at zero. reverse=True
+    reads the rows last to first; row t of the result is still the state
+    after row t. The backward pass is a handwritten BPTT loop.
+    """
+    tape = _tape_of(x, w, u, b)
+    xv, wv, uv, bv = _value(x), _value(w), _value(u), _value(b)
+    h = uv.shape[0] if uv.ndim == 2 else 0
+    if xv.ndim != 2 or len(xv) < 1 or h < 1 or wv.shape != (xv.shape[1], 4 * h) \
+            or uv.shape != (h, 4 * h) or bv.shape != (4 * h,):
+        raise ValueError(
+            f"lstm_sequence expects x (T,m), w (m,4h), u (h,4h), b (4h,); got "
+            f"{xv.shape}, {wv.shape}, {uv.shape}, {bv.shape}"
+        )
+    T, h2, h3 = len(xv), 2 * h, 3 * h
+    # sigmoid(v) = 0.5 + 0.5*tanh(v/2). Halving is exact, so halving the gate
+    # columns of x·W + b and of U gives one tanh argument for all four gates.
+    half = np.ones(4 * h)
+    half[:h3] = 0.5
+    xw = (xv @ wv + bv) * half
+    uh = uv * half
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    acts = np.empty((T, 4 * h))  # sigmoid gates, then the candidate
+    cs, tcs, hs = np.empty((T, h)), np.empty((T, h)), np.empty((T, h))
+    h_t, c_t = np.zeros(h), np.zeros(h)
+    for t in steps:
+        a = np.tanh(xw[t] + h_t @ uh, out=acts[t])
+        a[:h3] *= 0.5
+        a[:h3] += 0.5
+        c_t = a[h:h2] * c_t + a[:h] * a[h3:]
+        cs[t] = c_t
+        h_t = np.multiply(a[h2:h3], np.tanh(c_t, out=tcs[t]), out=hs[t])
+    out = Tensor(hs, tape)
 
     def backward(g):
-        _accumulate(a, g * ov * (1.0 - ov))
+        zero = np.zeros((1, h))
+        h_prev = np.concatenate((hs[1:], zero) if reverse else (zero, hs[:-1]))
+        c_prev = np.concatenate((cs[1:], zero) if reverse else (zero, cs[:-1]))
+        sig, cand = acts[:, :h3], acts[:, h3:]
+        # Row t of dPre is (dc, dc, dh, dc) times row t of scales.
+        scales = np.concatenate((cand, c_prev, tcs, acts[:, :h]), axis=1) \
+            * np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=1)
+        dc_scale = acts[:, h2:h3] * (1.0 - tcs * tcs)
+        dpre = np.empty((T, 4 * h))
+        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        for t in reversed(steps):
+            dh = g[t] + dh_next
+            dc = dh * dc_scale[t] + dc_next
+            d = np.multiply(np.concatenate((dc, dc, dh, dc)), scales[t], out=dpre[t])
+            dh_next = d @ uv.T
+            dc_next = dc * acts[t, h:h2]
+        _accumulate(x, dpre @ wv.T)
+        _accumulate(w, xv.T @ dpre)
+        _accumulate(u, h_prev.T @ dpre)
+        _accumulate(b, dpre.sum(axis=0))
 
     tape._record(out, backward)
     return out

@@ -72,17 +72,6 @@ class TestElementwise:
         tape = tg.Tape()
         assert tg.tanh(tape.constant([0.0])).data[0] == 0.0
 
-    def test_sigmoid_zero(self):
-        tape = tg.Tape()
-        assert tg.sigmoid(tape.constant([0.0])).data[0] == 0.5
-
-    def test_sigmoid_extremes_finite(self):
-        tape = tg.Tape()
-        out = tg.sigmoid(tape.constant([-1000.0, 1000.0])).data
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(0.0, abs=1e-12)
-        assert out[1] == pytest.approx(1.0, abs=1e-12)
-
     def test_concat_axis0(self):
         tape = tg.Tape()
         out = tg.concat([tape.constant([1.0]), tape.constant([2.0])], axis=0)
@@ -280,12 +269,18 @@ def test_every_op_passes_gradient_check(trial):
     cw = tg.Parameter(rng.uniform(-1, 1, (3, 3, 2)), "cw")
     cb = tg.Parameter(rng.uniform(-1, 1, 2), "cb")
     v = tg.Parameter(rng.uniform(-1, 1, 4), "v")
+    lw = tg.Parameter(rng.uniform(-1, 1, (2, 4)), "lw")
+    lu = tg.Parameter(rng.uniform(-1, 1, (1, 4)), "lu")
+    lb = tg.Parameter(rng.uniform(-1, 1, 4), "lb")
 
     def f(tape):
         xm = _lift(tape, x)
         h = tg.tanh(tg.matmul(xm, w))
         c = tg.conv1d(xm, cw, cb)
-        pooled = tg.max_pool_over_time(tg.sigmoid(c))
+        states = tg.concat([tg.lstm_sequence(c, lw, lu, lb),
+                            tg.lstm_sequence(c, lw, lu, lb, reverse=True)],
+                           axis=1)
+        pooled = tg.max_pool_over_time(states)
         gram_row = tg.take_row(tg.narrow(tg.matmul(tg.transpose(xm), xm), 0, 0, 1), 0)
         joined = tg.concat([pooled, tg.take_row(h, 0)], axis=0)
         row = tg.stack([
@@ -295,7 +290,7 @@ def test_every_op_passes_gradient_check(trial):
         ])
         return tg.cross_entropy(tg.softmax(tg.scale(row, 0.7)), 0)
 
-    assert tg.gradient_check(f, [x, w, cw, cb, v]) < 1e-4
+    assert tg.gradient_check(f, [x, w, cw, cb, v, lw, lu, lb]) < 1e-4
 
 
 def test_backward_linearity():
