@@ -31,20 +31,6 @@ def label_class(label):
     return CLASS_NEUTRAL if label == lx.NEUTRAL else CLASS_SENTIMENT
 
 
-class GroupWeightSample:
-    __slots__ = ("context_id", "group", "weight", "label_class")
-
-    def __init__(self, context_id, group, weight, label_class):
-        if not 0.0 <= weight <= 1.0 + 1e-9:
-            raise ValueError("group weight %r outside [0, 1]" % (weight,))
-        if label_class not in (CLASS_NEUTRAL, CLASS_SENTIMENT):
-            raise ValueError("unknown label class: %r" % (label_class,))
-        self.context_id = context_id
-        self.group = group
-        self.weight = float(weight)
-        self.label_class = label_class
-
-
 class DistributionSummary:
     """Per-group means and KDE curves, split by context class.
 
@@ -107,36 +93,27 @@ def kde(samples, grid, bandwidth=None):
     return phi.sum(axis=1) / (x.size * bw)
 
 
-def collect_group_weights(model, contexts, sentiment_lexicon=None,
-                          preposition_list=None):
-    """GroupWeightSamples for every context and report group."""
-    out = []
-    for idx, sample in enumerate(contexts):
-        alpha = extract_alpha(model, sample)
-        cls = label_class(sample.label)
-        cid = (sample.doc_id, sample.sentence_idx) + sample.opinion_key()[1:]
-        for group in REPORT_GROUPS:
-            weight = context_group_weight(alpha, sample.terms.terms, group,
-                                          sentiment_lexicon, preposition_list)
-            out.append(GroupWeightSample(cid, group, min(weight, 1.0), cls))
-    return out
-
-
 def summarize_distributions(model, contexts, sentiment_lexicon=None,
                             preposition_list=None, grid=None):
     """One DistributionSummary per report group over the given contexts."""
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
-    weights = collect_group_weights(model, contexts, sentiment_lexicon,
-                                    preposition_list)
+    weights = {(group, cls): [] for group in REPORT_GROUPS
+               for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
+    for sample in contexts:
+        alpha = extract_alpha(model, sample)
+        cls = label_class(sample.label)
+        for group in REPORT_GROUPS:
+            weight = context_group_weight(alpha, sample.terms.terms, group,
+                                          sentiment_lexicon, preposition_list)
+            weights[group, cls].append(min(weight, 1.0))
     summaries = []
     for group in REPORT_GROUPS:
         sides = {}
         counts = {}
         for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT):
-            values = [w.weight for w in weights
-                      if w.group == group and w.label_class == cls]
+            values = weights[group, cls]
             counts[cls] = len(values)
             if values:
                 sides[cls] = (float(np.mean(values)), kde(values, grid))

@@ -1,15 +1,18 @@
 """Command-line entry point: prepare, train, cv, eval, analyze, gradcheck.
 
 Settings come from a key=value config file; the command-line flags
---encoder/--features/--mode/--seed/--jobs/--out override file values.
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numeric failure.
+--encoder/--features/--mode/--seed/--out override file values.
+`prepare` writes the masked contexts to a cache that `train` and
+`analyze` read; `cv` and `eval` extract the contexts again.
+Exit codes: 0 success, 1 usage or configuration error, 2 data error
+(including input that is not valid UTF-8), 3 numeric failure.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -30,7 +33,7 @@ _PATH_KEYS = ("documents", "opinions", "frames", "sentiment", "prepositions",
               "embeddings", "manifest")
 _INT_KEYS = ("n", "h", "filters", "window", "k", "m", "polarity_dim",
              "position_dim", "max_distance", "max_epochs", "eval_period",
-             "batch_size", "seed", "jobs", "gradcheck_trials")
+             "batch_size", "seed", "gradcheck_trials")
 _FLOAT_KEYS = ("stop_threshold", "learning_rate", "neutral_ratio")
 _BOOL_KEYS = ("use_position",)
 _STR_KEYS = ("encoder", "features", "mode", "optimizer", "scope", "out",
@@ -53,7 +56,7 @@ def load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read config file: %s" % exc)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,12 +105,9 @@ class ExperimentConfig:
             self.values[key] = (raw if not isinstance(raw, str)
                                 else _parse_value(key, raw))
         self.seed = self.values.get("seed", 0)
-        self.jobs = self.values.get("jobs", 1)
         self.mode = self.values.get("mode", "cv3")
         if self.mode not in MODES:
             raise UsageError("mode must be one of %s" % (MODES,))
-        if self.jobs < 1:
-            raise UsageError("jobs must be positive")
         self.out = self.values.get("out", ".")
         self.cache = self.values.get("cache",
                                      os.path.join(self.out, "contexts.jsonl"))
@@ -269,14 +269,9 @@ def _echo(pairs):
 
 def cmd_prepare(cfg):
     corpus = cfg.load_corpus("prepare")
-    frame_lexicon = cfg.frame_lexicon()
-    samples = []
-    annotated = augmented = 0
-    for doc in corpus.documents:
-        opinions = cp.augment_neutral(doc, corpus.opinions(doc.doc_id))
-        annotated += sum(1 for o in opinions if o.provenance == cp.ANNOTATED)
-        augmented += sum(1 for o in opinions if o.provenance == cp.AUGMENTED)
-        samples.extend(cp.extract_contexts(doc, opinions, frame_lexicon))
+    samples, opinions = md.extract_samples(corpus.documents, corpus,
+                                           cfg.frame_lexicon())
+    provenance = Counter(o.provenance for o in opinions.values())
     cfg.ensure_out()
     write_cache(samples, cfg.cache)
     by_label = {label: 0 for label in md.LABELS}
@@ -284,8 +279,8 @@ def cmd_prepare(cfg):
         by_label[sample.label] += 1
     _echo([("seed", cfg.seed),
            ("documents", len(corpus.documents)),
-           ("opinions_annotated", annotated),
-           ("opinions_augmented", augmented),
+           ("opinions_annotated", provenance[cp.ANNOTATED]),
+           ("opinions_augmented", provenance[cp.AUGMENTED]),
            ("contexts", len(samples))]
           + [("contexts_" + label, count)
              for label, count in by_label.items()]
@@ -293,23 +288,29 @@ def cmd_prepare(cfg):
     return 0
 
 
-def _require_cache(cfg):
+def _cached_samples(cfg, n, doc_ids=None):
+    """prepare's cache, cut to doc_ids when given and cropped to n terms.
+
+    Returns (kept, dropped); a cache with no usable context is a data error.
+    """
     if not os.path.exists(cfg.cache):
         raise DataError("run prepare first: missing cache", path=cfg.cache)
-    return read_cache(cfg.cache)
+    samples = read_cache(cfg.cache)
+    if doc_ids is not None:
+        samples = [s for s in samples if s.doc_id in doc_ids]
+    kept, dropped = md.prepare_samples(samples, n)
+    if not kept:
+        raise DataError("no usable contexts in cache", path=cfg.cache)
+    return kept, dropped
 
 
 def cmd_train(cfg):
-    samples = _require_cache(cfg)
+    encoder_cfg = cfg.encoder_config("train")
+    train_ids = None
     if cfg.mode == "traintest":
         manifest = cp.load_split_manifest(cfg.path("manifest", "train"))
         train_ids = {d for d, side in manifest.items() if side == "train"}
-        samples = [s for s in samples if s.doc_id in train_ids]
-    encoder_cfg = cfg.encoder_config("train")
-    kept, dropped = md.prepare_samples(samples, encoder_cfg.n)
-    if not kept:
-        raise DataError("no usable training contexts in cache",
-                        path=cfg.cache)
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n, train_ids)
     vocab = enc.build_vocab(kept)
     model = md.build_model(vocab, encoder_cfg, cfg.embed_options(),
                            rng=np.random.default_rng([cfg.seed, 0]))
@@ -334,7 +335,7 @@ def cmd_cv(cfg):
     result = md.run_cv(corpus, encoder_cfg, cfg.train_config(),
                        frame_lexicon=cfg.frame_lexicon(),
                        embed_options=cfg.embed_options(), k=3,
-                       scope=cfg.scope, jobs=cfg.jobs)
+                       scope=cfg.scope)
     cfg.ensure_out()
     result.to_csv(os.path.join(cfg.out, "folds.csv"))
     for fold, history in enumerate(result.histories):
@@ -346,8 +347,7 @@ def cmd_cv(cfg):
     return 0
 
 
-def _restore_model(cfg, command):
-    encoder_cfg = cfg.encoder_config(command)
+def _restore_model(cfg, encoder_cfg):
     for path in (_checkpoint_path(cfg), _vocab_path(cfg)):
         if not os.path.exists(path):
             raise DataError("run train first: missing %s"
@@ -357,7 +357,7 @@ def _restore_model(cfg, command):
                            rng=np.random.default_rng([cfg.seed, 0]))
     arrays = tg.load_checkpoint(_checkpoint_path(cfg))
     tg.restore_parameters(model.parameters(), arrays)
-    return model, encoder_cfg
+    return model
 
 
 def cmd_eval(cfg):
@@ -365,14 +365,14 @@ def cmd_eval(cfg):
         raise UsageError("eval requires mode=traintest with a manifest")
     corpus = cfg.load_corpus("eval")
     manifest = cp.load_split_manifest(cfg.path("manifest", "eval"))
-    model, encoder_cfg = _restore_model(cfg, "eval")
+    encoder_cfg = cfg.encoder_config("eval")
+    model = _restore_model(cfg, encoder_cfg)
     _, test_docs = cp.train_test_split(corpus.documents, manifest)
+    gold = {}
     test_samples, dropped = md.samples_for_docs(
-        test_docs, corpus, cfg.frame_lexicon(), encoder_cfg.n, tz.lemmatize)
-    gold = md.gold_for_docs(test_docs, corpus)
-    pairs = [(s.opinion_key(), model.predict(s.terms).probabilities)
-             for s in test_samples]
-    predictions = md.aggregate_opinions(pairs)
+        test_docs, corpus, cfg.frame_lexicon(), encoder_cfg.n, tz.lemmatize,
+        gold)
+    predictions = md.predict_opinions(model, test_samples)
     _echo([("seed", cfg.seed),
            ("test_documents", len(test_docs)),
            ("test_contexts", len(test_samples)),
@@ -385,11 +385,9 @@ def cmd_eval(cfg):
 
 
 def cmd_analyze(cfg):
-    samples = _require_cache(cfg)
-    model, encoder_cfg = _restore_model(cfg, "analyze")
-    kept, dropped = md.prepare_samples(samples, encoder_cfg.n)
-    if not kept:
-        raise DataError("no usable contexts in cache", path=cfg.cache)
+    encoder_cfg = cfg.encoder_config("analyze")
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n)
+    model = _restore_model(cfg, encoder_cfg)
     sentiment = cfg.sentiment_lexicon()
     prepositions = cfg.preposition_list()
     summaries = an.summarize_distributions(model, kept, sentiment,
@@ -443,7 +441,6 @@ def build_parser():
         sub.add_argument("--features", choices=enc.FEATURE_MODES)
         sub.add_argument("--mode", choices=MODES)
         sub.add_argument("--seed", type=int)
-        sub.add_argument("--jobs", type=int)
         sub.add_argument("--out")
     return parser
 
@@ -453,7 +450,7 @@ def merge_settings(args):
     values = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-    for key in ("encoder", "features", "mode", "seed", "jobs", "out"):
+    for key in ("encoder", "features", "mode", "seed", "out"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -474,15 +471,13 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
+    except (DataError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError is a ValueError, so this comes first.
+        sys.stderr.write("data error: %s\n" % exc)
+        return 2
     except (ValueError, KeyError) as exc:
         sys.stderr.write("configuration error: %s\n" % exc)
         return 1
-    except DataError as exc:
-        sys.stderr.write("data error: %s\n" % exc)
-        return 2
-    except OSError as exc:
-        sys.stderr.write("data error: %s\n" % exc)
-        return 2
     except NumericError as exc:
         sys.stderr.write("numeric failure: %s\n" % exc)
         return 3

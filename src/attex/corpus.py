@@ -105,9 +105,6 @@ class Document:
                 if s2 < e1:
                     raise ValueError("overlapping mention spans in sentence %d" % idx)
 
-    def mentions_in_sentence(self, sentence_idx):
-        return [m for m in self.entity_mentions if m.sentence_idx == sentence_idx]
-
 
 class Opinion:
     """Directed attitude between two synonym groups."""
@@ -195,12 +192,6 @@ class Corpus:
             if doc_id not in known:
                 raise ValueError("opinions reference unknown document %r" % (doc_id,))
 
-    def document(self, doc_id):
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
     def opinions(self, doc_id):
         return self.opinions_by_doc.get(doc_id, [])
 
@@ -271,8 +262,10 @@ def load_documents(path):
 
 def load_opinions(path, documents):
     """Read `doc_id<TAB>source<TAB>target<TAB>label` annotated opinions."""
-    by_id = {d.doc_id: d for d in documents}
+    known_groups = {d.doc_id: {g.group_id for g in d.synonym_groups}
+                    for d in documents}
     opinions_by_doc = defaultdict(list)
+    pairs_by_doc = defaultdict(set)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -283,11 +276,10 @@ def load_opinions(path, documents):
                 raise DataError("expected 4 tab-separated fields",
                                 path=path, line=lineno)
             doc_id, source, target, label = fields
-            if doc_id not in by_id:
+            if doc_id not in known_groups:
                 raise DataError("unknown doc_id %r" % doc_id,
                                 path=path, line=lineno)
-            doc = by_id[doc_id]
-            known = {g.group_id for g in doc.synonym_groups}
+            known = known_groups[doc_id]
             if source not in known or target not in known:
                 raise DataError("opinion references unknown group",
                                 path=path, line=lineno)
@@ -295,8 +287,9 @@ def load_opinions(path, documents):
                 opinion = Opinion(source, target, label, ANNOTATED)
             except ValueError as exc:
                 raise DataError(str(exc), path=path, line=lineno)
-            if opinion.pair() in {o.pair() for o in opinions_by_doc[doc_id]}:
+            if opinion.pair() in pairs_by_doc[doc_id]:
                 raise DataError("duplicate opinion pair", path=path, line=lineno)
+            pairs_by_doc[doc_id].add(opinion.pair())
             opinions_by_doc[doc_id].append(opinion)
     return dict(opinions_by_doc)
 

@@ -135,15 +135,14 @@ def load_word_vectors(path, m):
 class EmbeddedContext:
     """Embedded rows of one context plus everything encoders consult."""
 
-    __slots__ = ("x", "n_real", "subj_pos", "obj_pos", "frame_positions", "terms")
+    __slots__ = ("x", "n_real", "subj_pos", "obj_pos", "frame_positions")
 
-    def __init__(self, x, n_real, subj_pos, obj_pos, frame_positions=(), terms=None):
+    def __init__(self, x, n_real, subj_pos, obj_pos, frame_positions=()):
         self.x = x
         self.n_real = n_real
         self.subj_pos = subj_pos
         self.obj_pos = obj_pos
         self.frame_positions = tuple(frame_positions)
-        self.terms = terms
 
 
 class Embedder:
@@ -218,16 +217,14 @@ class Embedder:
             pad = tape.zeros(self.n - n_real, self.row_width)
             x = tg.concat([x, pad], axis=0)
         frames = [i for i, t in enumerate(seq.terms) if t.kind == tz.FRAME]
-        return EmbeddedContext(x, n_real, seq.subj_pos, seq.obj_pos,
-                               frames, seq.terms)
+        return EmbeddedContext(x, n_real, seq.subj_pos, seq.obj_pos, frames)
 
 
 class EncoderOutput:
-    __slots__ = ("s", "z", "alpha")
+    __slots__ = ("s", "alpha")
 
-    def __init__(self, s, z, alpha=None):
+    def __init__(self, s, alpha=None):
         self.s = s
-        self.z = z
         self.alpha = alpha
 
 
@@ -314,7 +311,7 @@ class CnnEncoder:
     def encode(self, tape, ctx):
         conv = tg.tanh(tg.conv1d(ctx.x, self.w, self.b))
         real = tg.narrow(conv, 0, 0, ctx.n_real)
-        return EncoderOutput(tg.max_pool_over_time(real), self.z)
+        return EncoderOutput(tg.max_pool_over_time(real))
 
 
 class PcnnEncoder:
@@ -345,7 +342,7 @@ class PcnnEncoder:
                 blocks.append(tg.max_pool_over_time(segment))
             else:
                 blocks.append(tape.zeros(self.cfg.filters))
-        return EncoderOutput(tg.concat(blocks, axis=0), self.z)
+        return EncoderOutput(tg.concat(blocks, axis=0))
 
 
 class LstmEncoder:
@@ -365,7 +362,7 @@ class LstmEncoder:
 
     def encode(self, tape, ctx):
         states = self.cell.run(tg.narrow(ctx.x, 0, 0, ctx.n_real))
-        return EncoderOutput(tg.take_row(states, ctx.n_real - 1), self.z)
+        return EncoderOutput(tg.take_row(states, ctx.n_real - 1))
 
 
 class BiLstmEncoder:
@@ -385,7 +382,7 @@ class BiLstmEncoder:
 
     def encode(self, tape, ctx):
         states = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
-        return EncoderOutput(tg.take_row(states, ctx.n_real - 1), self.z)
+        return EncoderOutput(tg.take_row(states, ctx.n_real - 1))
 
 
 class AttBLstmEncoder:
@@ -409,8 +406,7 @@ class AttBLstmEncoder:
         scores = tg.matmul(tg.tanh(h_mat), self.w)
         alpha = tg.softmax(scores)
         s = tg.tanh(tg.matmul(alpha, h_mat))
-        return EncoderOutput(s, self.z,
-                             alpha=_expand_alpha(alpha.data, self.cfg.n))
+        return EncoderOutput(s, alpha=_expand_alpha(alpha.data, self.cfg.n))
 
 
 class AttBLstmZYangEncoder:
@@ -437,8 +433,7 @@ class AttBLstmZYangEncoder:
         projected = tg.tanh(tg.add(tg.matmul(h_mat, self.w_a), self.b_a))
         alpha = tg.softmax(tg.matmul(projected, self.u_w))
         s = tg.matmul(alpha, h_mat)
-        return EncoderOutput(s, self.z,
-                             alpha=_expand_alpha(alpha.data, self.cfg.n))
+        return EncoderOutput(s, alpha=_expand_alpha(alpha.data, self.cfg.n))
 
 
 class AttCnnEncoder:
@@ -480,8 +475,7 @@ class AttCnnEncoder:
         s = tg.concat([pooled.s, attended], axis=0)
         mean_alpha = np.mean(weights, axis=0)
         mean_alpha = mean_alpha / mean_alpha.sum()
-        return EncoderOutput(s, self.z,
-                             alpha=_expand_alpha(mean_alpha, self.cfg.n))
+        return EncoderOutput(s, alpha=_expand_alpha(mean_alpha, self.cfg.n))
 
 
 class IanEncoder:
@@ -524,8 +518,7 @@ class IanEncoder:
         attended_t, _ = self._attend(feature_states, c_mean,
                                      self.w_t, self.b_t)
         s = tg.concat([attended_c, attended_t], axis=0)
-        return EncoderOutput(s, self.z,
-                             alpha=_expand_alpha(gamma.data, self.cfg.n))
+        return EncoderOutput(s, alpha=_expand_alpha(gamma.data, self.cfg.n))
 
 
 _ENCODER_CLASSES = {

@@ -10,7 +10,6 @@ positive and negative classes, averaged per document by default.
 """
 
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -312,10 +311,15 @@ def _sample_gold(samples):
     return {s.opinion_key(): s.label for s in samples}
 
 
+def predict_opinions(model, samples):
+    """One aggregated prediction per opinion key of the samples."""
+    return aggregate_opinions((s.opinion_key(),
+                               model.predict(s.terms).probabilities)
+                              for s in samples)
+
+
 def evaluate_on_samples(model, samples, gold, scope=SCOPE_DOCUMENT):
-    pairs = [(s.opinion_key(), model.predict(s.terms).probabilities)
-             for s in samples]
-    return macro_f1(aggregate_opinions(pairs), gold, scope)
+    return macro_f1(predict_opinions(model, samples), gold, scope)
 
 
 def train(model, samples, cfg, rng=None):
@@ -360,26 +364,39 @@ def train(model, samples, cfg, rng=None):
     return history
 
 
-def _augmented_opinions(doc, corpus):
-    return cp.augment_neutral(doc, corpus.opinions(doc.doc_id))
+def extract_samples(docs, corpus, frame_lexicon, lemmatizer=tz.lemmatize):
+    """Uncropped contexts of docs and the opinions behind them.
 
-
-def samples_for_docs(docs, corpus, frame_lexicon, n, lemmatizer):
+    Each document's neutral pairs are augmented once. Returns (samples,
+    opinions), opinions keyed like ContextSample.opinion_key().
+    """
     samples = []
+    opinions = {}
     for doc in docs:
-        opinions = _augmented_opinions(doc, corpus)
-        samples.extend(cp.extract_contexts(doc, opinions, frame_lexicon,
+        augmented = cp.augment_neutral(doc, corpus.opinions(doc.doc_id))
+        for opinion in augmented:
+            opinions[(doc.doc_id,) + opinion.pair()] = opinion
+        samples.extend(cp.extract_contexts(doc, augmented, frame_lexicon,
                                            lemmatizer))
+    return samples, opinions
+
+
+def samples_for_docs(docs, corpus, frame_lexicon, n, lemmatizer, gold=None):
+    """Contexts of docs cropped to n terms: (kept, dropped count).
+
+    A `gold` dict also receives the label of every opinion of docs.
+    """
+    samples, opinions = extract_samples(docs, corpus, frame_lexicon,
+                                        lemmatizer)
+    if gold is not None:
+        gold.update((key, o.label) for key, o in opinions.items())
     return prepare_samples(samples, n)
 
 
 def gold_for_docs(docs, corpus):
-    gold = {}
-    for doc in docs:
-        for opinion in _augmented_opinions(doc, corpus):
-            gold[(doc.doc_id, opinion.source_group, opinion.target_group)] = \
-                opinion.label
-    return gold
+    """Label of every opinion of docs, augmented neutral pairs included."""
+    _, opinions = extract_samples(docs, corpus, None)
+    return {key: o.label for key, o in opinions.items()}
 
 
 class SplitResult:
@@ -394,17 +411,17 @@ class SplitResult:
 
 
 def _run_split(train_docs, test_docs, corpus, encoder_cfg, train_cfg,
-               frame_lexicon, embed_options, scope, lemmatizer, split_seed):
+               frame_lexicon, embed_options, scope, split_seed):
     train_samples, dropped_train = samples_for_docs(
-        train_docs, corpus, frame_lexicon, encoder_cfg.n, lemmatizer)
+        train_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize)
+    gold = {}
     test_samples, dropped_test = samples_for_docs(
-        test_docs, corpus, frame_lexicon, encoder_cfg.n, lemmatizer)
+        test_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize, gold)
     vocab = enc.build_vocab(train_samples)
     model = build_model(vocab, encoder_cfg, embed_options,
                         rng=np.random.default_rng(split_seed))
     history = train(model, train_samples, train_cfg,
                     rng=np.random.default_rng(split_seed + [1]))
-    gold = gold_for_docs(test_docs, corpus)
     f1 = evaluate_on_samples(model, test_samples, gold, scope)
     return SplitResult(f1, history, model, test_samples,
                        dropped_train + dropped_test)
@@ -431,36 +448,29 @@ class CvResult:
 
 
 def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,
-           embed_options=None, k=3, scope=SCOPE_DOCUMENT, jobs=1,
-           lemmatizer=tz.lemmatize):
+           embed_options=None, k=3, scope=SCOPE_DOCUMENT):
     """k-fold cross-validation over sentence-balanced document folds."""
     folds = cp.split_folds(corpus.documents, k=k, seed=train_cfg.seed)
-
-    def run_fold(fold):
+    results = []
+    for fold in range(k):
         train_docs = [d for d in corpus.documents
                       if folds.fold_of_doc[d.doc_id] != fold]
         test_docs = [d for d in corpus.documents
                      if folds.fold_of_doc[d.doc_id] == fold]
-        return _run_split(train_docs, test_docs, corpus, encoder_cfg,
-                          train_cfg, frame_lexicon, embed_options, scope,
-                          lemmatizer, split_seed=[train_cfg.seed, fold])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(fold) for fold in range(k)]
+        results.append(_run_split(train_docs, test_docs, corpus, encoder_cfg,
+                                  train_cfg, frame_lexicon, embed_options,
+                                  scope, split_seed=[train_cfg.seed, fold]))
     return CvResult([r.f1 for r in results], [r.history for r in results],
                     folds, results)
 
 
 def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
                    frame_lexicon=None, embed_options=None,
-                   scope=SCOPE_DOCUMENT, lemmatizer=tz.lemmatize):
+                   scope=SCOPE_DOCUMENT):
     """Train on the manifest's train documents, score its test ones."""
     train_docs, test_docs = cp.train_test_split(corpus.documents, manifest)
     return _run_split(train_docs, test_docs, corpus, encoder_cfg, train_cfg,
-                      frame_lexicon, embed_options, scope, lemmatizer,
+                      frame_lexicon, embed_options, scope,
                       split_seed=[train_cfg.seed, 0])
 
 

@@ -86,14 +86,6 @@ class Tape:
                 fn(out.grad)
 
 
-def constant(data) -> Tensor:
-    """Tape-less constant; treated as having zero gradient everywhere."""
-    t = Tensor(data, None)
-    if not np.all(np.isfinite(t.data)):
-        raise ValueError("constant contains non-finite values")
-    return t
-
-
 Operand = Tensor | Parameter
 
 
@@ -404,20 +396,6 @@ def take_row(a: Operand, i: int) -> Tensor:
     return out
 
 
-def transpose(a: Operand) -> Tensor:
-    tape = _tape_of(a)
-    av = _value(a)
-    if av.ndim != 2:
-        raise ValueError("transpose expects a matrix")
-    out = Tensor(av.T, tape)
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    tape._record(out, backward)
-    return out
-
-
 def max_pool_over_time(a: Operand) -> Tensor:
     """Columnwise max of an (n,f) matrix; gradient goes to the first argmax."""
     tape = _tape_of(a)
@@ -605,4 +583,6 @@ def restore_parameters(params: Iterable[Parameter], arrays: dict[str, np.ndarray
                 f"parameter {p.name!r} has shape {p.data.shape} "
                 f"but checkpoint stores {a.shape}"
             )
+        if not np.all(np.isfinite(a)):
+            raise DataError(f"checkpoint value of {p.name!r} is not finite")
         p.data[...] = a

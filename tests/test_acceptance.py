@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 import synth
 from attex import analysis as an
@@ -264,6 +265,7 @@ def test_attention_normalization_invariants():
                                      rho_worst))
 
 
+@pytest.mark.slow
 def test_synthetic_attitude_benchmark():
     corpus = _benchmark_corpus()
     vocab_size = _corpus_vocab_size(corpus)
@@ -287,6 +289,7 @@ def test_synthetic_attitude_benchmark():
                               plain.mean, elapsed))
 
 
+@pytest.mark.slow
 def test_attention_group_discrepancy():
     corpus = _benchmark_corpus()
     manifest = {doc.doc_id: ("train" if i % 3 else "test")

@@ -90,9 +90,9 @@ def stdout_pairs(capsys):
 class TestConfigParsing:
     def test_comments_blanks_and_spacing(self, tmp_path):
         path = tmp_path / "c.conf"
-        path.write_text("# top\n\nseed=4\n  jobs = 2  # trailing\n")
+        path.write_text("# top\n\nseed=4\n  h = 2  # trailing\n")
         values = cli.load_config_file(str(path))
-        assert values == {"seed": "4", "jobs": "2"}
+        assert values == {"seed": "4", "h": "2"}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -123,7 +123,6 @@ class TestConfigParsing:
     def test_defaults(self):
         cfg = cli.ExperimentConfig({})
         assert cfg.seed == 0
-        assert cfg.jobs == 1
         assert cfg.mode == "cv3"
 
     def test_missing_path_is_data_error(self, tmp_path):
@@ -204,6 +203,37 @@ class TestPrepare:
         config.write_text(text)
         assert cli.main(["prepare", "--config", str(config)]) == 2
         assert not (out / "contexts.jsonl").exists()
+
+    def test_cache_matches_samples_for_docs(self, tmp_path, capsys):
+        config, out = write_fixture(tmp_path)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        corpus = cp.load_corpus(str(tmp_path / "documents.jsonl"),
+                                str(tmp_path / "opinions.tsv"))
+        frame_lex = lx.load_frame_lexicon(str(tmp_path / "frames.tsv"))
+
+        def fields(samples):
+            return [(s.doc_id, s.sentence_idx, s.label, s.source_group,
+                     s.target_group, s.terms.terms, s.subj_pos, s.obj_pos)
+                    for s in samples]
+
+        # n=2 drops every context, n=3 crops the longer sentence.
+        for n in (2, 3, 8):
+            cached, cached_dropped = md.prepare_samples(
+                cli.read_cache(str(out / "contexts.jsonl")), n)
+            direct, direct_dropped = md.samples_for_docs(
+                corpus.documents, corpus, frame_lex, n, tz.lemmatize)
+            assert fields(cached) == fields(direct)
+            assert cached_dropped == direct_dropped
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("name", ["documents.jsonl", "frames.tsv"])
+    def test_prepare_exits_two(self, tmp_path, capsys, name):
+        config, out = write_fixture(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 def prepared(tmp_path, capsys):
@@ -303,13 +333,6 @@ class TestCv:
         assert cli.main(["cv", "--config", str(config)]) == 0
         assert (out / "folds.csv").read_bytes() == first
 
-    def test_jobs_flag_matches_serial(self, tmp_path, capsys):
-        config, out = write_fixture(tmp_path)
-        assert cli.main(["cv", "--config", str(config)]) == 0
-        serial = (out / "folds.csv").read_bytes()
-        assert cli.main(["cv", "--config", str(config), "--jobs", "3"]) == 0
-        assert (out / "folds.csv").read_bytes() == serial
-
     def test_seed_flag_overrides_default(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
         assert cli.main(["cv", "--config", str(config),
@@ -335,6 +358,14 @@ class TestAnalyze:
         heat = (out / "heatmap.tsv").read_text().splitlines()
         assert heat[0] == "position\tterm\tgroup\tnormalized_weight"
         assert "mean_S_FRAMES" in pairs
+
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        config, out = prepared(tmp_path, capsys)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        lines = (out / "model.ckpt").read_text().splitlines()
+        lines[1] = "nan " + lines[1].split(" ", 1)[1]
+        (out / "model.ckpt").write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze", "--config", str(config)]) == 2
 
     def test_non_attentive_encoder_fails(self, tmp_path, capsys):
         config, out = prepared(tmp_path, capsys)

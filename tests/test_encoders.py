@@ -235,7 +235,7 @@ class TestCnn:
         out = encoder.encode(tape, ctx)
         conv = np.tanh(ref_conv1d(ctx.x.data, encoder.w.data, encoder.b.data))
         assert np.allclose(out.s.data, conv[:3].max(axis=0))
-        assert out.z == 2 and out.alpha is None
+        assert encoder.z == 2 and out.alpha is None
 
     def test_zero_input_zero_bias(self):
         encoder = build("cnn")
@@ -340,7 +340,7 @@ class TestBiLstm:
         out = encoder.encode(tape, ctx)
         want = ref_bilstm_states(rows, encoder.bilstm)[-1]
         assert np.allclose(out.s.data, want)
-        assert out.z == 6
+        assert encoder.z == 6
 
 
 class TestAttBLstm:
@@ -469,7 +469,7 @@ class TestAttCnn:
                                         "att-ef", 3, frame_positions=(2,))
         assert np.allclose(out.s.data, want_s)
         assert np.allclose(out.alpha[:5], want_alpha)
-        assert out.z == 3 * 2 + 5
+        assert encoder.z == 3 * 2 + 5
 
 
 def ref_ian(encoder, rows, n_real, subj, obj, mode, k, frame_positions=()):
@@ -523,7 +523,7 @@ class TestIan:
                                    frame_positions=(2, 3))
         assert np.allclose(out.s.data, want_s)
         assert np.allclose(out.alpha[:5], gamma)
-        assert out.z == 8
+        assert encoder.z == 8
 
 
 EXPECTED_Z = {
@@ -561,7 +561,7 @@ class TestAllEncoders:
             out = encoder.encode(tape, ctx)
             want = EXPECTED_Z[kind](cfg, rw)
             assert out.s.data.shape == (want,)
-            assert out.z == want
+            assert encoder.z == want
             assert encoder.attentive == (kind in ATTENTIVE)
 
     @pytest.mark.parametrize("kind", ATTENTIVE)

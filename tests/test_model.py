@@ -516,14 +516,6 @@ class TestRunners:
             csvs.append(path.read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_run_cv_jobs_matches_serial(self):
-        corpus = tiny_corpus()
-        serial = md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(),
-                           embed_options=CHEAP_EMBED, k=3, jobs=1)
-        threaded = md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(),
-                             embed_options=CHEAP_EMBED, k=3, jobs=3)
-        assert serial.per_fold == threaded.per_fold
-
     def test_cv_csv_format(self, tmp_path):
         result = md.CvResult([0.5, 0.75, 1.0], [None] * 3, None)
         path = tmp_path / "folds.csv"
