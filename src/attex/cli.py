@@ -4,8 +4,10 @@ Settings come from a key=value config file; the command-line flags
 --encoder/--features/--mode/--seed/--out override file values.
 `prepare` writes the masked contexts to a cache that `train` and
 `analyze` read; `cv` and `eval` extract the contexts again.
-Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(including input that is not valid UTF-8), 3 numeric failure.
+Every input file is UTF-8 text whose blank lines are skipped.
+Exit codes: 0 success, 1 usage or configuration error (a config file
+included), 2 data error (a malformed line or byte of an input file is
+reported as `path:line:`), 3 numeric failure.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from . import lexicons as lx
 from . import model as md
 from . import tensorgrad as tg
 from . import termizer as tz
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_json_lines, read_lines
 
 MODES = ("cv3", "traintest")
 
@@ -54,11 +56,10 @@ def load_config_file(path):
     """Parse `key = value` lines; # starts a comment."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = list(read_lines(path))
+    except (OSError, DataError) as exc:
         raise UsageError("cannot read config file: %s" % exc)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -137,14 +138,15 @@ class ExperimentConfig:
             kwargs["feature_mode"] = self.values["features"]
         return enc.EncoderConfig(kind, **kwargs)
 
-    def embed_options(self):
+    def embed_options(self, pretrained=True):
+        """Embedder settings; `pretrained` adds the embeddings file's rows."""
         options = {}
         for key in ("m", "polarity_dim", "use_position", "position_dim",
                     "max_distance"):
             if key in self.values:
                 options[key] = self.values[key]
         path = self.values.get("embeddings")
-        if path is not None:
+        if pretrained and path is not None:
             m = options.get("m", 50)
             options["pretrained"] = enc.load_word_vectors(path, m)
         return options
@@ -228,19 +230,8 @@ def write_cache(samples, path):
 
 
 def read_cache(path):
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError("invalid JSON: %s" % exc, path=path,
-                                line=lineno)
-            samples.append(_sample_from_obj(obj, path, lineno))
-    return samples
+    return [_sample_from_obj(obj, path, lineno)
+            for lineno, obj in read_json_lines(path)]
 
 
 def _write_vocab(vocab, path):
@@ -250,8 +241,7 @@ def _write_vocab(vocab, path):
 
 
 def _read_vocab(path):
-    with open(path, encoding="utf-8") as fh:
-        return enc.Vocab([line.rstrip("\n") for line in fh if line.strip()])
+    return enc.Vocab([line for _, line in read_lines(path)])
 
 
 def _checkpoint_path(cfg):
@@ -353,8 +343,9 @@ def _restore_model(cfg, encoder_cfg):
             raise DataError("run train first: missing %s"
                             % os.path.basename(path), path=path)
     vocab = _read_vocab(_vocab_path(cfg))
-    model = md.build_model(vocab, encoder_cfg, cfg.embed_options(),
-                           rng=np.random.default_rng([cfg.seed, 0]))
+    # Every parameter is overwritten from the checkpoint.
+    model = md.build_model(vocab, encoder_cfg,
+                           cfg.embed_options(pretrained=False))
     arrays = tg.load_checkpoint(_checkpoint_path(cfg))
     tg.restore_parameters(model.parameters(), arrays)
     return model
@@ -367,7 +358,10 @@ def cmd_eval(cfg):
     manifest = cp.load_split_manifest(cfg.path("manifest", "eval"))
     encoder_cfg = cfg.encoder_config("eval")
     model = _restore_model(cfg, encoder_cfg)
-    _, test_docs = cp.train_test_split(corpus.documents, manifest)
+    try:
+        _, test_docs = cp.train_test_split(corpus.documents, manifest)
+    except ValueError as exc:
+        raise DataError(str(exc), path=cfg.path("manifest"))
     gold = {}
     test_samples, dropped = md.samples_for_docs(
         test_docs, corpus, cfg.frame_lexicon(), encoder_cfg.n, tz.lemmatize,
@@ -471,8 +465,7 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        # UnicodeDecodeError is a ValueError, so this comes first.
+    except (DataError, OSError) as exc:
         sys.stderr.write("data error: %s\n" % exc)
         return 2
     except (ValueError, KeyError) as exc:

@@ -8,7 +8,6 @@ one classification sample is produced per (opinion, sentence) whose
 sentence mentions both sides.
 """
 
-import json
 import os
 from collections import defaultdict
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import lexicons as lx
 from . import termizer as tz
-from .errors import DataError
+from .errors import DataError, read_json_lines, read_lines
 
 LABELS = lx.POLARITIES
 ANNOTATED = "annotated"
@@ -27,18 +26,12 @@ OPINIONS_FILENAME = "opinions.tsv"
 
 
 class Sentence:
-    """Surface tokens with character offsets (space-joined layout)."""
+    """Surface tokens of one sentence."""
 
-    __slots__ = ("tokens", "char_offsets")
+    __slots__ = ("tokens",)
 
     def __init__(self, tokens):
         self.tokens = list(tokens)
-        offsets = []
-        pos = 0
-        for tok in self.tokens:
-            offsets.append(pos)
-            pos += len(tok) + 1
-        self.char_offsets = offsets
 
     def __len__(self):
         return len(self.tokens)
@@ -177,9 +170,6 @@ class FoldAssignment:
         self.fold_of_doc = dict(fold_of_doc)
         self.sentence_counts = list(sentence_counts)
 
-    def docs_in_fold(self, fold):
-        return sorted(d for d, f in self.fold_of_doc.items() if f == fold)
-
 
 class Corpus:
     """Documents plus their annotated opinions."""
@@ -242,21 +232,13 @@ def load_documents(path):
     """Read one document per JSON line."""
     documents = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError("invalid JSON: %s" % exc, path=path, line=lineno)
-            doc = _parse_document(obj, path, lineno)
-            if doc.doc_id in seen:
-                raise DataError("duplicate doc_id %r" % doc.doc_id,
-                                path=path, line=lineno)
-            seen.add(doc.doc_id)
-            documents.append(doc)
+    for lineno, obj in read_json_lines(path):
+        doc = _parse_document(obj, path, lineno)
+        if doc.doc_id in seen:
+            raise DataError("duplicate doc_id %r" % doc.doc_id,
+                            path=path, line=lineno)
+        seen.add(doc.doc_id)
+        documents.append(doc)
     return documents
 
 
@@ -266,31 +248,27 @@ def load_opinions(path, documents):
                     for d in documents}
     opinions_by_doc = defaultdict(list)
     pairs_by_doc = defaultdict(set)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError("expected 4 tab-separated fields",
-                                path=path, line=lineno)
-            doc_id, source, target, label = fields
-            if doc_id not in known_groups:
-                raise DataError("unknown doc_id %r" % doc_id,
-                                path=path, line=lineno)
-            known = known_groups[doc_id]
-            if source not in known or target not in known:
-                raise DataError("opinion references unknown group",
-                                path=path, line=lineno)
-            try:
-                opinion = Opinion(source, target, label, ANNOTATED)
-            except ValueError as exc:
-                raise DataError(str(exc), path=path, line=lineno)
-            if opinion.pair() in pairs_by_doc[doc_id]:
-                raise DataError("duplicate opinion pair", path=path, line=lineno)
-            pairs_by_doc[doc_id].add(opinion.pair())
-            opinions_by_doc[doc_id].append(opinion)
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise DataError("expected 4 tab-separated fields",
+                            path=path, line=lineno)
+        doc_id, source, target, label = fields
+        if doc_id not in known_groups:
+            raise DataError("unknown doc_id %r" % doc_id,
+                            path=path, line=lineno)
+        known = known_groups[doc_id]
+        if source not in known or target not in known:
+            raise DataError("opinion references unknown group",
+                            path=path, line=lineno)
+        try:
+            opinion = Opinion(source, target, label, ANNOTATED)
+        except ValueError as exc:
+            raise DataError(str(exc), path=path, line=lineno)
+        if opinion.pair() in pairs_by_doc[doc_id]:
+            raise DataError("duplicate opinion pair", path=path, line=lineno)
+        pairs_by_doc[doc_id].add(opinion.pair())
+        opinions_by_doc[doc_id].append(opinion)
     return dict(opinions_by_doc)
 
 
@@ -317,19 +295,15 @@ def load_corpus(path, opinions_path=None):
 def load_split_manifest(path):
     """Read `doc_id<TAB>train|test` lines into a dict."""
     manifest = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or fields[1] not in ("train", "test"):
-                raise DataError("expected 'doc_id<TAB>train|test'",
-                                path=path, line=lineno)
-            if fields[0] in manifest:
-                raise DataError("duplicate doc_id %r" % fields[0],
-                                path=path, line=lineno)
-            manifest[fields[0]] = fields[1]
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2 or fields[1] not in ("train", "test"):
+            raise DataError("expected 'doc_id<TAB>train|test'",
+                            path=path, line=lineno)
+        if fields[0] in manifest:
+            raise DataError("duplicate doc_id %r" % fields[0],
+                            path=path, line=lineno)
+        manifest[fields[0]] = fields[1]
     return manifest
 
 

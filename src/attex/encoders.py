@@ -19,7 +19,7 @@ import numpy as np
 from . import lexicons as lx
 from . import tensorgrad as tg
 from . import termizer as tz
-from .errors import DataError
+from .errors import DataError, read_lines
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -117,18 +117,15 @@ def build_vocab(samples):
 def load_word_vectors(path, m):
     """Read `token v1 .. vm` lines into a dict of numpy rows."""
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.rstrip("\n").split()
-            if not parts:
-                continue
-            if len(parts) != m + 1:
-                raise DataError("expected %d values, got %d" % (m, len(parts) - 1),
-                                path=path, line=lineno)
-            try:
-                vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise DataError("non-numeric embedding value", path=path, line=lineno)
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != m + 1:
+            raise DataError("expected %d values, got %d" % (m, len(parts) - 1),
+                            path=path, line=lineno)
+        try:
+            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise DataError("non-numeric embedding value", path=path, line=lineno)
     return vectors
 
 

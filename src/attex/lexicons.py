@@ -6,7 +6,7 @@ left-to-right longest match. Sentiment and preposition lists are plain
 lemma sets used to assign analysis groups.
 """
 
-from .errors import DataError
+from .errors import DataError, read_lines
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -88,37 +88,27 @@ def load_frame_lexicon(path):
     """Read `lemma[ lemma...]<TAB>pos|neg|neu` lines into a FrameLexicon."""
     entries = []
     seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError("expected 'lemmas<TAB>polarity'", path=path, line=lineno)
-            lemma_field, tag = fields
-            lemmas = tuple(tok.casefold() for tok in lemma_field.split() if tok)
-            if not lemmas:
-                raise DataError("empty lemma sequence", path=path, line=lineno)
-            if tag not in _POLARITY_TOKENS:
-                raise DataError("unknown polarity token: %r" % (tag,), path=path, line=lineno)
-            if lemmas in seen:
-                raise DataError(
-                    "duplicate entry %r (first at line %d)" % (" ".join(lemmas), seen[lemmas]),
-                    path=path, line=lineno)
-            seen[lemmas] = lineno
-            entries.append(FrameEntry(lemmas, _POLARITY_TOKENS[tag]))
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError("expected 'lemmas<TAB>polarity'", path=path, line=lineno)
+        lemma_field, tag = fields
+        lemmas = tuple(tok.casefold() for tok in lemma_field.split() if tok)
+        if not lemmas:
+            raise DataError("empty lemma sequence", path=path, line=lineno)
+        if tag not in _POLARITY_TOKENS:
+            raise DataError("unknown polarity token: %r" % (tag,), path=path, line=lineno)
+        if lemmas in seen:
+            raise DataError(
+                "duplicate entry %r (first at line %d)" % (" ".join(lemmas), seen[lemmas]),
+                path=path, line=lineno)
+        seen[lemmas] = lineno
+        entries.append(FrameEntry(lemmas, _POLARITY_TOKENS[tag]))
     return FrameLexicon(entries)
 
 
 def _load_lemma_lines(path):
-    lemmas = set()
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            lemma = raw.strip()
-            if lemma:
-                lemmas.add(lemma)
-    return lemmas
+    return {line.strip() for _, line in read_lines(path)}
 
 
 def load_sentiment_lexicon(path):

@@ -393,12 +393,6 @@ def samples_for_docs(docs, corpus, frame_lexicon, n, lemmatizer, gold=None):
     return prepare_samples(samples, n)
 
 
-def gold_for_docs(docs, corpus):
-    """Label of every opinion of docs, augmented neutral pairs included."""
-    _, opinions = extract_samples(docs, corpus, None)
-    return {key: o.label for key, o in opinions.items()}
-
-
 class SplitResult:
     __slots__ = ("f1", "history", "model", "test_samples", "dropped")
 

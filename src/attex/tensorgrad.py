@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_lines
 
 
 class Tensor:
@@ -546,8 +546,8 @@ def save_checkpoint(path, params: Iterable[Parameter]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    # Kept blank: a parameter with no values has an empty payload line.
+    lines = [line for _, line in read_lines(path, keep_blank=True)]
     if len(lines) % 2 != 0:
         raise DataError("truncated checkpoint", path=path)
     for k in range(0, len(lines), 2):

@@ -226,21 +226,78 @@ class TestPrepare:
             assert cached_dropped == direct_dropped
 
 
-class TestUndecodableInput:
-    @pytest.mark.parametrize("name", ["documents.jsonl", "frames.tsv"])
-    def test_prepare_exits_two(self, tmp_path, capsys, name):
-        config, out = write_fixture(tmp_path)
-        path = tmp_path / name
-        path.write_bytes(path.read_bytes() + b"\xff\n")
-        assert cli.main(["prepare", "--config", str(config)]) == 2
-        assert "data error" in capsys.readouterr().err
-
-
 def prepared(tmp_path, capsys):
     config, out = write_fixture(tmp_path)
     assert cli.main(["prepare", "--config", str(config)]) == 0
     capsys.readouterr()
     return config, out
+
+
+def spoil_second_line(path, junk=b"\xff"):
+    """Put junk at the start of line 2 of path."""
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    path.write_bytes(data[:cut] + junk + data[cut:])
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("name", ["documents.jsonl", "frames.tsv",
+                                      "opinions.tsv"])
+    def test_prepare_exits_two(self, tmp_path, capsys, name):
+        config, out = write_fixture(tmp_path)
+        path = tmp_path / name
+        spoil_second_line(path)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s:2: " % path)
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("command,name", [
+        ("eval", "manifest.tsv"),
+        ("analyze", "sentiment.txt"),
+        ("train", "out/contexts.jsonl"),
+        ("analyze", "out/contexts.jsonl"),
+        ("analyze", "out/vocab.txt"),
+        ("eval", "out/model.ckpt"),
+    ])
+    def test_trained_run_exits_two(self, tmp_path, capsys, command, name):
+        config, out = prepared(tmp_path, capsys)
+        assert cli.main(["train", "--config", str(config),
+                         "--mode", "traintest"]) == 0
+        capsys.readouterr()
+        path = tmp_path / name
+        spoil_second_line(path)
+        assert cli.main([command, "--config", str(config),
+                         "--mode", "traintest"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:2: " % path)
+
+    def test_config_is_usage_error(self, tmp_path, capsys):
+        config, out = write_fixture(tmp_path)
+        spoil_second_line(config)
+        assert cli.main(["prepare", "--config", str(config)]) == 1
+        assert "%s:2: " % config in capsys.readouterr().err
+
+
+class TestRunawayNesting:
+    NESTED = b"[" * 5000 + b"\n"
+
+    def test_documents(self, tmp_path, capsys):
+        config, out = write_fixture(tmp_path)
+        path = tmp_path / "documents.jsonl"
+        spoil_second_line(path, self.NESTED)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:2: invalid JSON: " % path)
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_cache(self, tmp_path, capsys, command):
+        config, out = prepared(tmp_path, capsys)
+        path = out / "contexts.jsonl"
+        spoil_second_line(path, self.NESTED)
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:2: invalid JSON: " % path)
 
 
 class TestTrain:
@@ -340,6 +397,31 @@ class TestCv:
         pairs = stdout_pairs(capsys)
         assert pairs["seed"] == "5"
         assert (out / "folds.csv").exists()
+
+
+class TestPretrainedVectors:
+    def test_eval_and_analyze_do_not_read_them(self, tmp_path, capsys,
+                                                monkeypatch):
+        config, out = prepared(tmp_path, capsys)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("хвалит 0.5 -0.5 0.25 1\n", encoding="utf-8")
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("embeddings = %s\n" % vectors)
+        run = ["--config", str(config), "--mode", "traintest"]
+        assert cli.main(["train"] + run) == 0
+        capsys.readouterr()
+        expected = {}
+        for command in ("eval", "analyze"):
+            assert cli.main([command] + run) == 0
+            expected[command] = capsys.readouterr().out
+
+        def unreadable(path, m):
+            raise OSError("pretrained vectors were read again")
+
+        monkeypatch.setattr(cli.enc, "load_word_vectors", unreadable)
+        for command in ("eval", "analyze"):
+            assert cli.main([command] + run) == 0
+            assert capsys.readouterr().out == expected[command]
 
 
 class TestAnalyze:

@@ -74,13 +74,6 @@ class TestLoadDocuments:
         with pytest.raises(DataError):
             cp.load_documents(path)
 
-    def test_sentence_offsets(self, tmp_path):
-        path = write_documents(tmp_path, [FIXTURE_DOC])
-        doc = cp.load_documents(path)[0]
-        sent = doc.sentences[0]
-        assert sent.char_offsets[0] == 0
-        assert sent.char_offsets[1] == len("Россия") + 1
-
 
 class TestLoadCorpus:
     def test_no_opinions(self, tmp_path):
@@ -314,7 +307,7 @@ class TestSplitFolds:
         assert sorted(folds.fold_of_doc) == sorted(d.doc_id for d in docs)
         assert set(folds.fold_of_doc.values()) == {0, 1, 2}
         for fold in range(3):
-            ids = folds.docs_in_fold(fold)
+            ids = {d for d, f in folds.fold_of_doc.items() if f == fold}
             total = sum(len(d.sentences) for d in docs if d.doc_id in ids)
             assert total == folds.sentence_counts[fold]
 

@@ -536,7 +536,8 @@ class TestRunners:
     def test_gold_includes_augmented_neutrals(self):
         corpus = tiny_corpus(1)
         doc = corpus.documents[0]
-        gold = md.gold_for_docs([doc], corpus)
+        gold = {}
+        md.samples_for_docs([doc], corpus, None, 8, tz.lemmatize, gold)
         assert gold[("doc0", "g1", "g2")] == lx.POSITIVE
         assert gold[("doc0", "g1", "g3")] == lx.NEGATIVE
         assert gold[("doc0", "g2", "g1")] == lx.NEUTRAL

@@ -337,6 +337,16 @@ class TestCheckpoint:
         for orig, new in zip(params, fresh):
             assert np.allclose(orig.data, new.data, rtol=0, atol=1e-15)
 
+    def test_zero_size_parameter_round_trip(self, tmp_path):
+        # Its payload line is blank, and the blocks after it stay paired.
+        params = [tg.Parameter(np.zeros((3, 0)), "empty"),
+                  tg.Parameter(np.arange(2.0), "after")]
+        path = tmp_path / "ckpt.txt"
+        tg.save_checkpoint(path, params)
+        arrays = tg.load_checkpoint(path)
+        assert arrays["empty"].shape == (3, 0)
+        assert np.array_equal(arrays["after"], [0.0, 1.0])
+
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         tg.save_checkpoint(path, [tg.Parameter(np.zeros((2, 2)), "a")])
