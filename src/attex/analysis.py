@@ -11,6 +11,7 @@ import numpy as np
 from . import lexicons as lx
 from . import tensorgrad as tg
 from . import termizer as tz
+from .errors import write_lines
 
 CLASS_NEUTRAL = "N"
 CLASS_SENTIMENT = "S"
@@ -135,36 +136,33 @@ def export_heatmap(sample, alpha, path, sentiment_lexicon=None,
         raise ValueError("weight count %d does not match %d terms"
                          % (len(alpha), len(terms)))
     top = max(alpha)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("position\tterm\tgroup\tnormalized_weight\n")
-        for i, (a, term) in enumerate(zip(alpha, terms)):
-            group = tz.group_of(term, sentiment_lexicon, preposition_list)
-            fh.write("%d\t%s\t%s\t%s\n" % (i, term.display(), group,
-                                           repr(float(a / top))))
+    rows = ["position\tterm\tgroup\tnormalized_weight"]
+    for i, (a, term) in enumerate(zip(alpha, terms)):
+        group = tz.group_of(term, sentiment_lexicon, preposition_list)
+        rows.append("%d\t%s\t%s\t%s" % (i, term.display(), group,
+                                        repr(float(a / top))))
+    write_lines(path, rows)
 
 
 def write_distribution_csv(summaries, path):
     """CSV of the KDE curves: group,label_class,grid_point,density."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("group,label_class,grid_point,density\n")
-        for summary in summaries:
-            for cls, curve in ((CLASS_NEUTRAL, summary.kde_n),
-                               (CLASS_SENTIMENT, summary.kde_s)):
-                if curve is None:
-                    continue
-                for g, d in zip(summary.grid, curve):
-                    fh.write("%s,%s,%s,%s\n" % (summary.group, cls,
-                                                repr(float(g)),
-                                                repr(float(d))))
+    rows = ["group,label_class,grid_point,density"]
+    for summary in summaries:
+        for cls, curve in ((CLASS_NEUTRAL, summary.kde_n),
+                           (CLASS_SENTIMENT, summary.kde_s)):
+            if curve is None:
+                continue
+            for g, d in zip(summary.grid, curve):
+                rows.append("%s,%s,%s,%s" % (summary.group, cls,
+                                             repr(float(g)), repr(float(d))))
+    write_lines(path, rows)
 
 
 def write_means_csv(summaries, path):
     """CSV of the expected values: group,mean_N,mean_S."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("group,mean_N,mean_S\n")
-        for summary in summaries:
-            mean_n = UNDEFINED if summary.mean_n is None \
-                else repr(float(summary.mean_n))
-            mean_s = UNDEFINED if summary.mean_s is None \
-                else repr(float(summary.mean_s))
-            fh.write("%s,%s,%s\n" % (summary.group, mean_n, mean_s))
+    rows = ["group,mean_N,mean_S"]
+    for summary in summaries:
+        mean_n, mean_s = (UNDEFINED if v is None else repr(float(v))
+                          for v in (summary.mean_n, summary.mean_s))
+        rows.append("%s,%s,%s" % (summary.group, mean_n, mean_s))
+    write_lines(path, rows)

@@ -4,10 +4,13 @@ Settings come from a key=value config file; the command-line flags
 --encoder/--features/--mode/--seed/--out override file values.
 `prepare` writes the masked contexts to a cache that `train` and
 `analyze` read; `cv` and `eval` extract the contexts again.
-Every input file is UTF-8 text whose blank lines are skipped.
+Every input file is UTF-8 text whose blank lines are skipped. Every
+output file is written beside its target and moved onto it, so an
+interrupted run leaves the previous file whole.
 Exit codes: 0 success, 1 usage or configuration error (a config file
-included), 2 data error (a malformed line or byte of an input file is
-reported as `path:line:`), 3 numeric failure.
+included), 2 data error (a malformed line or byte of an input file,
+reported as `path:line:`, or fewer than 3 documents for `cv`), 3 numeric
+failure.
 """
 
 import argparse
@@ -25,9 +28,11 @@ from . import lexicons as lx
 from . import model as md
 from . import tensorgrad as tg
 from . import termizer as tz
-from .errors import DataError, NumericError, read_json_lines, read_lines
+from .errors import (DataError, NumericError, read_json_lines, read_lines,
+                     write_lines)
 
 MODES = ("cv3", "traintest")
+CV_FOLDS = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -176,10 +181,6 @@ class ExperimentConfig:
         documents = self.path("documents", required_by)
         return cp.load_corpus(documents, self.values.get("opinions"))
 
-    def ensure_out(self):
-        os.makedirs(self.out, exist_ok=True)
-        return self.out
-
 
 def _term_to_obj(term):
     obj = {"kind": term.kind}
@@ -224,9 +225,7 @@ def _sample_from_obj(obj, path, lineno):
 
 
 def write_cache(samples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(_sample_to_line(sample) + "\n")
+    write_lines(path, (_sample_to_line(sample) for sample in samples))
 
 
 def read_cache(path):
@@ -235,9 +234,7 @@ def read_cache(path):
 
 
 def _write_vocab(vocab, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in vocab.tokens()[len(enc.SPECIALS):]:
-            fh.write(token + "\n")
+    write_lines(path, vocab.tokens()[len(enc.SPECIALS):])
 
 
 def _read_vocab(path):
@@ -262,7 +259,6 @@ def cmd_prepare(cfg):
     samples, opinions = md.extract_samples(corpus.documents, corpus,
                                            cfg.frame_lexicon())
     provenance = Counter(o.provenance for o in opinions.values())
-    cfg.ensure_out()
     write_cache(samples, cfg.cache)
     by_label = {label: 0 for label in md.LABELS}
     for sample in samples:
@@ -306,7 +302,6 @@ def cmd_train(cfg):
                            rng=np.random.default_rng([cfg.seed, 0]))
     history = md.train(model, kept, cfg.train_config(),
                        rng=np.random.default_rng([cfg.seed, 0, 1]))
-    cfg.ensure_out()
     tg.save_checkpoint(_checkpoint_path(cfg), model.parameters())
     _write_vocab(vocab, _vocab_path(cfg))
     history.to_csv(os.path.join(cfg.out, "history.csv"))
@@ -321,12 +316,15 @@ def cmd_train(cfg):
 
 def cmd_cv(cfg):
     corpus = cfg.load_corpus("cv")
+    if len(corpus.documents) < CV_FOLDS:
+        raise DataError("cv needs at least %d documents, got %d"
+                        % (CV_FOLDS, len(corpus.documents)),
+                        path=cfg.path("documents"))
     encoder_cfg = cfg.encoder_config("cv")
     result = md.run_cv(corpus, encoder_cfg, cfg.train_config(),
                        frame_lexicon=cfg.frame_lexicon(),
-                       embed_options=cfg.embed_options(), k=3,
+                       embed_options=cfg.embed_options(), k=CV_FOLDS,
                        scope=cfg.scope)
-    cfg.ensure_out()
     result.to_csv(os.path.join(cfg.out, "folds.csv"))
     for fold, history in enumerate(result.histories):
         history.to_csv(os.path.join(cfg.out, "history_fold%d.csv" % fold))
@@ -386,7 +384,6 @@ def cmd_analyze(cfg):
     prepositions = cfg.preposition_list()
     summaries = an.summarize_distributions(model, kept, sentiment,
                                            prepositions)
-    cfg.ensure_out()
     an.write_distribution_csv(summaries,
                               os.path.join(cfg.out, "distributions.csv"))
     an.write_means_csv(summaries, os.path.join(cfg.out, "means.csv"))

@@ -202,6 +202,8 @@ def _parse_document(obj, path, lineno):
     for s in sentences_field:
         if not isinstance(s, list) or not all(isinstance(t, str) for t in s):
             fail("sentence must be an array of strings")
+        if any(not t.strip() or "\n" in t or "\r" in t for t in s):
+            fail("token must hold a non-space character and no line break")
         sentences.append(Sentence(s))
     groups = []
     for g in obj.get("groups", []):

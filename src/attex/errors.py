@@ -1,7 +1,9 @@
-"""Shared exception types, and the one reader of input files: a line it
-cannot decode raises DataError with its file and line number."""
+"""Shared exception types, the one reader of input files (a line it
+cannot decode raises DataError with its file and line number) and the one
+writer of output files (a file is replaced whole or left as it was)."""
 
 import json
+import os
 
 
 class DataError(Exception):
@@ -52,3 +54,22 @@ def read_json_lines(path):
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nesting deeper than the interpreter's stack.
             raise DataError("invalid JSON: %s" % exc, path=path, line=lineno)
+
+
+def write_lines(path, lines):
+    """Replace path with the given lines as UTF-8, each ended by \\n.
+
+    The lines stream to `<path>.<pid>.tmp`, which os.replace then moves
+    onto path, so a failed or killed write leaves the old file whole. The
+    directory is created when missing.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -18,7 +18,7 @@ from . import encoders as enc
 from . import lexicons as lx
 from . import tensorgrad as tg
 from . import termizer as tz
-from .errors import NumericError
+from .errors import NumericError, write_lines
 
 LABELS = lx.POLARITIES
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
@@ -66,13 +66,6 @@ class ClassifierHead:
     def forward(self, tape, s):
         logits = tg.add(tg.matmul(tg.tanh(s), self.w_r), self.b_r)
         return tg.softmax(logits)
-
-
-def head_forward(s, head):
-    """Probabilities for a raw context vector."""
-    tape = tg.Tape()
-    probs = head.forward(tape, tape.constant(np.asarray(s, dtype=float)))
-    return Prediction(probs.data.copy())
 
 
 class AttitudeModel:
@@ -168,10 +161,9 @@ class RunHistory:
         return self.rows[-1][1] if self.rows else None
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_f1,loss\n")
-            for epoch, f1, loss in self.rows:
-                fh.write("%d,%s,%s\n" % (epoch, repr(f1), repr(loss)))
+        write_lines(path, ["epoch,train_f1,loss"]
+                    + ["%d,%s,%s" % (epoch, repr(f1), repr(loss))
+                       for epoch, f1, loss in self.rows])
 
 
 class Sgd:
@@ -435,10 +427,9 @@ class CvResult:
         return sum(self.per_fold) / len(self.per_fold)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("fold,f1\n")
-            for fold, f1 in enumerate(self.per_fold):
-                fh.write("%d,%s\n" % (fold, repr(f1)))
+        write_lines(path, ["fold,f1"]
+                    + ["%d,%s" % (fold, repr(f1))
+                       for fold, f1 in enumerate(self.per_fold)])
 
 
 def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, read_lines
+from .errors import DataError, read_lines, write_lines
 
 
 class Tensor:
@@ -536,12 +536,13 @@ def gradient_check(
 
 def save_checkpoint(path, params: Iterable[Parameter]) -> None:
     """Write parameters as name/shape header lines plus decimal float rows."""
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def lines():
         for p in params:
-            shape = " ".join(str(d) for d in p.data.shape)
-            fh.write(f"{p.name}\t{shape}\n")
-            fh.write(" ".join(format(v, ".17g") for v in p.data.reshape(-1)))
-            fh.write("\n")
+            yield p.name + "\t" + " ".join(str(d) for d in p.data.shape)
+            yield " ".join(format(v, ".17g") for v in p.data.reshape(-1))
+
+    write_lines(path, lines())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

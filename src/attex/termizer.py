@@ -179,8 +179,7 @@ def classify_token(token):
 
 
 def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=(),
-                        lemmatizer=lemmatize,
-                        negation_particle=lx.NEGATION_PARTICLE):
+                        lemmatizer=lemmatize):
     """Mask mentions, collapse frame matches, classify leftover tokens.
 
     tokens: sentence surface tokens.
@@ -231,8 +230,7 @@ def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=(),
         elif i in frame_at:
             end, polarity = frame_at[i]
             preceding = lemmas[i - 1] if i > 0 else ""
-            adjusted = lx.apply_negation(polarity, preceding,
-                                         particle=negation_particle)
+            adjusted = lx.apply_negation(polarity, preceding)
             terms.append(Term.frame(" ".join(lemmas[i:end]), adjusted))
             i = end
         else:

@@ -204,6 +204,41 @@ class TestPrepare:
         assert cli.main(["prepare", "--config", str(config)]) == 2
         assert not (out / "contexts.jsonl").exists()
 
+    @pytest.mark.parametrize("token", ["", " ", "\u2028", "a\nb", "a\rb"])
+    def test_token_that_breaks_vocab_line_is_data_error(self, tmp_path,
+                                                        capsys, token):
+        config, out = write_fixture(tmp_path)
+        docs = [dict(d) for d in DOCS]
+        docs[1]["sentences"] = [["e1", "хвалит", "e2", token, "целом"],
+                                DOCS[1]["sentences"][1]]
+        path = tmp_path / "documents.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs),
+                        encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:2: token " % path)
+        assert not (out / "contexts.jsonl").exists()
+
+    def test_failed_rewrite_keeps_previous_cache(self, tmp_path, capsys,
+                                                 monkeypatch):
+        config, out = write_fixture(tmp_path)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        first = (out / "contexts.jsonl").read_bytes()
+        to_line = cli._sample_to_line
+        calls = []
+
+        def failing_to_line(sample):
+            calls.append(sample)
+            if len(calls) == 3:
+                raise OSError("No space left on device")
+            return to_line(sample)
+
+        monkeypatch.setattr(cli, "_sample_to_line", failing_to_line)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "contexts.jsonl").read_bytes() == first
+        assert sorted(p.name for p in out.iterdir()) == ["contexts.jsonl"]
+
     def test_cache_matches_samples_for_docs(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
         assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -389,6 +424,20 @@ class TestCv:
         first = (out / "folds.csv").read_bytes()
         assert cli.main(["cv", "--config", str(config)]) == 0
         assert (out / "folds.csv").read_bytes() == first
+
+    def test_fewer_documents_than_folds_is_data_error(self, tmp_path,
+                                                       capsys):
+        config, out = write_fixture(tmp_path)
+        path = tmp_path / "documents.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in DOCS[:2]),
+                        encoding="utf-8")
+        (tmp_path / "opinions.tsv").write_text(
+            "".join("\t".join(row) + "\n" for row in OPINIONS
+                    if row[0] != "doc2"), encoding="utf-8")
+        assert cli.main(["cv", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s: cv needs at least 3 documents, got 2" % path)
+        assert not out.exists()
 
     def test_seed_flag_overrides_default(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
