@@ -9,7 +9,7 @@ between neutral contexts (class N) and sentiment-labeled ones (class S).
 import numpy as np
 
 from . import lexicons as lx
-from . import tensorgrad as tg
+from . import model as md
 from . import termizer as tz
 from .errors import write_lines
 
@@ -54,14 +54,17 @@ class DistributionSummary:
         self.s_count = s_count
 
 
-def extract_alpha(model, sample):
-    """Attention weights over the real positions of one context."""
-    _, out = model.forward(tg.Tape(), sample.terms)
-    if out.alpha is None:
+def _alphas(model, samples):
+    """Attention weights (N, n) of the samples, by the batched forward."""
+    if not model.encoder.attentive:
         raise ValueError("encoder kind %r exposes no attention weights"
                          % (model.encoder.cfg.kind,))
-    n_real = len(sample.terms.terms)
-    return np.asarray(out.alpha[:n_real], dtype=float)
+    return md.infer(model, samples)[1]
+
+
+def extract_alpha(model, sample):
+    """Attention weights over the real positions of one context."""
+    return _alphas(model, [sample])[0, :len(sample.terms.terms)]
 
 
 def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
@@ -102,8 +105,8 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
     grid = np.asarray(grid, dtype=float)
     weights = {(group, cls): [] for group in REPORT_GROUPS
                for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
-    for sample in contexts:
-        alpha = extract_alpha(model, sample)
+    for sample, alpha in zip(contexts, _alphas(model, contexts)):
+        alpha = alpha[:len(sample.terms.terms)]
         cls = label_class(sample.label)
         for group in REPORT_GROUPS:
             weight = context_group_weight(alpha, sample.terms.terms, group,

@@ -1,5 +1,10 @@
-"""Context encoders: each maps an embedded term sequence to a fixed
-vector s, and attentive kinds also expose per-term weights.
+"""Context encoders: each maps a batch of embedded term sequences to
+fixed vectors s, and attentive kinds also expose per-term weights.
+
+Samples are compiled once into integer arrays (`compile_sequences`); the
+embedder turns a Batch of B of them into x (B, n, row_width), zero past
+each context's real terms, and every encoder runs the whole batch as one
+chain of tape ops.
 
 Kinds and output sizes:
     cnn             conv -> tanh -> max pool            z = filters
@@ -129,17 +134,75 @@ def load_word_vectors(path, m):
     return vectors
 
 
-class EmbeddedContext:
-    """Embedded rows of one context plus everything encoders consult."""
+class Batch:
+    """B contexts compiled to integer arrays, right-padded to n terms.
 
-    __slots__ = ("x", "n_real", "subj_pos", "obj_pos", "frame_positions")
+    word_ids, polarity_ids  (B, n)  table rows of each term, 0 on padding
+    lengths                 (B,)    real terms per context
+    mask                    (B, n)  True on real terms
+    subj_pos, obj_pos       (B,)    participant positions
+    features                (B, k)  feature positions: subject, object,
+                                    then (att-ef) frames in order
+    feature_lengths         (B,)    real feature positions per context
+    feature_mask            (B, k)  True on real feature positions
+    """
 
-    def __init__(self, x, n_real, subj_pos, obj_pos, frame_positions=()):
-        self.x = x
-        self.n_real = n_real
+    __slots__ = ("word_ids", "polarity_ids", "lengths", "subj_pos", "obj_pos",
+                 "features", "feature_lengths", "mask", "feature_mask")
+
+    def __init__(self, word_ids, polarity_ids, lengths, subj_pos, obj_pos,
+                 features, feature_lengths):
+        self.word_ids = word_ids
+        self.polarity_ids = polarity_ids
+        self.lengths = lengths
         self.subj_pos = subj_pos
         self.obj_pos = obj_pos
-        self.frame_positions = tuple(frame_positions)
+        self.features = features
+        self.feature_lengths = feature_lengths
+        self.mask = np.arange(word_ids.shape[1]) < lengths[:, None]
+        self.feature_mask = np.arange(features.shape[1]) < feature_lengths[:, None]
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def take(self, index):
+        """The contexts at an index array or slice, as a Batch."""
+        return Batch(self.word_ids[index], self.polarity_ids[index],
+                     self.lengths[index], self.subj_pos[index],
+                     self.obj_pos[index], self.features[index],
+                     self.feature_lengths[index])
+
+
+def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
+    """TermSequences -> Batch; att-ef adds up to k-2 frame positions."""
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError("unknown feature mode: %r" % (feature_mode,))
+    count = len(seqs)
+    word_ids = np.zeros((count, n), dtype=np.intp)
+    polarity_ids = np.zeros((count, n), dtype=np.intp)
+    lengths = np.empty(count, dtype=np.intp)
+    features = np.zeros((count, k), dtype=np.intp)
+    feature_lengths = np.empty(count, dtype=np.intp)
+    neutral = _POLARITY_INDEX[lx.NEUTRAL]
+    for i, seq in enumerate(seqs):
+        terms = seq.terms
+        if len(terms) > n:
+            raise ValueError("sequence length %d exceeds n=%d" % (len(terms), n))
+        lengths[i] = len(terms)
+        word_ids[i, :len(terms)] = [vocab.id_of_term(t) for t in terms]
+        polarity_ids[i, :len(terms)] = [
+            _POLARITY_INDEX[t.polarity] if t.kind == tz.FRAME else neutral
+            for t in terms]
+        feats = [seq.subj_pos, seq.obj_pos]
+        if feature_mode == "att-ef":
+            feats += [j for j, t in enumerate(terms) if t.kind == tz.FRAME]
+        feats = feats[:k]
+        features[i, :len(feats)] = feats
+        feature_lengths[i] = len(feats)
+    subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
+    obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
+    return Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos, features,
+                 feature_lengths)
 
 
 class Embedder:
@@ -190,52 +253,31 @@ class Embedder:
             params.append(self.position_table)
         return params
 
-    def _position_id(self, i, anchor):
-        d = max(-self.max_distance, min(self.max_distance, i - anchor))
-        return d + self.max_distance
-
-    def embed(self, tape, seq):
-        """TermSequence -> EmbeddedContext with an n x row_width tensor."""
-        n_real = len(seq.terms)
-        if n_real > self.n:
-            raise ValueError("sequence length %d exceeds n=%d" % (n_real, self.n))
-        word_ids = [self.vocab.id_of_term(t) for t in seq.terms]
-        polarity_ids = [_POLARITY_INDEX[t.polarity] if t.kind == tz.FRAME
-                        else _POLARITY_INDEX[lx.NEUTRAL] for t in seq.terms]
-        parts = [tg.embedding_lookup(tape, self.word_table, word_ids),
-                 tg.embedding_lookup(tape, self.polarity_table, polarity_ids)]
+    def embed(self, tape, batch):
+        """Batch -> x (B, n, row_width), zero on padding."""
+        mask = batch.mask
+        parts = [tg.embedding_lookup(tape, self.word_table, batch.word_ids, mask),
+                 tg.embedding_lookup(tape, self.polarity_table,
+                                     batch.polarity_ids, mask)]
         if self.use_position:
-            subj_ids = [self._position_id(i, seq.subj_pos) for i in range(n_real)]
-            obj_ids = [self._position_id(i, seq.obj_pos) for i in range(n_real)]
-            parts.append(tg.embedding_lookup(tape, self.position_table, subj_ids))
-            parts.append(tg.embedding_lookup(tape, self.position_table, obj_ids))
-        x = tg.concat(parts, axis=1)
-        if n_real < self.n:
-            pad = tape.zeros(self.n - n_real, self.row_width)
-            x = tg.concat([x, pad], axis=0)
-        frames = [i for i, t in enumerate(seq.terms) if t.kind == tz.FRAME]
-        return EmbeddedContext(x, n_real, seq.subj_pos, seq.obj_pos, frames)
+            steps = np.arange(batch.word_ids.shape[1])
+            for anchor in (batch.subj_pos, batch.obj_pos):
+                distance = np.clip(steps - anchor[:, None], -self.max_distance,
+                                   self.max_distance)
+                parts.append(tg.embedding_lookup(
+                    tape, self.position_table, distance + self.max_distance,
+                    mask))
+        return tg.concat(parts, axis=2)
 
 
 class EncoderOutput:
+    """s (B, z); alpha (B, n) attention weights, exactly 0 on padding, or None."""
+
     __slots__ = ("s", "alpha")
 
     def __init__(self, s, alpha=None):
         self.s = s
         self.alpha = alpha
-
-
-def select_features(ctx, mode, k):
-    """Participant rows, plus frame rows in order for att-ef, <= k total."""
-    if mode not in FEATURE_MODES:
-        raise ValueError("unknown feature mode: %r" % (mode,))
-    rows = [tg.take_row(ctx.x, ctx.subj_pos), tg.take_row(ctx.x, ctx.obj_pos)]
-    if mode == "att-ef":
-        for pos in ctx.frame_positions:
-            if len(rows) >= k:
-                break
-            rows.append(tg.take_row(ctx.x, pos))
-    return rows
 
 
 def _glorot(rng, fan_in, fan_out, shape, name):
@@ -257,9 +299,10 @@ class LstmCell:
     def parameters(self):
         return [self.w, self.u, self.b]
 
-    def run(self, x, reverse=False):
-        """Hidden states (T, h) for the real rows x (T, m)."""
-        return tg.lstm_sequence(x, self.w, self.u, self.b, reverse=reverse)
+    def run(self, x, lengths, reverse=False):
+        """Hidden states (B, T, h) of x (B, T, m), 0 past each row's length."""
+        return tg.lstm_sequence(x, self.w, self.u, self.b, lengths,
+                                reverse=reverse)
 
 
 class BiLstm:
@@ -270,22 +313,24 @@ class BiLstm:
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters()
 
-    def states(self, x):
-        """(T, 2h): row t joins both directions' states at row t."""
-        return tg.concat([self.fwd.run(x), self.bwd.run(x, reverse=True)],
-                         axis=1)
+    def states(self, x, lengths):
+        """(B, T, 2h): step t joins both directions' states at step t."""
+        return tg.concat([self.fwd.run(x, lengths),
+                          self.bwd.run(x, lengths, reverse=True)], axis=2)
 
 
-def _expand_alpha(alpha_real, n):
-    full = np.zeros(n)
-    full[:len(alpha_real)] = alpha_real
-    return full
+def _mean_weights(mask):
+    """Constant weights 1/count on each row's True entries, 0 elsewhere."""
+    return mask / mask.sum(axis=1, keepdims=True)
 
 
-def _mean_rows(tape, mat):
-    count = mat.shape[0]
-    weights = tape.constant(np.full(count, 1.0 / count))
-    return tg.matmul(weights, mat)
+def _pcnn_segments(batch):
+    """(starts, ends), each (B, 3): up to the first participant, up to the
+    second, and the rest of the real terms."""
+    p1 = np.minimum(batch.subj_pos, batch.obj_pos) + 1
+    p2 = np.maximum(batch.subj_pos, batch.obj_pos) + 1
+    return (np.stack([np.zeros_like(p1), p1, p2], axis=1),
+            np.stack([p1, p2, batch.lengths], axis=1))
 
 
 class CnnEncoder:
@@ -305,10 +350,11 @@ class CnnEncoder:
     def parameters(self):
         return [self.w, self.b]
 
-    def encode(self, tape, ctx):
-        conv = tg.tanh(tg.conv1d(ctx.x, self.w, self.b))
-        real = tg.narrow(conv, 0, 0, ctx.n_real)
-        return EncoderOutput(tg.max_pool_over_time(real))
+    def encode(self, tape, x, batch):
+        conv = tg.tanh(tg.conv1d(x, self.w, self.b))
+        whole = np.zeros((len(batch), 1), dtype=np.intp)
+        return EncoderOutput(tg.max_pool_over_time(conv, whole,
+                                                   batch.lengths[:, None]))
 
 
 class PcnnEncoder:
@@ -328,18 +374,9 @@ class PcnnEncoder:
     def parameters(self):
         return [self.w, self.b]
 
-    def encode(self, tape, ctx):
-        conv = tg.conv1d(ctx.x, self.w, self.b)
-        p1, p2 = sorted((ctx.subj_pos, ctx.obj_pos))
-        bounds = ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, ctx.n_real))
-        blocks = []
-        for start, end in bounds:
-            if end > start:
-                segment = tg.narrow(conv, 0, start, end - start)
-                blocks.append(tg.max_pool_over_time(segment))
-            else:
-                blocks.append(tape.zeros(self.cfg.filters))
-        return EncoderOutput(tg.concat(blocks, axis=0))
+    def encode(self, tape, x, batch):
+        conv = tg.conv1d(x, self.w, self.b)
+        return EncoderOutput(tg.max_pool_over_time(conv, *_pcnn_segments(batch)))
 
 
 class LstmEncoder:
@@ -357,9 +394,9 @@ class LstmEncoder:
     def parameters(self):
         return self.cell.parameters()
 
-    def encode(self, tape, ctx):
-        states = self.cell.run(tg.narrow(ctx.x, 0, 0, ctx.n_real))
-        return EncoderOutput(tg.take_row(states, ctx.n_real - 1))
+    def encode(self, tape, x, batch):
+        states = self.cell.run(x, batch.lengths)
+        return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
 
 class BiLstmEncoder:
@@ -377,9 +414,9 @@ class BiLstmEncoder:
     def parameters(self):
         return self.bilstm.parameters()
 
-    def encode(self, tape, ctx):
-        states = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
-        return EncoderOutput(tg.take_row(states, ctx.n_real - 1))
+    def encode(self, tape, x, batch):
+        states = self.bilstm.states(x, batch.lengths)
+        return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
 
 class AttBLstmEncoder:
@@ -398,12 +435,12 @@ class AttBLstmEncoder:
     def parameters(self):
         return self.bilstm.parameters() + [self.w]
 
-    def encode(self, tape, ctx):
-        h_mat = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
+    def encode(self, tape, x, batch):
+        h_mat = self.bilstm.states(x, batch.lengths)
         scores = tg.matmul(tg.tanh(h_mat), self.w)
-        alpha = tg.softmax(scores)
-        s = tg.tanh(tg.matmul(alpha, h_mat))
-        return EncoderOutput(s, alpha=_expand_alpha(alpha.data, self.cfg.n))
+        alpha = tg.softmax(scores, batch.mask)
+        s = tg.tanh(tg.einsum("bt,btd->bd", alpha, h_mat))
+        return EncoderOutput(s, alpha=alpha.data)
 
 
 class AttBLstmZYangEncoder:
@@ -425,12 +462,12 @@ class AttBLstmZYangEncoder:
     def parameters(self):
         return self.bilstm.parameters() + [self.w_a, self.b_a, self.u_w]
 
-    def encode(self, tape, ctx):
-        h_mat = self.bilstm.states(tg.narrow(ctx.x, 0, 0, ctx.n_real))
+    def encode(self, tape, x, batch):
+        h_mat = self.bilstm.states(x, batch.lengths)
         projected = tg.tanh(tg.add(tg.matmul(h_mat, self.w_a), self.b_a))
-        alpha = tg.softmax(tg.matmul(projected, self.u_w))
-        s = tg.matmul(alpha, h_mat)
-        return EncoderOutput(s, alpha=_expand_alpha(alpha.data, self.cfg.n))
+        alpha = tg.softmax(tg.matmul(projected, self.u_w), batch.mask)
+        s = tg.einsum("bt,btd->bd", alpha, h_mat)
+        return EncoderOutput(s, alpha=alpha.data)
 
 
 class AttCnnEncoder:
@@ -453,26 +490,20 @@ class AttCnnEncoder:
     def parameters(self):
         return self.pcnn.parameters() + [self.w1, self.b1, self.w2]
 
-    def encode(self, tape, ctx):
-        pooled = self.pcnn.encode(tape, ctx)
-        features = select_features(ctx, self.cfg.feature_mode, self.cfg.k)
-        x_real = tg.narrow(ctx.x, 0, 0, ctx.n_real)
-        summaries = []
-        weights = []
-        for feat in features:
-            pairs = tg.concat([x_real, tg.stack([feat] * ctx.n_real)], axis=1)
-            hidden = tg.tanh(tg.add(tg.matmul(pairs, self.w1), self.b1))
-            alpha_j = tg.softmax(tg.matmul(hidden, self.w2))
-            weights.append(alpha_j.data)
-            summaries.append(tg.matmul(alpha_j, x_real))
-        attended = summaries[0]
-        for extra in summaries[1:]:
-            attended = tg.add(attended, extra)
-        attended = tg.scale(attended, 1.0 / len(summaries))
-        s = tg.concat([pooled.s, attended], axis=0)
-        mean_alpha = np.mean(weights, axis=0)
-        mean_alpha = mean_alpha / mean_alpha.sum()
-        return EncoderOutput(s, alpha=_expand_alpha(mean_alpha, self.cfg.n))
+    def encode(self, tape, x, batch):
+        pooled = self.pcnn.encode(tape, x, batch)
+        feats = tg.gather(x, batch.features)
+        scores = tg.pair_attention_scores(x, feats, self.w1, self.b1, self.w2)
+        alpha = tg.softmax(scores, batch.mask[:, None, :])  # (B, k, n)
+        # Each real feature's attended row, averaged over the features.
+        feature_weights = _mean_weights(batch.feature_mask)
+        summaries = tg.einsum("bkt,btm->bkm", alpha, x)
+        attended = tg.einsum("bk,bkm->bm", tape.constant(feature_weights),
+                             summaries)
+        s = tg.concat([pooled.s, attended], axis=1)
+        mean_alpha = np.einsum("bk,bkt->bt", feature_weights, alpha.data)
+        mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
+        return EncoderOutput(s, alpha=mean_alpha)
 
 
 class IanEncoder:
@@ -497,25 +528,26 @@ class IanEncoder:
         return (self.context_lstm.parameters() + self.feature_lstm.parameters()
                 + [self.w_c, self.b_c, self.w_t, self.b_t])
 
-    def _attend(self, states, pooled, w, b):
-        scores = tg.matmul(tg.matmul(states, w), pooled)
-        weights = tg.softmax(tg.tanh(tg.add(scores, b)))
-        return tg.matmul(weights, states), weights
+    def _attend(self, states, mask, pooled, w, b):
+        scores = tg.einsum("btd,bd->bt", tg.matmul(states, w), pooled)
+        weights = tg.softmax(tg.tanh(tg.add(scores, b)), mask)
+        return tg.einsum("bt,btd->bd", weights, states), weights
 
-    def encode(self, tape, ctx, features=None):
-        context_states = self.context_lstm.states(
-            tg.narrow(ctx.x, 0, 0, ctx.n_real))
-        if features is None:
-            features = select_features(ctx, self.cfg.feature_mode, self.cfg.k)
-        feature_states = self.feature_lstm.states(tg.stack(features))
-        c_mean = _mean_rows(tape, context_states)
-        t_mean = _mean_rows(tape, feature_states)
-        attended_c, gamma = self._attend(context_states, t_mean,
+    def encode(self, tape, x, batch):
+        feature_mask = batch.feature_mask
+        context_states = self.context_lstm.states(x, batch.lengths)
+        feature_states = self.feature_lstm.states(
+            tg.gather(x, batch.features), batch.feature_lengths)
+        c_mean = tg.einsum("bt,btd->bd", tape.constant(_mean_weights(batch.mask)),
+                           context_states)
+        t_mean = tg.einsum("bk,bkd->bd", tape.constant(_mean_weights(feature_mask)),
+                           feature_states)
+        attended_c, gamma = self._attend(context_states, batch.mask, t_mean,
                                          self.w_c, self.b_c)
-        attended_t, _ = self._attend(feature_states, c_mean,
+        attended_t, _ = self._attend(feature_states, feature_mask, c_mean,
                                      self.w_t, self.b_t)
-        s = tg.concat([attended_c, attended_t], axis=0)
-        return EncoderOutput(s, alpha=_expand_alpha(gamma.data, self.cfg.n))
+        s = tg.concat([attended_c, attended_t], axis=1)
+        return EncoderOutput(s, alpha=gamma.data)
 
 
 _ENCODER_CLASSES = {

@@ -1,7 +1,9 @@
 """Classifier head, training loop with the train-F1 stop rule,
 document-level opinion aggregation, macro-F1, and experiment drivers.
 
-Training runs mini-batch gradient descent on mean cross-entropy. Every
+Training runs mini-batch gradient descent on mean cross-entropy; each
+mini-batch is one forward and one backward pass over (B, ...) arrays,
+and inference runs the same batched forward in chunks. Every
 `eval_period` epochs the train macro-F1 is measured; the run stops when
 it exceeds `stop_threshold` (strictly) or the epoch cap is reached.
 Evaluation aggregates per-context probabilities into one prediction per
@@ -51,7 +53,7 @@ class Prediction:
 
 
 class ClassifierHead:
-    """Linear readout over tanh(s) followed by softmax, 3 classes."""
+    """Linear readout over tanh(s) to 3 class logits per row."""
 
     def __init__(self, z, rng):
         limit = np.sqrt(6.0 / (z + len(LABELS)))
@@ -64,8 +66,14 @@ class ClassifierHead:
         return [self.w_r, self.b_r]
 
     def forward(self, tape, s):
-        logits = tg.add(tg.matmul(tg.tanh(s), self.w_r), self.b_r)
-        return tg.softmax(logits)
+        """s (B, z) -> logits (B, 3)."""
+        return tg.add(tg.matmul(tg.tanh(s), self.w_r), self.b_r)
+
+
+def class_probabilities(logits):
+    """Stable softmax over the last axis of a logit array."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class AttitudeModel:
@@ -83,15 +91,18 @@ class AttitudeModel:
         return (self.embedder.parameters() + self.encoder.parameters()
                 + self.head.parameters())
 
-    def forward(self, tape, seq):
-        ctx = self.embedder.embed(tape, seq)
-        out = self.encoder.encode(tape, ctx)
-        probs = self.head.forward(tape, out.s)
-        return probs, out
+    def compile(self, samples):
+        """The samples' contexts as one Batch for this model."""
+        cfg = self.encoder.cfg
+        return enc.compile_sequences([s.terms for s in samples],
+                                     self.embedder.vocab, self.embedder.n,
+                                     cfg.k, cfg.feature_mode)
 
-    def predict(self, seq):
-        probs, _ = self.forward(tg.Tape(), seq)
-        return Prediction(probs.data.copy())
+    def forward(self, tape, batch):
+        """Batch of B contexts -> (logits (B, 3), EncoderOutput)."""
+        x = self.embedder.embed(tape, batch)
+        out = self.encoder.encode(tape, x, batch)
+        return self.head.forward(tape, out.s), out
 
 
 def build_model(vocab, encoder_cfg, embed_options=None, rng=None):
@@ -303,15 +314,39 @@ def _sample_gold(samples):
     return {s.opinion_key(): s.label for s in samples}
 
 
-def predict_opinions(model, samples):
+# Contexts per inference forward pass; bounds the memory of inference.
+INFERENCE_CHUNK = 64
+
+
+def infer(model, samples, compiled=None):
+    """(probabilities (N, 3), attention weights (N, n) or None) of the
+    samples, from forward passes over chunks of INFERENCE_CHUNK contexts.
+
+    `compiled` is model.compile(samples) when the caller already has it.
+    """
+    if compiled is None:
+        compiled = model.compile(samples)
+    probabilities = [np.zeros((0, len(LABELS)))]
+    alphas = [np.zeros((0, model.embedder.n))]
+    for start in range(0, len(compiled), INFERENCE_CHUNK):
+        chunk = compiled.take(slice(start, start + INFERENCE_CHUNK))
+        logits, out = model.forward(tg.Tape(record=False), chunk)
+        probabilities.append(class_probabilities(logits.data))
+        alphas.append(out.alpha)
+    return (np.concatenate(probabilities),
+            np.concatenate(alphas) if model.encoder.attentive else None)
+
+
+def predict_opinions(model, samples, compiled=None):
     """One aggregated prediction per opinion key of the samples."""
-    return aggregate_opinions((s.opinion_key(),
-                               model.predict(s.terms).probabilities)
-                              for s in samples)
+    probabilities, _ = infer(model, samples, compiled)
+    return aggregate_opinions((s.opinion_key(), p)
+                              for s, p in zip(samples, probabilities))
 
 
-def evaluate_on_samples(model, samples, gold, scope=SCOPE_DOCUMENT):
-    return macro_f1(predict_opinions(model, samples), gold, scope)
+def evaluate_on_samples(model, samples, gold, scope=SCOPE_DOCUMENT,
+                        compiled=None):
+    return macro_f1(predict_opinions(model, samples, compiled), gold, scope)
 
 
 def train(model, samples, cfg, rng=None):
@@ -326,30 +361,32 @@ def train(model, samples, cfg, rng=None):
     optimizer = _make_optimizer(cfg, params)
     history = RunHistory(cfg.eval_period)
     gold = _sample_gold(samples)
-    labels = [LABEL_INDEX[s.label] for s in samples]
+    labels = np.array([LABEL_INDEX[s.label] for s in samples])
+    compiled = model.compile(samples)
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(samples))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            rows = order[start:start + cfg.batch_size]
             tape = tg.Tape()
-            total = None
-            for idx in batch:
-                probs, _ = model.forward(tape, samples[idx].terms)
-                loss = tg.cross_entropy(probs, labels[idx])
-                total = loss if total is None else tg.add(total, loss)
-            total = tg.scale(total, 1.0 / len(batch))
-            if not np.isfinite(total.data):
+            logits, _ = model.forward(tape, compiled.take(rows))
+            loss = tg.softmax_cross_entropy(logits, labels[rows])
+            if not np.isfinite(loss.data):
                 raise NumericError(
-                    "non-finite loss %r at epoch %d" % (float(total.data), epoch))
-            tape.backward(total)
+                    "non-finite loss %r at epoch %d" % (float(loss.data), epoch))
+            tape.backward(loss)
             optimizer.step()
             for p in params:
+                if not np.isfinite(p.data).all():
+                    raise NumericError(
+                        "parameter %r is not finite after a step of epoch %d"
+                        % (p.name, epoch))
                 p.zero_grad()
-            epoch_losses.append(float(total.data))
+            epoch_losses.append(float(loss.data))
         if epoch % cfg.eval_period == 0:
-            f1 = evaluate_on_samples(model, samples, gold, SCOPE_DOCUMENT)
+            f1 = evaluate_on_samples(model, samples, gold, SCOPE_DOCUMENT,
+                                     compiled)
             history.add(epoch, f1, float(np.mean(epoch_losses)))
             if should_stop(epoch, f1, cfg):
                 break
@@ -459,8 +496,29 @@ def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
                       split_seed=[train_cfg.seed, 0])
 
 
+def _suite_sample(rng, n_real, participants, row):
+    """A context of n_real random words and frames around two participants."""
+    subj, obj = (int(p) for p in participants)
+    terms = [tz.Term.word("w%d" % int(rng.integers(0, 6)))
+             for _ in range(n_real)]
+    for pos in range(n_real):
+        if pos not in (subj, obj) and rng.random() < 0.4:
+            terms[pos] = tz.Term.frame("f%d" % pos,
+                                       str(rng.choice(lx.POLARITIES)))
+    terms[subj] = tz.Term.entity_subj()
+    terms[obj] = tz.Term.entity_obj()
+    return cp.ContextSample("d", row, tz.TermSequence(terms, subj, obj),
+                            lx.NEUTRAL, "a", "b")
+
+
 def gradient_suite(trials=20, seed=0, n_max=10, h_max=8, filters_max=6):
-    """Gradient-check every encoder kind composed with the head.
+    """Gradient-check every encoder kind composed with the head and loss.
+
+    Each trial checks one mini-batch of three contexts of mixed lengths:
+    one fills all n terms; one is shorter, with its participants adjacent
+    at its end, so a pcnn segment is empty; one has a random length. The
+    <pad> rows take part in the check, so padding that reached the loss
+    would show as a finite difference that the tape does not have.
 
     Returns {kind: max relative error over trials}.
     """
@@ -469,43 +527,40 @@ def gradient_suite(trials=20, seed=0, n_max=10, h_max=8, filters_max=6):
         rng = np.random.default_rng([seed, kind_idx])
         kind_worst = 0.0
         for _ in range(trials):
-            n_real = int(rng.integers(3, 7))
-            n = min(n_max, n_real + int(rng.integers(0, 2)))
+            n = int(rng.integers(4, min(n_max, 6) + 1))
             cfg = enc.EncoderConfig(
                 kind, n=n, h=int(rng.integers(2, min(h_max, 3) + 1)),
                 filters=int(rng.integers(2, min(filters_max, 3) + 1)),
                 window=int(rng.integers(1, 4)), k=3,
                 feature_mode=str(rng.choice(enc.FEATURE_MODES)))
-            subj, obj = [int(v) for v in rng.choice(n_real, 2, replace=False)]
-            frame_positions = [i for i in range(n_real)
-                               if i not in (subj, obj) and rng.random() < 0.4]
-            terms = [tz.Term.word("w%d" % int(rng.integers(0, 6)))
-                     for _ in range(n_real)]
-            for pos in frame_positions:
-                terms[pos] = tz.Term.frame("f%d" % pos,
-                                           str(rng.choice(lx.POLARITIES)))
-            terms[subj] = tz.Term.entity_subj()
-            terms[obj] = tz.Term.entity_obj()
-            seq = tz.TermSequence(terms, subj, obj)
-            vocab = enc.build_vocab(
-                [cp.ContextSample("d", 0, seq, "neutral", "a", "b")])
+            short = int(rng.integers(2, n))
+            adjacent = [short - 2, short - 1]
+            rng.shuffle(adjacent)
+            free = int(rng.integers(2, n + 1))
+            samples = [
+                _suite_sample(rng, n, rng.choice(n, 2, replace=False), 0),
+                _suite_sample(rng, short, adjacent, 1),
+                _suite_sample(rng, free, rng.choice(free, 2, replace=False), 2),
+            ]
             embed_options = {"m": 2, "polarity_dim": 2,
                              "use_position": enc.default_use_position(kind),
                              "position_dim": 1}
-            model = build_model(vocab, cfg, embed_options, rng=rng)
+            model = build_model(enc.build_vocab(samples), cfg, embed_options,
+                                rng=rng)
             # Redraw parameters at O(1) scale: in the near-linear regime of
             # fresh tiny weights, shift parameters have structurally tiny
             # gradients that central differences cannot resolve.
             for p in model.parameters():
                 p.data[...] = rng.normal(0.0, 0.5, p.data.shape)
-            gold = int(rng.integers(0, 3))
+            batch = model.compile(samples)
+            gold = rng.integers(0, 3, size=len(samples))
 
             def f(tape):
-                probs, _ = model.forward(tape, seq)
+                logits, _ = model.forward(tape, batch)
                 # The 1e-3 factor keeps central-difference cancellation
                 # noise below the relative-error floor; coordinates whose
                 # true gradient is ~1e-9 are uncertifiable otherwise.
-                return tg.scale(tg.cross_entropy(probs, gold), 1e-3)
+                return tg.scale(tg.softmax_cross_entropy(logits, gold), 1e-3)
 
             err = tg.gradient_check(f, model.parameters())
             kind_worst = max(kind_worst, err)

@@ -4,6 +4,11 @@ Only the operations the context encoders actually need are provided. Values
 live in numpy arrays; the tape records one backward closure per op in
 execution order, which is a valid topological order, so the reverse sweep
 just walks the record list backwards.
+
+The encoders run a whole mini-batch through each op: sequences are
+(B, n, ·) arrays whose rows are right-padded with zeros, and the ops that
+must not read padding (LSTM, softmax, max pool, embedding) take the real
+lengths or a mask.
 """
 
 from __future__ import annotations
@@ -57,15 +62,22 @@ class Parameter:
 
 
 class Tape:
-    """Execution-ordered record of ops for one forward/backward pass."""
+    """Execution-ordered record of ops for one forward/backward pass.
 
-    __slots__ = ("_records",)
+    The backward sweep consumes the records, which frees the arrays they
+    hold. A tape made with record=False records nothing: a forward pass on
+    it is inference only, and each array is freed once nothing uses it.
+    """
 
-    def __init__(self):
+    __slots__ = ("_records", "recording")
+
+    def __init__(self, record: bool = True):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.recording = record
 
     def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
-        self._records.append((out, backward))
+        if self.recording:
+            self._records.append((out, backward))
 
     def constant(self, data) -> Tensor:
         """Tape-bound leaf; gradients may flow into it but go nowhere."""
@@ -80,8 +92,13 @@ class Tape:
             raise ValueError("loss was not computed on this tape")
         if loss.data.ndim != 0:
             raise ValueError("backward expects a scalar loss")
+        if not self.recording:
+            raise ValueError("backward on a tape that does not record")
         loss.grad = np.asarray(float(seed))
-        for out, fn in reversed(self._records):
+        # Tensors point at their tape, so the records form reference
+        # cycles; dropping them lets the arrays go without the cycle GC.
+        records, self._records = self._records, []
+        for out, fn in reversed(records):
             if out.grad is not None:
                 fn(out.grad)
 
@@ -117,48 +134,30 @@ def _accumulate(x: Operand, g: np.ndarray) -> None:
         x.grad = g if x.grad is None else x.grad + g
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g over the axes that broadcasting added to, or stretched from, shape."""
+    if g.shape == shape:
+        return g
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, size in enumerate(shape)
+                      if size == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
 def add(a: Operand, b: Operand) -> Tensor:
-    """Elementwise sum; also supports bias broadcast (n,f)+(f,) and (n,)+(1,)."""
+    """Elementwise sum under numpy broadcasting, e.g. a bias (f,) over (..., f)."""
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
-    if av.shape == bv.shape:
-        out = Tensor(av + bv, tape)
-
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-
-    elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-        out = Tensor(av + bv[None, :], tape)
-
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-
-    elif av.ndim == 1 and bv.shape == (1,):
-        out = Tensor(av + bv[0], tape)
-
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, np.array([g.sum()]))
-
-    else:
+    try:
+        ov = av + bv
+    except ValueError:
         raise ValueError(f"add: incompatible shapes {av.shape} and {bv.shape}")
-    tape._record(out, backward)
-    return out
-
-
-def mul(a: Operand, b: Operand) -> Tensor:
-    """Elementwise product of same-shape operands."""
-    tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"mul: shape mismatch {av.shape} vs {bv.shape}")
-    out = Tensor(av * bv, tape)
+    out = Tensor(ov, tape)
 
     def backward(g):
-        _accumulate(a, g * bv)
-        _accumulate(b, g * av)
+        _accumulate(a, _unbroadcast(g, av.shape))
+        _accumulate(b, _unbroadcast(g, bv.shape))
 
     tape._record(out, backward)
     return out
@@ -176,47 +175,48 @@ def scale(a: Operand, c: float) -> Tensor:
 
 
 def matmul(a: Operand, b: Operand) -> Tensor:
-    """Matrix/vector product: 2dx2d, 1dx2d, 2dx1d, or 1dx1d (dot)."""
+    """a (..., q) times a matrix b (q, r) or a vector b (q,), over a's last axis."""
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv, tape)
+    if av.ndim < 1 or bv.ndim not in (1, 2):
+        raise ValueError("matmul expects a (..., q) and b (q, r) or (q,)")
+    q = av.shape[-1]
+    if q != bv.shape[0]:
+        raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
+    out = Tensor(av @ bv, tape)
 
-        def backward(g):
+    def backward(g):
+        rows = av.reshape(-1, q)
+        if bv.ndim == 2:
             _accumulate(a, g @ bv.T)
-            _accumulate(b, av.T @ g)
+            _accumulate(b, rows.T @ g.reshape(-1, bv.shape[1]))
+        else:
+            _accumulate(a, g[..., None] * bv)
+            _accumulate(b, rows.T @ g.reshape(-1))
 
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv, tape)
+    tape._record(out, backward)
+    return out
 
-        def backward(g):
-            _accumulate(a, bv @ g)
-            _accumulate(b, np.outer(av, g))
 
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv, tape)
+def einsum(spec: str, a: Operand, b: Operand) -> Tensor:
+    """np.einsum of two operands, e.g. "bt,btd->bd" for weighted sums.
 
-        def backward(g):
-            _accumulate(a, np.outer(g, bv))
-            _accumulate(b, av.T @ g)
+    Every index of an operand must appear in the other operand or in the
+    output, so each gradient is again one einsum.
+    """
+    tape = _tape_of(a, b)
+    inputs, _, output = spec.partition("->")
+    sa, _, sb = inputs.partition(",")
+    for mine, other in ((sa, sb), (sb, sa)):
+        if len(set(mine)) != len(mine) or not set(mine) <= set(other + output):
+            raise ValueError(f"einsum: unsupported spec {spec!r}")
+    av, bv = _value(a), _value(b)
+    out = Tensor(np.einsum(spec, av, bv), tape)
 
-    elif av.ndim == 1 and bv.ndim == 1:
-        if av.shape != bv.shape:
-            raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
-        out = Tensor(av @ bv, tape)
+    def backward(g):
+        _accumulate(a, np.einsum(f"{output},{sb}->{sa}", g, bv))
+        _accumulate(b, np.einsum(f"{output},{sa}->{sb}", g, av))
 
-        def backward(g):
-            _accumulate(a, g * bv)
-            _accumulate(b, g * av)
-
-    else:
-        raise ValueError("matmul supports 1-d and 2-d operands only")
     tape._record(out, backward)
     return out
 
@@ -234,82 +234,113 @@ def tanh(a: Operand) -> Tensor:
 
 
 def lstm_sequence(
-    x: Operand, w: Operand, u: Operand, b: Operand, reverse: bool = False
+    x: Operand, w: Operand, u: Operand, b: Operand, lengths,
+    reverse: bool = False,
 ) -> Tensor:
-    """Hidden states (T, h) of an LSTM over the rows of x, as one tape op.
+    """Hidden states (B, T, h) of an LSTM over each row of x, as one tape op.
 
-    x is (T, m), w (m, 4h), u (h, 4h), b (4h,); gates are packed [input,
-    forget, output, candidate] and the state starts at zero. reverse=True
-    reads the rows last to first; row t of the result is still the state
-    after row t. The backward pass is a handwritten BPTT loop.
+    x is (B, T, m), w (m, 4h), u (h, 4h), b (4h,); gates are packed [input,
+    forget, output, candidate] and the state starts at zero. Row i reads
+    its first lengths[i] steps; its states after them are exactly 0.
+    reverse=True reads each row from its own last real step back to the
+    first; step t of the result is still the state after step t. The
+    backward pass is a handwritten BPTT loop.
     """
     tape = _tape_of(x, w, u, b)
     xv, wv, uv, bv = _value(x), _value(w), _value(u), _value(b)
+    lengths = np.asarray(lengths, dtype=np.intp)
     h = uv.shape[0] if uv.ndim == 2 else 0
-    if xv.ndim != 2 or len(xv) < 1 or h < 1 or wv.shape != (xv.shape[1], 4 * h) \
-            or uv.shape != (h, 4 * h) or bv.shape != (4 * h,):
+    if xv.ndim != 3 or min(xv.shape[:2]) < 1 or h < 1 \
+            or wv.shape != (xv.shape[2], 4 * h) or uv.shape != (h, 4 * h) \
+            or bv.shape != (4 * h,):
         raise ValueError(
-            f"lstm_sequence expects x (T,m), w (m,4h), u (h,4h), b (4h,); got "
-            f"{xv.shape}, {wv.shape}, {uv.shape}, {bv.shape}"
+            f"lstm_sequence expects x (B,T,m), w (m,4h), u (h,4h), b (4h,); "
+            f"got {xv.shape}, {wv.shape}, {uv.shape}, {bv.shape}"
         )
-    T, h2, h3 = len(xv), 2 * h, 3 * h
+    B, T, m = xv.shape
+    if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
+        raise ValueError(f"lstm_sequence: lengths {lengths} do not fit x {xv.shape}")
+    # Steps past the longest row are all padding; they are never run.
+    L, h2, h3 = int(lengths.max()), 2 * h, 3 * h
+    keep = (np.arange(L)[:, None] < lengths)[:, :, None].astype(np.float64)
     # sigmoid(v) = 0.5 + 0.5*tanh(v/2). Halving is exact, so halving the gate
     # columns of x·W + b and of U gives one tanh argument for all four gates.
     half = np.ones(4 * h)
     half[:h3] = 0.5
-    xw = (xv @ wv + bv) * half
+    xs = xv[:, :L].transpose(1, 0, 2)  # time-major (L, B, m)
+    xw = (xs @ wv + bv) * half
     uh = uv * half
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    acts = np.empty((T, 4 * h))  # sigmoid gates, then the candidate
-    cs, tcs, hs = np.empty((T, h)), np.empty((T, h)), np.empty((T, h))
-    h_t, c_t = np.zeros(h), np.zeros(h)
+    steps = range(L - 1, -1, -1) if reverse else range(L)
+    acts = np.empty((L, B, 4 * h))  # sigmoid gates, then the candidate
+    cs, tcs, hs = np.empty((L, B, h)), np.empty((L, B, h)), np.empty((L, B, h))
+    h_t, c_t = np.zeros((B, h)), np.zeros((B, h))
     for t in steps:
         a = np.tanh(xw[t] + h_t @ uh, out=acts[t])
-        a[:h3] *= 0.5
-        a[:h3] += 0.5
-        c_t = a[h:h2] * c_t + a[:h] * a[h3:]
-        cs[t] = c_t
-        h_t = np.multiply(a[h2:h3], np.tanh(c_t, out=tcs[t]), out=hs[t])
-    out = Tensor(hs, tape)
+        a[:, :h3] *= 0.5
+        a[:, :h3] += 0.5
+        # Zeroing c on padding zeroes h too, since tanh(0) = 0.
+        c_t = np.multiply(a[:, h:h2] * c_t + a[:, :h] * a[:, h3:], keep[t],
+                          out=cs[t])
+        h_t = np.multiply(a[:, h2:h3], np.tanh(c_t, out=tcs[t]), out=hs[t])
+    ov = np.zeros((B, T, h))
+    ov[:, :L] = hs.transpose(1, 0, 2)
+    out = Tensor(ov, tape)
 
     def backward(g):
-        zero = np.zeros((1, h))
+        zero = np.zeros((1, B, h))
         h_prev = np.concatenate((hs[1:], zero) if reverse else (zero, hs[:-1]))
         c_prev = np.concatenate((cs[1:], zero) if reverse else (zero, cs[:-1]))
-        sig, cand = acts[:, :h3], acts[:, h3:]
-        # Row t of dPre is (dc, dc, dh, dc) times row t of scales.
-        scales = np.concatenate((cand, c_prev, tcs, acts[:, :h]), axis=1) \
-            * np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=1)
-        dc_scale = acts[:, h2:h3] * (1.0 - tcs * tcs)
-        dpre = np.empty((T, 4 * h))
-        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        sig, cand = acts[:, :, :h3], acts[:, :, h3:]
+        # Step t of dPre is (dc, dc, dh, dc) times step t of scales.
+        scales = np.concatenate((cand, c_prev, tcs, acts[:, :, :h]), axis=2) \
+            * np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=2)
+        dc_scale = acts[:, :, h2:h3] * (1.0 - tcs * tcs)
+        gs = g[:, :L].transpose(1, 0, 2)
+        dpre = np.empty((L, B, 4 * h))
+        dh_next, dc_next = np.zeros((B, h)), np.zeros((B, h))
         for t in reversed(steps):
-            dh = g[t] + dh_next
-            dc = dh * dc_scale[t] + dc_next
-            d = np.multiply(np.concatenate((dc, dc, dh, dc)), scales[t], out=dpre[t])
+            # Padding steps pass no gradient on, in either direction.
+            dh = (gs[t] + dh_next) * keep[t]
+            dc = (dh * dc_scale[t] + dc_next) * keep[t]
+            d = np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), scales[t],
+                            out=dpre[t])
             dh_next = d @ uv.T
-            dc_next = dc * acts[t, h:h2]
-        _accumulate(x, dpre @ wv.T)
-        _accumulate(w, xv.T @ dpre)
-        _accumulate(u, h_prev.T @ dpre)
-        _accumulate(b, dpre.sum(axis=0))
+            dc_next = dc * acts[t, :, h:h2]
+        flat = dpre.reshape(L * B, 4 * h)
+        dx = np.zeros_like(xv)
+        dx[:, :L] = (dpre @ wv.T).transpose(1, 0, 2)
+        _accumulate(x, dx)
+        _accumulate(w, xs.reshape(L * B, m).T @ flat)
+        _accumulate(u, h_prev.reshape(L * B, h).T @ flat)
+        _accumulate(b, flat.sum(axis=0))
 
     tape._record(out, backward)
     return out
 
 
-def softmax(v: Operand) -> Tensor:
-    """Stable softmax of a 1-d vector (max subtraction before exp)."""
+def softmax(v: Operand, mask=None) -> Tensor:
+    """Stable softmax over the last axis (max subtraction before exp).
+
+    Where the boolean mask (broadcast to v's shape) is False the weight is
+    exactly 0 and so is the gradient; every row needs one True entry.
+    """
     tape = _tape_of(v)
     x = _value(v)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError("softmax expects a non-empty 1-d vector")
-    e = np.exp(x - x.max())
-    ov = e / e.sum()
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError("softmax expects a non-empty last axis")
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        mask = np.broadcast_to(mask, x.shape)
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax: a row has no unmasked entry")
+        top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(mask, x - top, -np.inf))
+    ov = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(ov, tape)
 
     def backward(g):
-        _accumulate(v, ov * (g - float(g @ ov)))
+        _accumulate(v, ov * (g - (g * ov).sum(axis=-1, keepdims=True)))
 
     tape._record(out, backward)
     return out
@@ -335,82 +366,58 @@ def concat(parts: Sequence[Operand], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(parts: Sequence[Operand]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis (scalars -> vector)."""
-    if not parts:
-        raise ValueError("stack of zero tensors")
-    tape = _tape_of(*parts)
-    values = [_value(p) for p in parts]
-    first = values[0].shape
-    if any(v.shape != first for v in values):
-        raise ValueError("stack expects equal shapes")
-    out = Tensor(np.stack(values), tape)
+def gather(a: Operand, positions) -> Tensor:
+    """Rows a[i, positions[i]] of a (B, T, d).
 
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accumulate(p, g[i])
-
-    tape._record(out, backward)
-    return out
-
-
-def narrow(a: Operand, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` extents along `axis`."""
+    positions (B,) gives (B, d); positions (B, k) gives (B, k, d).
+    Backward scatter-adds, so repeated positions add up.
+    """
     tape = _tape_of(a)
     av = _value(a)
-    if not (0 <= start and start + length <= av.shape[axis] and length >= 1):
-        raise ValueError(
-            f"narrow: [{start}, {start + length}) out of range for axis {axis} "
-            f"of shape {av.shape}"
-        )
-    index = [slice(None)] * av.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
+    pos = np.asarray(positions, dtype=np.intp)
+    if av.ndim != 3 or pos.ndim not in (1, 2) or pos.shape[0] != av.shape[0]:
+        raise ValueError(f"gather: positions {pos.shape} do not fit a {av.shape}")
+    if pos.size and (pos.min() < 0 or pos.max() >= av.shape[1]):
+        raise IndexError(f"gather: position out of range for shape {av.shape}")
+    index = (np.arange(len(pos)).reshape((-1,) + (1,) * (pos.ndim - 1)), pos)
     out = Tensor(av[index], tape)
 
     def backward(g):
         z = np.zeros_like(av)
-        z[index] = g
+        np.add.at(z, index, g)
         _accumulate(a, z)
 
     tape._record(out, backward)
     return out
 
 
-def take_row(a: Operand, i: int) -> Tensor:
-    """Row i of a matrix as a 1-d vector."""
+def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
+    """Max over the steps [start, end) of each segment of each row of a (B, T, f).
+
+    starts and ends are (B, S); the result is (B, S*f), segment after
+    segment. An empty segment gives 0. The gradient goes to the first
+    argmax.
+    """
     tape = _tape_of(a)
     av = _value(a)
-    if av.ndim != 2:
-        raise ValueError("take_row expects a matrix")
-    if not 0 <= i < av.shape[0]:
-        raise IndexError(f"row {i} out of range for shape {av.shape}")
-    out = Tensor(av[i], tape)
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    if av.ndim != 3 or starts.shape != ends.shape or starts.ndim != 2 \
+            or starts.shape[0] != av.shape[0]:
+        raise ValueError(f"max_pool_over_time: segments {starts.shape} "
+                         f"do not fit a {av.shape}")
+    B, T, f = av.shape
+    steps = np.arange(T)
+    inside = (steps >= starts[:, :, None]) & (steps < ends[:, :, None])
+    filled = inside.any(axis=2)[:, :, None]  # (B, S, 1)
+    values = np.where(inside[:, :, :, None], av[:, None], -np.inf)
+    rows = values.argmax(axis=2)  # (B, S, f), first maximum
+    picked = np.take_along_axis(values, rows[:, :, None], axis=2)[:, :, 0]
+    out = Tensor(np.where(filled, picked, 0.0).reshape(B, -1), tape)
+    index = (np.arange(B)[:, None, None], rows, np.arange(f))
 
     def backward(g):
         z = np.zeros_like(av)
-        z[i] = g
-        _accumulate(a, z)
-
-    tape._record(out, backward)
-    return out
-
-
-def max_pool_over_time(a: Operand) -> Tensor:
-    """Columnwise max of an (n,f) matrix; gradient goes to the first argmax."""
-    tape = _tape_of(a)
-    av = _value(a)
-    if av.ndim != 2:
-        raise ValueError("max_pool_over_time expects a matrix")
-    if av.shape[0] < 1:
-        raise ValueError("max_pool_over_time: empty time axis")
-    rows = np.argmax(av, axis=0)  # first maximum per column
-    cols = np.arange(av.shape[1])
-    out = Tensor(av[rows, cols], tape)
-
-    def backward(g):
-        z = np.zeros_like(av)
-        z[rows, cols] = g
+        np.add.at(z, index, g.reshape(rows.shape) * filled)
         _accumulate(a, z)
 
     tape._record(out, backward)
@@ -418,16 +425,16 @@ def max_pool_over_time(a: Operand) -> Tensor:
 
 
 def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
-    """Same-length 1-d convolution over rows of x.
+    """Same-length 1-d convolution over the steps of each row of x.
 
-    x is (n, m), w is (win, m, f), b is (f,). Zero padding of win-1 rows is
-    split evenly around the sequence with the extra row on the left.
+    x is (B, n, m), w is (win, m, f), b is (f,). Zero padding of win-1 steps
+    is split evenly around each row with the extra step on the left.
     """
     tape = _tape_of(x, w, b)
     xv, wv, bv = _value(x), _value(w), _value(b)
-    if xv.ndim != 2 or wv.ndim != 3 or bv.ndim != 1:
-        raise ValueError("conv1d expects x (n,m), w (win,m,f), b (f,)")
-    n, m = xv.shape
+    if xv.ndim != 3 or wv.ndim != 3 or bv.ndim != 1:
+        raise ValueError("conv1d expects x (B,n,m), w (win,m,f), b (f,)")
+    B, n, m = xv.shape
     win, wm, f = wv.shape
     if wm != m or bv.shape[0] != f:
         raise ValueError(
@@ -436,68 +443,124 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
     if n < 1:
         raise ValueError("conv1d: empty sequence")
     left = win // 2
-    padded = np.zeros((n + win - 1, m))
-    padded[left : left + n] = xv
-    ov = np.tile(bv, (n, 1))
+    padded = np.zeros((B, n + win - 1, m))
+    padded[:, left : left + n] = xv
+    ov = np.broadcast_to(bv, (B, n, f)).copy()
     for d in range(win):
-        ov += padded[d : d + n] @ wv[d]
+        ov += padded[:, d : d + n] @ wv[d]
     out = Tensor(ov, tape)
 
     def backward(g):
         gx_padded = np.zeros_like(padded)
         gw = np.empty_like(wv)
+        rows = g.reshape(B * n, f)
         for d in range(win):
-            gw[d] = padded[d : d + n].T @ g
-            gx_padded[d : d + n] += g @ wv[d].T
-        _accumulate(x, gx_padded[left : left + n])
+            gw[d] = padded[:, d : d + n].reshape(B * n, m).T @ rows
+            gx_padded[:, d : d + n] += g @ wv[d].T
+        _accumulate(x, gx_padded[:, left : left + n])
         _accumulate(w, gw)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(b, rows.sum(axis=0))
 
     tape._record(out, backward)
     return out
 
 
-def embedding_lookup(tape: Tape, table: Operand, ids: Sequence[int]) -> Tensor:
-    """Gather rows of an embedding table; backward scatter-adds."""
+def pair_attention_scores(
+    x: Operand, feats: Operand, w1: Operand, b1: Operand, w2: Operand
+) -> Tensor:
+    """Scores tanh([x_t ; f_j]·W1 + b1)·w2 of every step t against every
+    feature j, as one op.
+
+    x is (B, T, m), feats (B, k, m), w1 (2m, h), b1 (h,), w2 (h,); the
+    result is (B, k, T).
+    """
+    tape = _tape_of(x, feats, w1, b1, w2)
+    xv, fv, w1v, b1v, w2v = (_value(o) for o in (x, feats, w1, b1, w2))
+    m = xv.shape[-1] if xv.ndim == 3 else 0
+    if xv.ndim != 3 or fv.ndim != 3 or fv.shape[::2] != xv.shape[::2] \
+            or w1v.ndim != 2 or w1v.shape[0] != 2 * m \
+            or b1v.shape != w1v.shape[1:] or w2v.shape != w1v.shape[1:]:
+        raise ValueError(
+            f"pair_attention_scores expects x (B,T,m), feats (B,k,m), "
+            f"w1 (2m,h), b1 (h,), w2 (h,); got {xv.shape}, {fv.shape}, "
+            f"{w1v.shape}, {b1v.shape}, {w2v.shape}"
+        )
+    wx, wf = w1v[:m], w1v[m:]
+    hidden = np.tanh((xv @ wx)[:, None] + (fv @ wf)[:, :, None] + b1v)
+    out = Tensor(hidden @ w2v, tape)
+
+    def backward(g):
+        dpre = g[..., None] * w2v * (1.0 - hidden * hidden)  # (B, k, T, h)
+        dx_w, df_w = dpre.sum(axis=1), dpre.sum(axis=2)
+        _accumulate(x, dx_w @ wx.T)
+        _accumulate(feats, df_w @ wf.T)
+        _accumulate(w1, np.concatenate(
+            (xv.reshape(-1, m).T @ dx_w.reshape(-1, wx.shape[1]),
+             fv.reshape(-1, m).T @ df_w.reshape(-1, wf.shape[1]))))
+        _accumulate(b1, dpre.sum(axis=(0, 1, 2)))
+        _accumulate(w2, np.einsum("bkt,bkth->h", g, hidden))
+
+    tape._record(out, backward)
+    return out
+
+
+def embedding_lookup(tape: Tape, table: Operand, ids, mask=None) -> Tensor:
+    """Gather rows of an embedding table for an id array of any shape.
+
+    Where the boolean mask is False the row is exactly 0 and takes no
+    gradient. Backward scatter-adds.
+    """
     tv = _value(table)
     if tv.ndim != 2:
         raise ValueError("embedding_lookup expects a (V,m) table")
-    rows = list(ids)
-    for i in rows:
-        if not 0 <= i < tv.shape[0]:
-            raise IndexError(f"embedding id {i} out of range for table {tv.shape}")
-    idx = np.asarray(rows, dtype=np.intp)
-    out = Tensor(tv[idx], tape)
+    idx = np.asarray(ids, dtype=np.intp)
+    live = idx if mask is None else idx[mask]
+    if live.size and (live.min() < 0 or live.max() >= tv.shape[0]):
+        bad = live[(live < 0) | (live >= tv.shape[0])][0]
+        raise IndexError(f"embedding id {bad} out of range for table {tv.shape}")
+    ov = tv[idx]
+    if mask is not None:
+        ov[~mask] = 0.0
+    out = Tensor(ov, tape)
 
     def backward(g):
+        if mask is not None:
+            g = g[mask]
         if isinstance(table, Parameter):
-            np.add.at(table.grad, idx, g)
+            np.add.at(table.grad, live, g)
         elif table.tape is not None:
             z = np.zeros_like(tv)
-            np.add.at(z, idx, g)
+            np.add.at(z, live, g)
             _accumulate(table, z)
 
     tape._record(out, backward)
     return out
 
 
-def cross_entropy(probs: Operand, gold: int) -> Tensor:
-    """Negative log-probability of the gold class, clamped at 1e-12."""
-    tape = _tape_of(probs)
-    pv = _value(probs)
-    if pv.ndim != 1:
-        raise ValueError("cross_entropy expects a probability vector")
-    if not 0 <= gold < pv.shape[0]:
-        raise IndexError(f"gold class {gold} out of range for {pv.shape[0]} classes")
-    p = float(pv[gold])
-    clamped = max(p, 1e-12)
-    out = Tensor(-np.log(clamped), tape)
+def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
+    """Mean over rows of -log softmax(logits)[gold], as one op.
+
+    logits is (B, C) and gold holds B class ids. The gradient of row i is
+    (softmax(logits_i) - onehot(gold_i)) / B, with no clamp, so a confident
+    mistake still gets the full gradient.
+    """
+    tape = _tape_of(logits)
+    lv = _value(logits)
+    gold = np.asarray(gold, dtype=np.intp)
+    if lv.ndim != 2 or gold.shape != lv.shape[:1] or len(gold) < 1:
+        raise ValueError(f"softmax_cross_entropy: logits {lv.shape}, gold {gold.shape}")
+    if gold.min() < 0 or gold.max() >= lv.shape[1]:
+        raise IndexError(f"gold class out of range for {lv.shape[1]} classes")
+    rows = np.arange(len(gold))
+    shifted = lv - lv.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    out = Tensor(np.mean(np.log(total) - shifted[rows, gold]), tape)
 
     def backward(g):
-        z = np.zeros_like(pv)
-        if p >= 1e-12:
-            z[gold] = -float(g) / p
-        _accumulate(probs, z)
+        d = e / total[:, None]
+        d[rows, gold] -= 1.0
+        _accumulate(logits, d * (float(g) / len(gold)))
 
     tape._record(out, backward)
     return out

@@ -39,7 +39,12 @@ class ContextDropped(Exception):
 
 
 class Term:
-    """One element of a masked context sequence."""
+    """One element of a masked context sequence; never changed once made.
+
+    The named constructors (word, frame, ...) return one shared instance
+    per distinct term, so the contexts of a corpus hold references to
+    their terms, not copies of them.
+    """
 
     __slots__ = ("kind", "lemma", "polarity", "token_kind")
 
@@ -61,28 +66,36 @@ class Term:
         self.token_kind = token_kind
 
     @classmethod
+    def _shared(cls, kind, lemma=None, polarity=None, token_kind=None):
+        key = (kind, lemma, polarity, token_kind)
+        term = _SHARED_TERMS.get(key)
+        if term is None:
+            term = _SHARED_TERMS[key] = cls(kind, lemma, polarity, token_kind)
+        return term
+
+    @classmethod
     def word(cls, lemma):
-        return cls(WORD, lemma=lemma)
+        return cls._shared(WORD, lemma=lemma)
 
     @classmethod
     def entity_subj(cls):
-        return cls(ENTITY_SUBJ)
+        return cls._shared(ENTITY_SUBJ)
 
     @classmethod
     def entity_obj(cls):
-        return cls(ENTITY_OBJ)
+        return cls._shared(ENTITY_OBJ)
 
     @classmethod
     def entity_other(cls):
-        return cls(ENTITY_OTHER)
+        return cls._shared(ENTITY_OTHER)
 
     @classmethod
     def frame(cls, lemma, polarity):
-        return cls(FRAME, lemma=lemma, polarity=polarity)
+        return cls._shared(FRAME, lemma=lemma, polarity=polarity)
 
     @classmethod
     def token(cls, token_kind):
-        return cls(TOKEN, token_kind=token_kind)
+        return cls._shared(TOKEN, token_kind=token_kind)
 
     def display(self):
         """Surface text for exports: lemma, token kind, or mask name."""
@@ -109,6 +122,9 @@ class Term:
         if self.kind == TOKEN:
             return "Term.token(%r)" % (self.token_kind,)
         return "Term(%r)" % (self.kind,)
+
+
+_SHARED_TERMS = {}
 
 
 class TermSequence:

@@ -1,0 +1,334 @@
+"""Per-context oracle: the model's forward pass one context at a time.
+
+This is the path the batched encoders replaced, kept as a test oracle.
+Each context is its own chain of tape ops over its own (n, row_width)
+matrix: an LSTM is a per-step chain of generic ops (about 13 per row),
+attention is a 1-d softmax over the context's real rows, and pcnn pools
+each segment separately. The oracle reads the parameters of a real
+model, so batched and per-context values and gradients can be compared.
+
+Ops that the package does not provide (the elementwise product, row and
+slice selection, stacking, the 1-d softmax, the clamped cross-entropy,
+the 2-d convolution and max pool) are defined here on top of
+`tg.Tensor` and the tape's record list.
+"""
+
+import numpy as np
+
+from attex import encoders as enc
+from attex import lexicons as lx
+from attex import tensorgrad as tg
+from attex import termizer as tz
+
+
+def _op(tape, value, backward):
+    out = tg.Tensor(value, tape)
+    tape._record(out, backward)
+    return out
+
+
+def _into(a, g):
+    """Accumulate g into a tape tensor or a parameter."""
+    if isinstance(a, tg.Parameter):
+        a.grad += g
+    elif a.tape is not None:
+        a.grad = g if a.grad is None else a.grad + g
+
+
+def mul(a, b):
+    """Elementwise product of same-shape tensors."""
+    def backward(g):
+        _into(a, g * b.data)
+        _into(b, g * a.data)
+    return _op(a.tape, a.data * b.data, backward)
+
+
+def take_row(a, i):
+    def backward(g):
+        z = np.zeros_like(a.data)
+        z[i] = g
+        _into(a, z)
+    return _op(a.tape, a.data[i], backward)
+
+
+def narrow(a, axis, start, length):
+    index = [slice(None)] * a.data.ndim
+    index[axis] = slice(start, start + length)
+    index = tuple(index)
+
+    def backward(g):
+        z = np.zeros_like(a.data)
+        z[index] = g
+        _into(a, z)
+    return _op(a.tape, a.data[index], backward)
+
+
+def stack(parts):
+    def backward(g):
+        for i, p in enumerate(parts):
+            _into(p, g[i])
+    return _op(parts[0].tape, np.stack([p.data for p in parts]), backward)
+
+
+def softmax(v):
+    e = np.exp(v.data - v.data.max())
+    ov = e / e.sum()
+
+    def backward(g):
+        _into(v, ov * (g - float(g @ ov)))
+    return _op(v.tape, ov, backward)
+
+
+def cross_entropy(probs, gold):
+    """-log max(p[gold], 1e-12): the loss the fused op replaced."""
+    p = float(probs.data[gold])
+
+    def backward(g):
+        z = np.zeros_like(probs.data)
+        if p >= 1e-12:
+            z[gold] = -float(g) / p
+        _into(probs, z)
+    return _op(probs.tape, np.asarray(-np.log(max(p, 1e-12))), backward)
+
+
+def conv1d(x, w, b):
+    """Same-length convolution of one context's rows x (n, m)."""
+    xv, wv = x.data, w.data
+    n, m = xv.shape
+    win = wv.shape[0]
+    left = win // 2
+    padded = np.zeros((n + win - 1, m))
+    padded[left:left + n] = xv
+    ov = np.tile(b.data, (n, 1))
+    for d in range(win):
+        ov += padded[d:d + n] @ wv[d]
+
+    def backward(g):
+        gx = np.zeros_like(padded)
+        gw = np.empty_like(wv)
+        for d in range(win):
+            gw[d] = padded[d:d + n].T @ g
+            gx[d:d + n] += g @ wv[d].T
+        _into(x, gx[left:left + n])
+        _into(w, gw)
+        _into(b, g.sum(axis=0))
+    return _op(x.tape, ov, backward)
+
+
+def max_pool(a):
+    """Columnwise max of (T, f); the gradient goes to the first argmax."""
+    rows = np.argmax(a.data, axis=0)
+    cols = np.arange(a.data.shape[1])
+
+    def backward(g):
+        z = np.zeros_like(a.data)
+        z[rows, cols] = g
+        _into(a, z)
+    return _op(a.tape, a.data[rows, cols], backward)
+
+
+def _sigmoid(tape, v):
+    # sigmoid(v) = 0.5 * (1 + tanh(v / 2))
+    one = tape.constant(np.ones(v.shape[0]))
+    return tg.scale(tg.add(tg.tanh(tg.scale(v, 0.5)), one), 0.5)
+
+
+def lstm_step(tape, x_t, h_prev, c_prev, w, u, b):
+    h = u.shape[0]
+    pre = tg.add(tg.add(tg.matmul(x_t, w), tg.matmul(h_prev, u)), b)
+    gate_i = _sigmoid(tape, narrow(pre, 0, 0, h))
+    gate_f = _sigmoid(tape, narrow(pre, 0, h, h))
+    gate_o = _sigmoid(tape, narrow(pre, 0, 2 * h, h))
+    cand = tg.tanh(narrow(pre, 0, 3 * h, h))
+    c_t = tg.add(mul(gate_f, c_prev), mul(gate_i, cand))
+    h_t = mul(gate_o, tg.tanh(c_t))
+    return h_t, c_t
+
+
+def lstm_run(tape, rows, w, u, b):
+    """States after each row of the list `rows`, in order."""
+    h = u.shape[0]
+    h_t, c_t = tape.zeros(h), tape.zeros(h)
+    states = []
+    for x_t in rows:
+        h_t, c_t = lstm_step(tape, x_t, h_t, c_t, w, u, b)
+        states.append(h_t)
+    return states
+
+
+def bilstm_run(tape, bilstm, rows):
+    f, r = bilstm.fwd, bilstm.bwd
+    forward = lstm_run(tape, rows, f.w, f.u, f.b)
+    backward = lstm_run(tape, rows[::-1], r.w, r.u, r.b)[::-1]
+    return [tg.concat([a, z], axis=0) for a, z in zip(forward, backward)]
+
+
+class Context:
+    """One embedded context: x (n, row_width) plus its positions."""
+
+    def __init__(self, x, n_real, subj_pos, obj_pos, frame_positions=()):
+        self.x = x
+        self.n_real = n_real
+        self.subj_pos = subj_pos
+        self.obj_pos = obj_pos
+        self.frame_positions = tuple(frame_positions)
+
+
+def embed(tape, embedder, seq):
+    """A TermSequence as a Context, looked up term by term."""
+    n_real = len(seq.terms)
+    vocab = embedder.vocab
+    neutral = lx.POLARITIES.index(lx.NEUTRAL)
+    word_ids = [vocab.id_of_term(t) for t in seq.terms]
+    polarity_ids = [lx.POLARITIES.index(t.polarity) if t.kind == tz.FRAME
+                    else neutral for t in seq.terms]
+    parts = [tg.embedding_lookup(tape, embedder.word_table, word_ids),
+             tg.embedding_lookup(tape, embedder.polarity_table, polarity_ids)]
+    if embedder.use_position:
+        md = embedder.max_distance
+        for anchor in (seq.subj_pos, seq.obj_pos):
+            ids = [max(-md, min(md, i - anchor)) + md for i in range(n_real)]
+            parts.append(tg.embedding_lookup(tape, embedder.position_table, ids))
+    x = tg.concat(parts, axis=1)
+    if n_real < embedder.n:
+        x = tg.concat([x, tape.zeros(embedder.n - n_real, embedder.row_width)],
+                      axis=0)
+    frames = [i for i, t in enumerate(seq.terms) if t.kind == tz.FRAME]
+    return Context(x, n_real, seq.subj_pos, seq.obj_pos, frames)
+
+
+def features(ctx, mode, k):
+    """Participant rows, plus frame rows in order for att-ef, <= k total."""
+    rows = [take_row(ctx.x, ctx.subj_pos), take_row(ctx.x, ctx.obj_pos)]
+    if mode == "att-ef":
+        for pos in ctx.frame_positions[:k - 2]:
+            rows.append(take_row(ctx.x, pos))
+    return rows
+
+
+def _pcnn(encoder, ctx):
+    conv = conv1d(ctx.x, encoder.w, encoder.b)
+    p1, p2 = sorted((ctx.subj_pos, ctx.obj_pos))
+    blocks = []
+    for start, end in ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, ctx.n_real)):
+        if end > start:
+            blocks.append(max_pool(narrow(conv, 0, start, end - start)))
+        else:
+            blocks.append(ctx.x.tape.zeros(encoder.cfg.filters))
+    return tg.concat(blocks, axis=0)
+
+
+def _mean(tape, states):
+    weights = tape.constant(np.full(len(states), 1.0 / len(states)))
+    return tg.matmul(weights, stack(states))
+
+
+def _ian_attend(states, pooled, w, b):
+    mat = stack(states)
+    scores = [tg.matmul(tg.matmul(s_i, w), pooled) for s_i in states]
+    weights = softmax(tg.tanh(tg.add(stack(scores), b)))
+    return tg.matmul(weights, mat), weights
+
+
+def encode(tape, encoder, ctx):
+    """(s, alpha over the real rows or None) of one context."""
+    kind = encoder.kind
+    rows = [take_row(ctx.x, i) for i in range(ctx.n_real)]
+    if kind == "cnn":
+        conv = tg.tanh(conv1d(ctx.x, encoder.w, encoder.b))
+        return max_pool(narrow(conv, 0, 0, ctx.n_real)), None
+    if kind == "pcnn":
+        return _pcnn(encoder, ctx), None
+    if kind == "lstm":
+        cell = encoder.cell
+        return lstm_run(tape, rows, cell.w, cell.u, cell.b)[-1], None
+    if kind == "bilstm":
+        return bilstm_run(tape, encoder.bilstm, rows)[-1], None
+    if kind in ("att-blstm", "att-blstm-zyang"):
+        h_mat = stack(bilstm_run(tape, encoder.bilstm, rows))
+        if kind == "att-blstm":
+            alpha = softmax(tg.matmul(tg.tanh(h_mat), encoder.w))
+            return tg.tanh(tg.matmul(alpha, h_mat)), alpha.data
+        projected = tg.tanh(tg.add(tg.matmul(h_mat, encoder.w_a), encoder.b_a))
+        alpha = softmax(tg.matmul(projected, encoder.u_w))
+        return tg.matmul(alpha, h_mat), alpha.data
+    feats = features(ctx, encoder.cfg.feature_mode, encoder.cfg.k)
+    if kind == "ian":
+        c_states = bilstm_run(tape, encoder.context_lstm, rows)
+        t_states = bilstm_run(tape, encoder.feature_lstm, feats)
+        attended_c, gamma = _ian_attend(c_states, _mean(tape, t_states),
+                                        encoder.w_c, encoder.b_c)
+        attended_t, _ = _ian_attend(t_states, _mean(tape, c_states),
+                                    encoder.w_t, encoder.b_t)
+        return tg.concat([attended_c, attended_t], axis=0), gamma.data
+    assert kind == "att-cnn"
+    pooled = _pcnn(encoder.pcnn, ctx)
+    x_real = narrow(ctx.x, 0, 0, ctx.n_real)
+    summaries, weights = [], []
+    for feat in feats:
+        scores = []
+        for x_i in rows:
+            hidden = tg.tanh(tg.add(tg.matmul(
+                tg.concat([x_i, feat], axis=0), encoder.w1), encoder.b1))
+            scores.append(tg.matmul(hidden, encoder.w2))
+        alpha_j = softmax(stack(scores))
+        weights.append(alpha_j.data)
+        summaries.append(tg.matmul(alpha_j, x_real))
+    attended = summaries[0]
+    for extra in summaries[1:]:
+        attended = tg.add(attended, extra)
+    attended = tg.scale(attended, 1.0 / len(summaries))
+    mean_alpha = np.mean(weights, axis=0)
+    return (tg.concat([pooled, attended], axis=0),
+            mean_alpha / mean_alpha.sum())
+
+
+def forward(tape, model, seq):
+    """(probabilities (3,), alpha over the real rows or None) of one context."""
+    ctx = embed(tape, model.embedder, seq)
+    s, alpha = encode(tape, model.encoder, ctx)
+    logits = tg.add(tg.matmul(tg.tanh(s), model.head.w_r), model.head.b_r)
+    return softmax(logits), alpha
+
+
+def mean_loss(tape, model, seqs, golds):
+    """Mean clamped cross-entropy over the contexts, summed then scaled."""
+    total = None
+    for seq, gold in zip(seqs, golds):
+        probs, _ = forward(tape, model, seq)
+        loss = cross_entropy(probs, int(gold))
+        total = loss if total is None else tg.add(total, loss)
+    return tg.scale(total, 1.0 / len(seqs))
+
+
+def lstm_sequence(tape, x, w, u, b, reverse=False):
+    """States (T, h) of the rows of one context's x (T, m)."""
+    rows = [take_row(x, i) for i in range(x.shape[0])]
+    if reverse:
+        return stack(lstm_run(tape, rows[::-1], w, u, b)[::-1])
+    return stack(lstm_run(tape, rows, w, u, b))
+
+
+def random_contexts(rng, n, count, words=6):
+    """Random TermSequences of 2..n terms with frames of every polarity."""
+    seqs = []
+    for _ in range(count):
+        n_real = int(rng.integers(2, n + 1))
+        subj, obj = (int(v) for v in rng.choice(n_real, 2, replace=False))
+        terms = []
+        for pos in range(n_real):
+            if rng.random() < 0.4:
+                terms.append(tz.Term.frame("f%d" % int(rng.integers(0, words)),
+                                           str(rng.choice(lx.POLARITIES))))
+            else:
+                terms.append(tz.Term.word("w%d" % int(rng.integers(0, words))))
+        terms[subj] = tz.Term.entity_subj()
+        terms[obj] = tz.Term.entity_obj()
+        seqs.append(tz.TermSequence(terms, subj, obj))
+    return seqs
+
+
+def vocab_for(seqs):
+    lemmas = [t.lemma for seq in seqs for t in seq.terms
+              if t.kind in (tz.WORD, tz.FRAME)]
+    return enc.Vocab(lemmas)

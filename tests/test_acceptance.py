@@ -22,7 +22,7 @@ from attex import lexicons as lx
 from attex import model as md
 from attex import tensorgrad as tg
 from attex import termizer as tz
-from test_encoders import manual_ctx
+from test_encoders import encode_one, pad_rows
 
 ATTENTIVE_KINDS = ("att-blstm", "att-blstm-zyang", "att-cnn", "ian")
 
@@ -75,10 +75,9 @@ def _pooling_mismatches(trials=1000):
         encoder = en.PcnnEncoder(cfg, width, rng)
         rows = rng.normal(0.0, 1.0, (n_real, width))
         subj, obj = (int(v) for v in rng.choice(n_real, 2, replace=False))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, subj, obj, n=n)
-        got = encoder.encode(tape, ctx).s.data
-        conv = tg.conv1d(ctx.x, encoder.w, encoder.b).data
+        got, _ = encode_one(encoder, rows, subj, obj, n=n)
+        conv = tg.conv1d(tg.Tape().constant(pad_rows(rows, n)[None]),
+                         encoder.w, encoder.b).data[0]
         p1, p2 = sorted((subj, obj))
         blocks = []
         for start, end in ((0, p1 + 1), (p1 + 1, p2 + 1), (p2 + 1, n_real)):
@@ -234,8 +233,9 @@ def _random_attentive_pass(rng, kind):
                             "use_position": en.default_use_position(kind),
                             "position_dim": 1},
                            rng=rng)
-    probs, out = model.forward(tg.Tape(), seq)
-    return probs.data, np.asarray(out.alpha, dtype=float), seq, n, n_real
+    logits, out = model.forward(tg.Tape(), model.compile([sample]))
+    return (md.class_probabilities(logits.data)[0], out.alpha[0], seq, n,
+            n_real)
 
 
 def test_attention_normalization_invariants():

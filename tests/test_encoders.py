@@ -86,13 +86,49 @@ def make_embedder(n, m=3, polarity_dim=2, use_position=False, seed=0, extra=()):
                         rng=np.random.default_rng(seed))
 
 
-def manual_ctx(tape, rows, subj, obj, n=None, frame_positions=()):
+def pad_rows(rows, n=None):
     rows = np.asarray(rows, dtype=float)
-    n_real = rows.shape[0]
-    if n is not None and n > n_real:
-        rows = np.vstack([rows, np.zeros((n - n_real, rows.shape[1]))])
-    x = tape.constant(rows)
-    return enc.EmbeddedContext(x, n_real, subj, obj, frame_positions)
+    if n is not None and n > rows.shape[0]:
+        rows = np.vstack([rows, np.zeros((n - rows.shape[0], rows.shape[1]))])
+    return rows
+
+
+def manual_batch(tape, rows, subj, obj, n=None, frame_positions=(), k=2,
+                 feature_mode="att-ends", features=None):
+    """One context of given embedded rows: x (1, n, w) and its Batch.
+
+    The word and polarity ids are never read by encoders, so they are 0.
+    """
+    n_real = len(rows)
+    rows = pad_rows(rows, n)
+    if features is None:
+        features = [subj, obj]
+        if feature_mode == "att-ef":
+            features += list(frame_positions)
+        features = features[:k]
+    feats = np.zeros((1, max(k, len(features))), dtype=np.intp)
+    feats[0, :len(features)] = features
+    ids = np.zeros((1, rows.shape[0]), dtype=np.intp)
+    batch = enc.Batch(ids, ids, np.array([n_real]), np.array([subj]),
+                      np.array([obj]), feats, np.array([len(features)]))
+    return tape.constant(rows[None]), batch
+
+
+def encode_one(encoder, rows, subj, obj, n=None, frame_positions=(),
+               features=None):
+    """(s (z,), alpha (n,) or None) of one context through the encoder."""
+    tape = tg.Tape()
+    x, batch = manual_batch(tape, rows, subj, obj, n, frame_positions,
+                            encoder.cfg.k, encoder.cfg.feature_mode, features)
+    out = encoder.encode(tape, x, batch)
+    return out.s.data[0], None if out.alpha is None else out.alpha[0]
+
+
+def embed_one(embedder, seq, k=2, feature_mode="att-ends"):
+    """(x (n, row_width), Batch of one) of a TermSequence."""
+    batch = enc.compile_sequences([seq], embedder.vocab, embedder.n, k,
+                                  feature_mode)
+    return embedder.embed(tg.Tape(), batch).data[0], batch
 
 
 class TestVocab:
@@ -121,52 +157,53 @@ class TestEmbedder:
     def test_shapes_and_padding(self):
         embedder = make_embedder(n=6)
         seq = make_seq(3, subj=0, obj=2)
-        ctx = embedder.embed(tg.Tape(), seq)
-        assert ctx.x.data.shape == (6, embedder.row_width)
-        assert ctx.n_real == 3
-        assert np.array_equal(ctx.x.data[3:], np.zeros((3, embedder.row_width)))
+        x, batch = embed_one(embedder, seq)
+        assert x.shape == (6, embedder.row_width)
+        assert batch.lengths.tolist() == [3]
+        assert np.array_equal(x[3:], np.zeros((3, embedder.row_width)))
 
     def test_polarity_slice(self):
         embedder = make_embedder(n=4)
         seq = make_seq(3, subj=0, obj=2, frame_positions=(1,))
-        ctx = embedder.embed(tg.Tape(), seq)
+        x, _ = embed_one(embedder, seq)
         m = embedder.m
         pd = embedder.polarity_dim
         pos_idx = list(enc.lx.POLARITIES).index("positive")
         neu_idx = list(enc.lx.POLARITIES).index("neutral")
-        assert np.array_equal(ctx.x.data[1, m:m + pd],
+        assert np.array_equal(x[1, m:m + pd],
                               embedder.polarity_table.data[pos_idx])
-        assert np.array_equal(ctx.x.data[0, m:m + pd],
+        assert np.array_equal(x[0, m:m + pd],
                               embedder.polarity_table.data[neu_idx])
 
     def test_position_ids(self):
         embedder = make_embedder(n=5, use_position=True)
         seq = make_seq(4, subj=1, obj=3)
-        ctx = embedder.embed(tg.Tape(), seq)
+        x, _ = embed_one(embedder, seq)
         m, pd, qd = embedder.m, embedder.polarity_dim, embedder.position_dim
         zero_row = embedder.position_table.data[embedder.max_distance]
-        assert np.array_equal(ctx.x.data[1, m + pd:m + pd + qd], zero_row)
+        assert np.array_equal(x[1, m + pd:m + pd + qd], zero_row)
         minus_one = embedder.position_table.data[embedder.max_distance - 1]
-        assert np.array_equal(ctx.x.data[0, m + pd:m + pd + qd], minus_one)
+        assert np.array_equal(x[0, m + pd:m + pd + qd], minus_one)
 
     def test_unknown_lemma_gets_unk_row(self):
         embedder = make_embedder(n=4)
         terms = [tz.Term.entity_subj(), tz.Term.word("zzzz"), tz.Term.entity_obj()]
         seq = tz.TermSequence(terms, 0, 2)
-        ctx = embedder.embed(tg.Tape(), seq)
+        x, _ = embed_one(embedder, seq)
         unk_row = embedder.word_table.data[embedder.vocab.id_of(enc.UNK)]
-        assert np.array_equal(ctx.x.data[1, :embedder.m], unk_row)
+        assert np.array_equal(x[1, :embedder.m], unk_row)
 
     def test_too_long_rejected(self):
         embedder = make_embedder(n=3)
         with pytest.raises(ValueError, match="exceeds"):
-            embedder.embed(tg.Tape(), make_seq(4))
+            embed_one(embedder, make_seq(4))
 
     def test_frame_positions_recorded(self):
         embedder = make_embedder(n=6)
         seq = make_seq(5, subj=0, obj=4, frame_positions=(1, 3))
-        ctx = embedder.embed(tg.Tape(), seq)
-        assert ctx.frame_positions == (1, 3)
+        _, batch = embed_one(embedder, seq, k=5, feature_mode="att-ef")
+        assert batch.features.tolist() == [[0, 4, 1, 3, 0]]
+        assert batch.feature_lengths.tolist() == [4]
 
     def test_pretrained_rows_used(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -187,29 +224,23 @@ class TestEmbedder:
 
 
 class TestSelectFeatures:
-    def _ctx(self, frame_positions=()):
-        tape = tg.Tape()
-        rows = np.arange(24, dtype=float).reshape(6, 4)
-        return tape, manual_ctx(tape, rows, subj=1, obj=4,
-                                frame_positions=frame_positions)
+    """Feature positions as compile_sequences records them."""
+
+    def _features(self, mode, k, frame_positions=()):
+        seq = make_seq(6, subj=1, obj=4, frame_positions=frame_positions)
+        batch = enc.compile_sequences([seq], make_embedder(n=6).vocab, 6, k,
+                                      mode)
+        return batch.features[0, :batch.feature_lengths[0]].tolist()
 
     def test_att_ends(self):
-        tape, ctx = self._ctx(frame_positions=(2, 3))
-        feats = enc.select_features(ctx, "att-ends", 5)
-        assert len(feats) == 2
-        assert np.array_equal(feats[0].data, ctx.x.data[1])
-        assert np.array_equal(feats[1].data, ctx.x.data[4])
+        assert self._features("att-ends", 5, frame_positions=(2, 3)) == [1, 4]
 
     def test_att_ef_cropped(self):
-        tape, ctx = self._ctx(frame_positions=(0, 2, 3, 5))
-        feats = enc.select_features(ctx, "att-ef", 4)
-        assert len(feats) == 4
-        assert np.array_equal(feats[2].data, ctx.x.data[0])
-        assert np.array_equal(feats[3].data, ctx.x.data[2])
+        assert self._features("att-ef", 4, frame_positions=(0, 2, 3, 5)) \
+            == [1, 4, 0, 2]
 
     def test_att_ef_without_frames(self):
-        tape, ctx = self._ctx()
-        assert len(enc.select_features(ctx, "att-ef", 4)) == 2
+        assert self._features("att-ef", 4) == [1, 4]
 
 
 def build(kind, n=6, h=3, filters=2, window=3, row_width=5, seed=1, **kw):
@@ -220,29 +251,26 @@ def build(kind, n=6, h=3, filters=2, window=3, row_width=5, seed=1, **kw):
 class TestCnn:
     def test_single_row(self):
         encoder = build("cnn", n=4, window=1)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, np.random.default_rng(0).uniform(-1, 1, (1, 5)),
-                         subj=0, obj=0, n=4)
-        out = encoder.encode(tape, ctx)
-        want = np.tanh(ref_conv1d(ctx.x.data, encoder.w.data, encoder.b.data))[0]
-        assert np.allclose(out.s.data, want)
+        rows = np.random.default_rng(0).uniform(-1, 1, (1, 5))
+        s, _ = encode_one(encoder, rows, subj=0, obj=0, n=4)
+        want = np.tanh(ref_conv1d(pad_rows(rows, 4), encoder.w.data,
+                                  encoder.b.data))[0]
+        assert np.allclose(s, want)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
         encoder = build("cnn", n=5, filters=2)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rng.uniform(-1, 1, (3, 5)), subj=0, obj=2, n=5)
-        out = encoder.encode(tape, ctx)
-        conv = np.tanh(ref_conv1d(ctx.x.data, encoder.w.data, encoder.b.data))
-        assert np.allclose(out.s.data, conv[:3].max(axis=0))
-        assert encoder.z == 2 and out.alpha is None
+        rows = rng.uniform(-1, 1, (3, 5))
+        s, alpha = encode_one(encoder, rows, subj=0, obj=2, n=5)
+        conv = np.tanh(ref_conv1d(pad_rows(rows, 5), encoder.w.data,
+                                  encoder.b.data))
+        assert np.allclose(s, conv[:3].max(axis=0))
+        assert encoder.z == 2 and alpha is None
 
     def test_zero_input_zero_bias(self):
         encoder = build("cnn")
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, np.zeros((4, 5)), subj=0, obj=3, n=6)
-        out = encoder.encode(tape, ctx)
-        assert np.array_equal(out.s.data, np.zeros(2))
+        s, _ = encode_one(encoder, np.zeros((4, 5)), subj=0, obj=3, n=6)
+        assert np.array_equal(s, np.zeros(2))
 
 
 class TestPcnn:
@@ -256,23 +284,19 @@ class TestPcnn:
     def test_documented_segments(self):
         column = [1.0, 5.0, 3.0, 2.0, 0.0, 4.0, 1.0]
         encoder = self._identity_encoder(1)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, np.array(column)[:, None], subj=1, obj=4, n=8)
-        out = encoder.encode(tape, ctx)
-        assert np.array_equal(out.s.data, [5.0, 3.0, 4.0])
+        s, _ = encode_one(encoder, np.array(column)[:, None], subj=1, obj=4,
+                          n=8)
+        assert np.array_equal(s, [5.0, 3.0, 4.0])
 
     def test_adjacent_participants_zero_right_block(self):
         encoder = self._identity_encoder(2)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, [[1.0, 2.0], [3.0, 4.0]], subj=0, obj=1, n=8)
-        out = encoder.encode(tape, ctx)
-        assert np.array_equal(out.s.data, [1, 2, 3, 4, 0, 0])
+        s, _ = encode_one(encoder, [[1.0, 2.0], [3.0, 4.0]], subj=0, obj=1, n=8)
+        assert np.array_equal(s, [1, 2, 3, 4, 0, 0])
 
     def test_concat_length(self):
         encoder = build("pcnn", filters=1)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, np.ones((6, 5)), subj=2, obj=4)
-        assert encoder.encode(tape, ctx).s.data.shape == (3,)
+        s, _ = encode_one(encoder, np.ones((6, 5)), subj=2, obj=4)
+        assert s.shape == (3,)
 
     @pytest.mark.parametrize("trial", range(50))
     def test_matches_piecewise_oracle(self, trial):
@@ -281,13 +305,11 @@ class TestPcnn:
         subj, obj = rng.choice(n_real, size=2, replace=False)
         encoder = build("pcnn", n=8, window=int(rng.integers(1, 4)),
                         filters=int(rng.integers(1, 4)), seed=trial)
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rng.uniform(-2, 2, (n_real, 5)),
-                         subj=int(subj), obj=int(obj), n=8)
-        out = encoder.encode(tape, ctx)
-        want = ref_pcnn(ctx.x.data[:n_real], n_real, int(subj), int(obj),
+        rows = rng.uniform(-2, 2, (n_real, 5))
+        s, _ = encode_one(encoder, rows, subj=int(subj), obj=int(obj), n=8)
+        want = ref_pcnn(rows, n_real, int(subj), int(obj),
                         encoder.w.data, encoder.b.data)
-        assert np.allclose(out.s.data, want)
+        assert np.allclose(s, want)
 
 
 class TestLstm:
@@ -298,20 +320,16 @@ class TestLstm:
         cell.u.data[...] = np.arange(16).reshape(2, 8)[::-1] * 0.03
         cell.b.data[...] = np.linspace(-0.2, 0.4, 8)
         rows = np.array([[0.5, -1.0], [0.25, 0.75]])
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, subj=0, obj=1, n=4)
-        out = encoder.encode(tape, ctx)
+        s, _ = encode_one(encoder, rows, subj=0, obj=1, n=4)
         want = ref_lstm_states(rows, cell.w.data, cell.u.data, cell.b.data)[-1]
-        assert np.allclose(out.s.data, want)
+        assert np.allclose(s, want)
 
     def test_pads_never_consumed(self):
         encoder = build("lstm", h=2)
         rows = np.random.default_rng(5).uniform(-1, 1, (3, 5))
-        tape_a = tg.Tape()
-        a = encoder.encode(tape_a, manual_ctx(tape_a, rows, subj=0, obj=2, n=3))
-        tape_b = tg.Tape()
-        b = encoder.encode(tape_b, manual_ctx(tape_b, rows, subj=0, obj=2, n=9))
-        assert np.array_equal(a.s.data, b.s.data)
+        a, _ = encode_one(encoder, rows, subj=0, obj=2, n=3)
+        b, _ = encode_one(encoder, rows, subj=0, obj=2, n=9)
+        assert np.array_equal(a, b)
 
     def test_forget_bias_initialized(self):
         encoder = build("lstm", h=3)
@@ -321,62 +339,52 @@ class TestLstm:
 class TestBiLstm:
     def test_single_step_both_directions(self):
         encoder = build("bilstm", h=2)
-        tape = tg.Tape()
         rows = np.random.default_rng(6).uniform(-1, 1, (1, 5))
-        ctx = manual_ctx(tape, rows, subj=0, obj=0, n=4)
-        out = encoder.encode(tape, ctx)
+        s, _ = encode_one(encoder, rows, subj=0, obj=0, n=4)
         fwd = ref_lstm_states(rows, encoder.bilstm.fwd.w.data,
                               encoder.bilstm.fwd.u.data, encoder.bilstm.fwd.b.data)
         bwd = ref_lstm_states(rows, encoder.bilstm.bwd.w.data,
                               encoder.bilstm.bwd.u.data, encoder.bilstm.bwd.b.data)
-        assert np.allclose(out.s.data, np.concatenate([fwd[0], bwd[0]]))
+        assert np.allclose(s, np.concatenate([fwd[0], bwd[0]]))
 
     def test_matches_reference(self):
         encoder = build("bilstm", h=3)
         rng = np.random.default_rng(7)
         rows = rng.uniform(-1, 1, (4, 5))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, subj=0, obj=3, n=6)
-        out = encoder.encode(tape, ctx)
+        s, _ = encode_one(encoder, rows, subj=0, obj=3, n=6)
         want = ref_bilstm_states(rows, encoder.bilstm)[-1]
-        assert np.allclose(out.s.data, want)
+        assert np.allclose(s, want)
         assert encoder.z == 6
 
 
 class TestAttBLstm:
     def test_singleton_alpha(self):
         encoder = build("att-blstm", h=2, n=5)
-        tape = tg.Tape()
         rows = np.random.default_rng(8).uniform(-1, 1, (1, 5))
-        ctx = manual_ctx(tape, rows, subj=0, obj=0, n=5)
-        out = encoder.encode(tape, ctx)
-        assert np.allclose(out.alpha, [1, 0, 0, 0, 0])
+        s, alpha = encode_one(encoder, rows, subj=0, obj=0, n=5)
+        assert np.allclose(alpha, [1, 0, 0, 0, 0])
         h1 = ref_bilstm_states(rows, encoder.bilstm)[0]
-        assert np.allclose(out.s.data, np.tanh(h1))
+        assert np.allclose(s, np.tanh(h1))
 
     def test_zero_scores_uniform(self):
         encoder = build("att-blstm", h=2, n=4)
         encoder.w.data[...] = 0.0
-        tape = tg.Tape()
         rows = np.random.default_rng(9).uniform(-1, 1, (2, 5))
-        ctx = manual_ctx(tape, rows, subj=0, obj=1, n=4)
-        out = encoder.encode(tape, ctx)
-        assert np.allclose(out.alpha[:2], [0.5, 0.5])
+        _, alpha = encode_one(encoder, rows, subj=0, obj=1, n=4)
+        assert np.allclose(alpha[:2], [0.5, 0.5])
 
     def test_matches_reference(self):
         encoder = build("att-blstm", h=3, n=6)
         rng = np.random.default_rng(10)
         rows = rng.uniform(-1, 1, (4, 5))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, subj=1, obj=2, n=6)
-        out = encoder.encode(tape, ctx)
+        s, got_alpha = encode_one(encoder, rows, subj=1, obj=2, n=6)
         h_mat = np.stack(ref_bilstm_states(rows, encoder.bilstm))
         scores = np.tanh(h_mat) @ encoder.w.data
         alpha = softmax(scores)
         want = np.tanh(alpha @ h_mat)
-        assert np.allclose(out.s.data, want)
-        assert np.allclose(out.alpha[:4], alpha)
-        assert np.allclose(out.alpha[4:], 0.0)
+        assert np.allclose(s, want)
+        assert np.allclose(got_alpha[:4], alpha)
+        assert np.allclose(got_alpha[4:], 0.0)
 
 
 class TestAttBLstmZYang:
@@ -390,31 +398,27 @@ class TestAttBLstmZYang:
         zyang.b_a.data[...] = 0.0
         zyang.u_w.data[...] = plain.w.data
         rows = np.random.default_rng(13).uniform(-1, 1, (3, 5))
-        tape_a = tg.Tape()
-        out_plain = plain.encode(tape_a, manual_ctx(tape_a, rows, 0, 2, n=5))
-        tape_b = tg.Tape()
-        out_zyang = zyang.encode(tape_b, manual_ctx(tape_b, rows, 0, 2, n=5))
-        assert np.allclose(out_plain.alpha, out_zyang.alpha)
+        _, alpha_plain = encode_one(plain, rows, 0, 2, n=5)
+        _, alpha_zyang = encode_one(zyang, rows, 0, 2, n=5)
+        assert np.allclose(alpha_plain, alpha_zyang)
 
     def test_singleton(self):
         encoder = build("att-blstm-zyang", h=2, n=4)
         rows = np.random.default_rng(14).uniform(-1, 1, (1, 5))
-        tape = tg.Tape()
-        out = encoder.encode(tape, manual_ctx(tape, rows, 0, 0, n=4))
-        assert np.allclose(out.alpha, [1, 0, 0, 0])
+        _, alpha = encode_one(encoder, rows, 0, 0, n=4)
+        assert np.allclose(alpha, [1, 0, 0, 0])
 
     def test_matches_reference(self):
         encoder = build("att-blstm-zyang", h=2, n=6)
         rng = np.random.default_rng(15)
         rows = rng.uniform(-1, 1, (4, 5))
-        tape = tg.Tape()
-        out = encoder.encode(tape, manual_ctx(tape, rows, 1, 3, n=6))
+        s, got_alpha = encode_one(encoder, rows, 1, 3, n=6)
         h_mat = np.stack(ref_bilstm_states(rows, encoder.bilstm))
         projected = np.tanh(h_mat @ encoder.w_a.data + encoder.b_a.data)
         alpha = softmax(projected @ encoder.u_w.data)
         want = alpha @ h_mat
-        assert np.allclose(out.s.data, want)
-        assert np.allclose(out.alpha[:4], alpha)
+        assert np.allclose(s, want)
+        assert np.allclose(got_alpha[:4], alpha)
 
 
 def ref_attcnn(encoder, rows, n_real, subj, obj, mode, k, frame_positions=()):
@@ -446,29 +450,25 @@ class TestAttCnn:
         encoder.w2.data[...] = 0.0
         rng = np.random.default_rng(16)
         rows = rng.uniform(-1, 1, (4, 5))
-        tape = tg.Tape()
-        out = encoder.encode(tape, manual_ctx(tape, rows, 0, 3, n=6))
-        assert np.allclose(out.s.data[6:], rows.mean(axis=0))
+        s, _ = encode_one(encoder, rows, 0, 3, n=6)
+        assert np.allclose(s[6:], rows.mean(axis=0))
 
     def test_alpha_sums_to_one(self):
         encoder = build("att-cnn", n=6)
         rng = np.random.default_rng(17)
         rows = rng.uniform(-1, 1, (5, 5))
-        tape = tg.Tape()
-        out = encoder.encode(tape, manual_ctx(tape, rows, 1, 3, n=6))
-        assert out.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        _, alpha = encode_one(encoder, rows, 1, 3, n=6)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_reference(self):
         encoder = build("att-cnn", n=7, filters=2, feature_mode="att-ef", k=3)
         rng = np.random.default_rng(18)
         rows = rng.uniform(-1, 1, (5, 5))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, 0, 4, n=7, frame_positions=(2,))
-        out = encoder.encode(tape, ctx)
+        s, alpha = encode_one(encoder, rows, 0, 4, n=7, frame_positions=(2,))
         want_s, want_alpha = ref_attcnn(encoder, rows, 5, 0, 4,
                                         "att-ef", 3, frame_positions=(2,))
-        assert np.allclose(out.s.data, want_s)
-        assert np.allclose(out.alpha[:5], want_alpha)
+        assert np.allclose(s, want_s)
+        assert np.allclose(alpha[:5], want_alpha)
         assert encoder.z == 3 * 2 + 5
 
 
@@ -496,33 +496,27 @@ class TestIan:
         encoder = build("ian", h=2, n=6)
         rng = np.random.default_rng(19)
         rows = rng.uniform(-1, 1, (4, 5))
-        tape = tg.Tape()
-        out = encoder.encode(tape, manual_ctx(tape, rows, 0, 3, n=6))
-        assert out.alpha.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(out.alpha[4:] == 0.0)
+        _, alpha = encode_one(encoder, rows, 0, 3, n=6)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(alpha[4:] == 0.0)
 
     def test_single_feature_delta(self):
         encoder = build("ian", h=2, n=5)
         rng = np.random.default_rng(20)
         rows = rng.uniform(-1, 1, (3, 5))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, 0, 2, n=5)
-        single = [tg.take_row(ctx.x, 1)]
-        out = encoder.encode(tape, ctx, features=single)
+        s, _ = encode_one(encoder, rows, 0, 2, n=5, features=[1])
         t_state = ref_bilstm_states(rows[1:2], encoder.feature_lstm)[0]
-        assert np.allclose(out.s.data[4:], t_state)
+        assert np.allclose(s[4:], t_state)
 
     def test_matches_reference(self):
         encoder = build("ian", h=2, n=7, feature_mode="att-ef", k=4)
         rng = np.random.default_rng(21)
         rows = rng.uniform(-1, 1, (5, 5))
-        tape = tg.Tape()
-        ctx = manual_ctx(tape, rows, 0, 4, n=7, frame_positions=(2, 3))
-        out = encoder.encode(tape, ctx)
+        s, alpha = encode_one(encoder, rows, 0, 4, n=7, frame_positions=(2, 3))
         want_s, gamma, _ = ref_ian(encoder, rows, 5, 0, 4, "att-ef", 4,
                                    frame_positions=(2, 3))
-        assert np.allclose(out.s.data, want_s)
-        assert np.allclose(out.alpha[:5], gamma)
+        assert np.allclose(s, want_s)
+        assert np.allclose(alpha[:5], gamma)
         assert encoder.z == 8
 
 
@@ -553,14 +547,12 @@ class TestAllEncoders:
                                     k=3, feature_mode="att-ef")
             rw = int(rng.integers(3, 7))
             encoder = enc.build_encoder(cfg, rw, rng)
-            tape = tg.Tape()
             n_real = int(rng.integers(2, cfg.n + 1))
             subj, obj = [int(v) for v in rng.choice(n_real, 2, replace=False)]
-            ctx = manual_ctx(tape, rng.uniform(-1, 1, (n_real, rw)),
-                             subj, obj, n=cfg.n)
-            out = encoder.encode(tape, ctx)
+            s, _ = encode_one(encoder, rng.uniform(-1, 1, (n_real, rw)),
+                              subj, obj, n=cfg.n)
             want = EXPECTED_Z[kind](cfg, rw)
-            assert out.s.data.shape == (want,)
+            assert s.shape == (want,)
             assert encoder.z == want
             assert encoder.attentive == (kind in ATTENTIVE)
 
@@ -572,10 +564,8 @@ class TestAllEncoders:
             encoder = enc.build_encoder(cfg, 4, rng)
             n_real = int(rng.integers(2, 8))
             subj, obj = [int(v) for v in rng.choice(n_real, 2, replace=False)]
-            tape = tg.Tape()
-            ctx = manual_ctx(tape, rng.uniform(-3, 3, (n_real, 4)),
-                             subj, obj, n=7)
-            alpha = encoder.encode(tape, ctx).alpha
+            _, alpha = encode_one(encoder, rng.uniform(-3, 3, (n_real, 4)),
+                                  subj, obj, n=7)
             assert alpha.shape == (7,)
             assert np.all(alpha >= 0.0)
             assert abs(alpha.sum() - 1.0) < 1e-9
@@ -589,16 +579,17 @@ class TestAllEncoders:
         encoder = enc.build_encoder(cfg, embedder.row_width,
                                     np.random.default_rng(23))
 
-        def run(permute):
-            tape = tg.Tape()
-            ctx = embedder.embed(tape, seq)
-            pads = ctx.x.data[ctx.n_real:]
-            assert np.array_equal(pads, np.zeros_like(pads))
-            if permute:
-                ctx.x.data[ctx.n_real:] = pads[::-1]
-            return encoder.encode(tape, ctx).s.data
-
-        assert np.array_equal(run(False), run(True))
+        x, _ = embed_one(embedder, seq, cfg.k, cfg.feature_mode)
+        assert np.array_equal(x[5:], np.zeros_like(x[5:]))
+        # More padding changes nothing.
+        frames = (2,)
+        s8, alpha8 = encode_one(encoder, x[:5], 1, 3, n=8, frame_positions=frames)
+        s12, alpha12 = encode_one(encoder, x[:5], 1, 3, n=12,
+                                  frame_positions=frames)
+        assert np.allclose(s8, s12, rtol=0, atol=1e-12)
+        if alpha8 is not None:
+            assert np.allclose(alpha8, alpha12[:8], rtol=0, atol=1e-12)
+            assert np.all(alpha12[5:] == 0.0)
 
     @pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
     def test_gradient_check(self, kind):
@@ -607,16 +598,19 @@ class TestAllEncoders:
         embedder = make_embedder(n=6, m=2, polarity_dim=2,
                                  use_position=enc.default_use_position(kind),
                                  seed=300 + idx)
-        seq = make_seq(5, subj=1, obj=3, frame_positions=(2,))
+        seqs = [make_seq(5, subj=1, obj=3, frame_positions=(2,)),
+                make_seq(3, subj=2, obj=1)]
         cfg = enc.EncoderConfig(kind, n=6, h=2, filters=2, window=2, k=3,
                                 feature_mode="att-ef")
         encoder = enc.build_encoder(cfg, embedder.row_width, rng)
         readout = rng.uniform(-1, 1, EXPECTED_Z[kind](cfg, embedder.row_width))
+        batch = enc.compile_sequences(seqs, embedder.vocab, 6, cfg.k,
+                                      cfg.feature_mode)
 
         def f(tape):
-            ctx = embedder.embed(tape, seq)
-            out = encoder.encode(tape, ctx)
-            return tg.matmul(out.s, tape.constant(readout))
+            out = encoder.encode(tape, embedder.embed(tape, batch), batch)
+            return tg.matmul(tg.matmul(out.s, tape.constant(readout)),
+                             tape.constant([1.0, 0.5]))
 
         params = embedder.parameters() + encoder.parameters()
         assert tg.gradient_check(f, params) < 1e-4

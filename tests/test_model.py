@@ -60,7 +60,8 @@ class TestPrediction:
 
 def head_probabilities(head, s):
     tape = tg.Tape()
-    return head.forward(tape, tape.constant(s)).data
+    logits = head.forward(tape, tape.constant(np.asarray(s, dtype=float)[None]))
+    return md.class_probabilities(logits.data)[0]
 
 
 class TestHead:
@@ -439,6 +440,18 @@ class TestTrain:
         model.head.w_r.data[...] = np.nan
         cfg = md.TrainConfig(max_epochs=10, eval_period=10)
         with pytest.raises(NumericError, match="epoch 1"):
+            md.train(model, samples, cfg)
+
+    def test_non_finite_parameter_named_at_its_step(self):
+        # An infinite step leaves the loss of its own batch finite, so the
+        # step itself must be caught, naming the parameter and the epoch.
+        samples = toy_samples(1)
+        model = toy_model(samples, seed=6)
+        cfg = md.TrainConfig(max_epochs=10, eval_period=10, optimizer="sgd",
+                             learning_rate=np.inf)
+        with pytest.raises(NumericError,
+                           match="parameter 'emb.word' .*epoch 1$"), \
+                np.errstate(invalid="ignore"):
             md.train(model, samples, cfg)
 
     def test_sgd_also_learns(self):

@@ -114,77 +114,122 @@ class TestSoftmax:
             assert np.all(out >= 0)
             assert abs(out.sum() - 1.0) < 1e-12
 
+    def test_mask_matches_softmax_of_real_entries(self):
+        rng = np.random.default_rng(11)
+        v = rng.uniform(-5, 5, (4, 6))
+        lengths = np.array([6, 1, 3, 5])
+        mask = np.arange(6) < lengths[:, None]
+        tape = tg.Tape()
+        x = tape.constant(v)
+        out = tg.softmax(x, mask)
+        for row, n in enumerate(lengths):
+            want = tg.softmax(tg.Tape().constant(v[row, :n])).data
+            assert np.allclose(out.data[row, :n], want, rtol=0, atol=1e-15)
+            assert np.all(out.data[row, n:] == 0.0)
+        readout = tape.constant(rng.uniform(-1, 1, 6))
+        tape.backward(tg.matmul(tg.matmul(out, readout),
+                                tape.constant(np.ones(4))))
+        assert np.all(x.grad[~mask] == 0.0)
+
+    def test_row_without_real_entry_rejected(self):
+        tape = tg.Tape()
+        with pytest.raises(ValueError):
+            tg.softmax(tape.constant(np.zeros((2, 3))),
+                       np.array([[True, False, False], [False] * 3]))
+
+
+def pool_whole(tape, m):
+    """Max pool of one (T, f) matrix over all of its T steps."""
+    m = np.asarray(m, dtype=float)
+    x = tape.constant(m[None])
+    return x, tg.max_pool_over_time(x, [[0]], [[m.shape[0]]])
+
 
 class TestMaxPool:
     def test_single_row(self):
-        tape = tg.Tape()
-        out = tg.max_pool_over_time(tape.constant([[1.0, 2.0]]))
-        assert out.data.tolist() == [1.0, 2.0]
+        _, out = pool_whole(tg.Tape(), [[1.0, 2.0]])
+        assert out.data.tolist() == [[1.0, 2.0]]
 
     def test_brute_force_column_scan(self):
         m = [[1.0, 5.0], [3.0, 2.0]]
         expected = [max(col) for col in zip(*m)]
         assert expected == [3.0, 5.0]
-        tape = tg.Tape()
-        assert tg.max_pool_over_time(tape.constant(m)).data.tolist() == expected
+        _, out = pool_whole(tg.Tape(), m)
+        assert out.data.tolist() == [expected]
 
     def test_tie_routes_gradient_to_first_row(self):
         tape = tg.Tape()
-        x = tape.constant([[2.0], [2.0], [2.0]])
-        pooled = tg.max_pool_over_time(x)
-        loss = tg.matmul(pooled, tape.constant([1.0]))
+        x, pooled = pool_whole(tape, [[2.0], [2.0], [2.0]])
+        loss = tg.matmul(tg.matmul(pooled, tape.constant([1.0])),
+                         tape.constant([1.0]))
         tape.backward(loss)
-        assert x.grad.tolist() == [[1.0], [0.0], [0.0]]
+        assert x.grad.tolist() == [[[1.0], [0.0], [0.0]]]
 
     def test_empty_time_axis(self):
+        # An empty segment pools to 0 and passes no gradient on.
         tape = tg.Tape()
-        with pytest.raises(ValueError):
-            tg.max_pool_over_time(tape.constant(np.zeros((0, 3))))
+        x = tape.constant([[[1.0, -2.0], [3.0, 4.0]]])
+        pooled = tg.max_pool_over_time(x, [[0, 2]], [[2, 2]])
+        assert pooled.data.tolist() == [[3.0, 4.0, 0.0, 0.0]]
+        tape.backward(tg.matmul(tg.matmul(pooled, tape.constant(np.ones(4))),
+                                tape.constant([1.0])))
+        assert x.grad.tolist() == [[[0.0, 0.0], [1.0, 1.0]]]
 
     def test_random_matches_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            m = rng.uniform(-1, 1, (rng.integers(1, 7), rng.integers(1, 5)))
-            out = tg.max_pool_over_time(tg.Tape().constant(m)).data
-            assert np.array_equal(out, np.array([max(col) for col in m.T]))
+            B, T, f = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 5)
+            a = rng.uniform(-1, 1, (B, T, f))
+            cuts = np.sort(rng.integers(0, T + 1, (B, 4)), axis=1)
+            starts, ends = cuts[:, :3], cuts[:, 1:]
+            out = tg.max_pool_over_time(tg.Tape().constant(a), starts, ends).data
+            for b in range(B):
+                for s in range(3):
+                    seg = a[b, starts[b, s]:ends[b, s]]
+                    want = seg.max(axis=0) if len(seg) else np.zeros(f)
+                    assert np.array_equal(out[b, s * f:(s + 1) * f], want)
+
+
+def conv_rows(x, w, b):
+    """conv1d of a batch of equal-length rows x (B, n, m)."""
+    tape = tg.Tape()
+    return tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b)).data
 
 
 class TestConv1d:
     def test_window_one_copies_channel(self):
         w = np.zeros((1, 3, 1))
         w[0, 0, 0] = 1.0
-        tape = tg.Tape()
-        x = np.arange(12.0).reshape(4, 3)
-        out = tg.conv1d(tape.constant(x), tape.constant(w), tape.constant([0.0]))
-        assert np.array_equal(out.data[:, 0], x[:, 0])
+        x = np.arange(24.0).reshape(2, 4, 3)
+        out = conv_rows(x, w, [0.0])
+        assert np.array_equal(out[:, :, 0], x[:, :, 0])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, (3, 2))
+        x = rng.uniform(-1, 1, (3, 3, 2))
         w = rng.uniform(-1, 1, (3, 2, 2))
         b = rng.uniform(-1, 1, 2)
-        tape = tg.Tape()
-        out = tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b))
-        assert np.allclose(out.data, _naive_conv1d(x, w, b))
+        out = conv_rows(x, w, b)
+        for row in range(3):
+            assert np.allclose(out[row], _naive_conv1d(x[row], w, b))
 
     def test_short_sequence_zero_padded(self):
         rng = np.random.default_rng(4)
-        x = rng.uniform(-1, 1, (1, 2))
+        x = rng.uniform(-1, 1, (1, 1, 2))
         w = rng.uniform(-1, 1, (3, 2, 1))
         b = np.zeros(1)
-        tape = tg.Tape()
-        out = tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b))
-        assert out.data.shape == (1, 1)
-        assert np.allclose(out.data, _naive_conv1d(x, w, b))
+        out = conv_rows(x, w, b)
+        assert out.shape == (1, 1, 1)
+        assert np.allclose(out[0], _naive_conv1d(x[0], w, b))
 
     def test_even_window_left_biased(self):
         rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, (4, 2))
+        x = rng.uniform(-1, 1, (2, 4, 2))
         w = rng.uniform(-1, 1, (2, 2, 3))
         b = rng.uniform(-1, 1, 3)
-        tape = tg.Tape()
-        out = tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b))
-        assert np.allclose(out.data, _naive_conv1d(x, w, b))
+        out = conv_rows(x, w, b)
+        for row in range(2):
+            assert np.allclose(out[row], _naive_conv1d(x[row], w, b))
 
 
 class TestEmbeddingLookup:
@@ -207,22 +252,64 @@ class TestEmbeddingLookup:
         with pytest.raises(IndexError):
             tg.embedding_lookup(tg.Tape(), table, [3])
 
+    def test_masked_rows_are_zero_and_take_no_gradient(self):
+        table = tg.Parameter(np.arange(6.0).reshape(3, 2) + 1.0, "t")
+        tape = tg.Tape()
+        ids = np.array([[1, 0], [2, 2]])
+        mask = np.array([[True, False], [True, True]])
+        rows = tg.embedding_lookup(tape, table, ids, mask)
+        assert rows.data.tolist() == [[[3.0, 4.0], [0.0, 0.0]],
+                                      [[5.0, 6.0], [5.0, 6.0]]]
+        ones = tape.constant(np.ones(2))
+        tape.backward(tg.matmul(tg.matmul(tg.matmul(rows, ones), ones), ones))
+        assert table.grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+
+
+def _softmax_rows(v):
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         tape = tg.Tape()
-        out = tg.cross_entropy(tape.constant([1.0, 0.0, 0.0]), 0)
+        out = tg.softmax_cross_entropy(tape.constant([[1000.0, 0.0, 0.0]]), [0])
         assert float(out.data) == 0.0
 
     def test_uniform_is_log3(self):
         tape = tg.Tape()
-        out = tg.cross_entropy(tape.constant([1 / 3, 1 / 3, 1 / 3]), 2)
+        out = tg.softmax_cross_entropy(tape.constant([[0.0, 0.0, 0.0]]), [2])
         assert float(out.data) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_gold_out_of_range(self):
         tape = tg.Tape()
         with pytest.raises(IndexError):
-            tg.cross_entropy(tape.constant([0.5, 0.5, 0.0]), 5)
+            tg.softmax_cross_entropy(tape.constant([[0.5, 0.5, 0.0]]), [5])
+
+    def test_confident_mistake_keeps_gradient(self):
+        # p(gold) is about 4e-18, below the 1e-12 at which the old clamped
+        # loss dropped the gradient; the fused op still gives p - onehot.
+        tape = tg.Tape()
+        v = np.array([[40.0, 40.0, 0.0]])
+        logits = tape.constant(v)
+        tape.backward(tg.softmax_cross_entropy(logits, [2]))
+        want = _softmax_rows(v) - np.array([[0.0, 0.0, 1.0]])
+        assert np.allclose(logits.grad, want, rtol=0, atol=1e-15)
+        assert logits.grad[0, 2] == pytest.approx(-1.0)
+
+    def test_mean_over_rows(self):
+        rng = np.random.default_rng(12)
+        v = rng.uniform(-3, 3, (4, 3))
+        gold = np.array([0, 2, 1, 1])
+        tape = tg.Tape()
+        logits = tape.constant(v)
+        loss = tg.softmax_cross_entropy(logits, gold)
+        tape.backward(loss)
+        p = _softmax_rows(v)
+        assert float(loss.data) == pytest.approx(
+            -np.mean(np.log(p[np.arange(4), gold])), abs=1e-14)
+        want = (p - np.eye(3)[gold]) / 4
+        assert np.allclose(logits.grad, want, rtol=0, atol=1e-15)
 
 
 class TestGradientCheck:
@@ -230,7 +317,7 @@ class TestGradientCheck:
         theta = tg.Parameter([3.0], "theta")
 
         def f(tape):
-            v = tg.mul(_lift(tape, theta), _lift(tape, theta))
+            v = tg.einsum("i,i->i", _lift(tape, theta), _lift(tape, theta))
             return tg.matmul(v, tape.constant([1.0]))
 
         err = tg.gradient_check(f, [theta])
@@ -250,8 +337,8 @@ class TestGradientCheck:
         x = rng.uniform(-1, 1, 4)
 
         def f(tape):
-            logits = tg.matmul(tape.constant(x), w)
-            return tg.cross_entropy(tg.softmax(logits), 1)
+            logits = tg.matmul(tape.constant(x[None]), w)
+            return tg.softmax_cross_entropy(logits, [1])
 
         assert tg.gradient_check(f, [w]) < 1e-4
 
@@ -264,33 +351,45 @@ def _lift(tape, param):
 @pytest.mark.parametrize("trial", range(10))
 def test_every_op_passes_gradient_check(trial):
     rng = np.random.default_rng(100 + trial)
-    x = tg.Parameter(rng.uniform(-1, 1, (4, 3)), "x")
+    lengths = np.array([4, int(rng.integers(1, 4))])
+    mask = np.arange(4) < lengths[:, None]
+    x = tg.Parameter(rng.uniform(-1, 1, (2, 4, 3)), "x")
     w = tg.Parameter(rng.uniform(-1, 1, (3, 2)), "w")
     cw = tg.Parameter(rng.uniform(-1, 1, (3, 3, 2)), "cw")
     cb = tg.Parameter(rng.uniform(-1, 1, 2), "cb")
-    v = tg.Parameter(rng.uniform(-1, 1, 4), "v")
+    v = tg.Parameter(rng.uniform(-1, 1, 2), "v")
     lw = tg.Parameter(rng.uniform(-1, 1, (2, 4)), "lw")
     lu = tg.Parameter(rng.uniform(-1, 1, (1, 4)), "lu")
     lb = tg.Parameter(rng.uniform(-1, 1, 4), "lb")
+    w1 = tg.Parameter(rng.uniform(-1, 1, (6, 2)), "w1")
+    b1 = tg.Parameter(rng.uniform(-1, 1, 2), "b1")
+    table = tg.Parameter(rng.uniform(-1, 1, (5, 3)), "table")
+    r = tg.Parameter(rng.uniform(-1, 1, (9, 3)), "r")
+    rb = tg.Parameter(rng.uniform(-1, 1, 3), "rb")
+    ids = rng.integers(0, 5, (2, 4))
 
     def f(tape):
-        xm = _lift(tape, x)
+        xm = tg.add(tg.embedding_lookup(tape, table, ids, mask), x)
         h = tg.tanh(tg.matmul(xm, w))
         c = tg.conv1d(xm, cw, cb)
-        states = tg.concat([tg.lstm_sequence(c, lw, lu, lb),
-                            tg.lstm_sequence(c, lw, lu, lb, reverse=True)],
-                           axis=1)
-        pooled = tg.max_pool_over_time(states)
-        first_row = tg.take_row(tg.narrow(xm, 0, 0, 1), 0)
-        joined = tg.concat([pooled, tg.take_row(h, 0)], axis=0)
-        row = tg.stack([
-            tg.matmul(joined, joined),
-            tg.matmul(_lift(tape, v), v),
-            tg.matmul(first_row, first_row),
-        ])
-        return tg.cross_entropy(tg.softmax(tg.scale(row, 0.7)), 0)
+        states = tg.concat([tg.lstm_sequence(c, lw, lu, lb, lengths),
+                            tg.lstm_sequence(c, lw, lu, lb, lengths,
+                                             reverse=True)], axis=2)
+        pooled = tg.max_pool_over_time(states, [[0, 2], [0, 1]],
+                                       [[2, 4], [1, lengths[1]]])
+        feats = tg.gather(xm, [[1, 0], [0, 0]])
+        scores = tg.pair_attention_scores(xm, feats, w1, b1, v)
+        alpha = tg.softmax(scores, mask[:, None, :])
+        summaries = tg.einsum("bkt,btm->bkm", alpha, xm)
+        attended = tg.einsum("bk,bkm->bm", tape.constant([[0.5, 0.5], [1, 0]]),
+                             summaries)
+        last = tg.gather(h, lengths - 1)
+        joined = tg.concat([tg.tanh(pooled), attended, last], axis=1)
+        logits = tg.add(tg.scale(tg.matmul(joined, r), 0.7), rb)
+        return tg.softmax_cross_entropy(logits, [0, 2])
 
-    assert tg.gradient_check(f, [x, w, cw, cb, v, lw, lu, lb]) < 1e-4
+    assert tg.gradient_check(
+        f, [x, w, cw, cb, v, lw, lu, lb, w1, b1, table, r, rb]) < 1e-4
 
 
 def test_backward_linearity():
@@ -314,12 +413,17 @@ def test_backward_linearity():
     assert np.allclose(combined, run([x1]) + run([x2]))
 
 
-def test_narrow_and_transpose_roundtrip():
+def test_gather_rows_and_range():
     tape = tg.Tape()
-    x = tape.constant(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(tg.narrow(x, 1, 1, 2).data, x.data[:, 1:3])
+    x = tape.constant(np.arange(24.0).reshape(2, 3, 4))
+    assert np.array_equal(tg.gather(x, [2, 0]).data, [x.data[0, 2], x.data[1, 0]])
+    both = tg.gather(x, [[1, 1], [0, 2]])
+    assert np.array_equal(both.data[0], x.data[0, [1, 1]])
+    assert np.array_equal(both.data[1], x.data[1, [0, 2]])
+    with pytest.raises(IndexError):
+        tg.gather(x, [3, 0])
     with pytest.raises(ValueError):
-        tg.narrow(x, 0, 2, 5)
+        tg.gather(x, [0, 0, 0])
 
 
 class TestCheckpoint:

@@ -66,6 +66,15 @@ class TestTermValidation:
         assert tz.Term.frame("одобрить", "positive").display() == "одобрить"
         assert tz.Term.token(tz.NUMBER).display() == tz.NUMBER
 
+    def test_named_constructors_share_equal_terms(self):
+        assert tz.Term.word("мир") is tz.Term.word("мир")
+        assert tz.Term.entity_subj() is tz.Term.entity_subj()
+        assert tz.Term.token(tz.URL) is tz.Term.token(tz.URL)
+        frame = tz.Term.frame("одобрить", "positive")
+        assert frame is tz.Term.frame("одобрить", "positive")
+        assert frame is not tz.Term.frame("одобрить", "negative")
+        assert tz.Term.word("мир") is not tz.Term.word("мира")
+
 
 class TestTermSequenceValidation:
     def test_positions_must_differ(self):
