@@ -328,7 +328,8 @@ def cmd_cv(cfg):
     result.to_csv(os.path.join(cfg.out, "folds.csv"))
     for fold, history in enumerate(result.histories):
         history.to_csv(os.path.join(cfg.out, "history_fold%d.csv" % fold))
-    _echo([("seed", cfg.seed)]
+    # Every split covers the whole corpus, so each holds the same total.
+    _echo([("seed", cfg.seed), ("dropped", result.splits[0].dropped)]
           + [("fold%d_f1" % fold, repr(f1))
              for fold, f1 in enumerate(result.per_fold)]
           + [("mean_f1", repr(result.mean))])

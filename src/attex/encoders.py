@@ -299,10 +299,9 @@ class LstmCell:
     def parameters(self):
         return [self.w, self.u, self.b]
 
-    def run(self, x, lengths, reverse=False):
+    def run(self, x, lengths):
         """Hidden states (B, T, h) of x (B, T, m), 0 past each row's length."""
-        return tg.lstm_sequence(x, self.w, self.u, self.b, lengths,
-                                reverse=reverse)
+        return tg.lstm_sequence(x, [self.parameters()], lengths)
 
 
 class BiLstm:
@@ -315,8 +314,8 @@ class BiLstm:
 
     def states(self, x, lengths):
         """(B, T, 2h): step t joins both directions' states at step t."""
-        return tg.concat([self.fwd.run(x, lengths),
-                          self.bwd.run(x, lengths, reverse=True)], axis=2)
+        return tg.lstm_sequence(
+            x, [self.fwd.parameters(), self.bwd.parameters()], lengths)
 
 
 def _mean_weights(mask):

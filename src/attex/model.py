@@ -433,21 +433,15 @@ class SplitResult:
         self.dropped = dropped
 
 
-def _run_split(train_docs, test_docs, corpus, encoder_cfg, train_cfg,
-               frame_lexicon, embed_options, scope, split_seed):
-    train_samples, dropped_train = samples_for_docs(
-        train_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize)
-    gold = {}
-    test_samples, dropped_test = samples_for_docs(
-        test_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize, gold)
+def _run_split(train_samples, test_samples, gold, dropped, encoder_cfg,
+               train_cfg, embed_options, scope, split_seed):
     vocab = enc.build_vocab(train_samples)
     model = build_model(vocab, encoder_cfg, embed_options,
                         rng=np.random.default_rng(split_seed))
     history = train(model, train_samples, train_cfg,
                     rng=np.random.default_rng(split_seed + [1]))
     f1 = evaluate_on_samples(model, test_samples, gold, scope)
-    return SplitResult(f1, history, model, test_samples,
-                       dropped_train + dropped_test)
+    return SplitResult(f1, history, model, test_samples, dropped)
 
 
 class CvResult:
@@ -471,17 +465,26 @@ class CvResult:
 
 def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,
            embed_options=None, k=3, scope=SCOPE_DOCUMENT):
-    """k-fold cross-validation over sentence-balanced document folds."""
+    """k-fold cross-validation over sentence-balanced document folds.
+
+    Contexts are extracted once and split by fold in corpus order; each
+    split's `dropped` is the corpus total, as its two sides cover it.
+    """
     folds = cp.split_folds(corpus.documents, k=k, seed=train_cfg.seed)
+    gold = {}
+    samples, dropped = samples_for_docs(corpus.documents, corpus, frame_lexicon,
+                                        encoder_cfg.n, tz.lemmatize, gold)
+    fold_of = folds.fold_of_doc
     results = []
     for fold in range(k):
-        train_docs = [d for d in corpus.documents
-                      if folds.fold_of_doc[d.doc_id] != fold]
-        test_docs = [d for d in corpus.documents
-                     if folds.fold_of_doc[d.doc_id] == fold]
-        results.append(_run_split(train_docs, test_docs, corpus, encoder_cfg,
-                                  train_cfg, frame_lexicon, embed_options,
-                                  scope, split_seed=[train_cfg.seed, fold]))
+        train_samples = [s for s in samples if fold_of[s.doc_id] != fold]
+        test_samples = [s for s in samples if fold_of[s.doc_id] == fold]
+        test_gold = {key: label for key, label in gold.items()
+                     if fold_of[key[0]] == fold}
+        results.append(_run_split(train_samples, test_samples, test_gold,
+                                  dropped, encoder_cfg, train_cfg,
+                                  embed_options, scope,
+                                  split_seed=[train_cfg.seed, fold]))
     return CvResult([r.f1 for r in results], [r.history for r in results],
                     folds, results)
 
@@ -491,9 +494,14 @@ def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
                    scope=SCOPE_DOCUMENT):
     """Train on the manifest's train documents, score its test ones."""
     train_docs, test_docs = cp.train_test_split(corpus.documents, manifest)
-    return _run_split(train_docs, test_docs, corpus, encoder_cfg, train_cfg,
-                      frame_lexicon, embed_options, scope,
-                      split_seed=[train_cfg.seed, 0])
+    train_samples, dropped_train = samples_for_docs(
+        train_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize)
+    gold = {}
+    test_samples, dropped_test = samples_for_docs(
+        test_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize, gold)
+    return _run_split(train_samples, test_samples, gold,
+                      dropped_train + dropped_test, encoder_cfg, train_cfg,
+                      embed_options, scope, split_seed=[train_cfg.seed, 0])
 
 
 def _suite_sample(rng, n_real, participants, row):

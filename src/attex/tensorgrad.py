@@ -233,86 +233,114 @@ def tanh(a: Operand) -> Tensor:
     return out
 
 
-def lstm_sequence(
-    x: Operand, w: Operand, u: Operand, b: Operand, lengths,
-    reverse: bool = False,
-) -> Tensor:
-    """Hidden states (B, T, h) of an LSTM over each row of x, as one tape op.
+def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
+                  lengths) -> Tensor:
+    """States (B, T, D*h) of D = 1 or 2 LSTM directions over each row of x,
+    as one tape op; direction d fills columns d*h:(d+1)*h.
 
-    x is (B, T, m), w (m, 4h), u (h, 4h), b (4h,); gates are packed [input,
-    forget, output, candidate] and the state starts at zero. Row i reads
-    its first lengths[i] steps; its states after them are exactly 0.
-    reverse=True reads each row from its own last real step back to the
-    first; step t of the result is still the state after step t. The
-    backward pass is a handwritten BPTT loop.
+    x is (B, T, m); each cell is w (m, 4h), u (h, 4h), b (4h,), gates packed
+    [input, forget, output, candidate]; states start at zero. Row i reads
+    its first lengths[i] steps: the first cell forward, a second backward
+    from the row's own last real step. Step t of the result is the state
+    after step t; past a row's length it is exactly 0. The backward pass
+    is a handwritten BPTT loop.
     """
-    tape = _tape_of(x, w, u, b)
-    xv, wv, uv, bv = _value(x), _value(w), _value(u), _value(b)
+    if len(cells) not in (1, 2):
+        raise ValueError(f"lstm_sequence takes one or two cells, got {len(cells)}")
+    tape = _tape_of(x, *(p for cell in cells for p in cell))
+    xv = _value(x)
+    ws, us, bs = ([_value(cell[i]) for cell in cells] for i in range(3))
     lengths = np.asarray(lengths, dtype=np.intp)
-    h = uv.shape[0] if uv.ndim == 2 else 0
+    h = us[0].shape[0] if us[0].ndim == 2 else 0
+    m = xv.shape[2] if xv.ndim == 3 else 0
+    shapes = {(w.shape, u.shape, b.shape) for w, u, b in zip(ws, us, bs)}
     if xv.ndim != 3 or min(xv.shape[:2]) < 1 or h < 1 \
-            or wv.shape != (xv.shape[2], 4 * h) or uv.shape != (h, 4 * h) \
-            or bv.shape != (4 * h,):
-        raise ValueError(
-            f"lstm_sequence expects x (B,T,m), w (m,4h), u (h,4h), b (4h,); "
-            f"got {xv.shape}, {wv.shape}, {uv.shape}, {bv.shape}"
-        )
-    B, T, m = xv.shape
+            or shapes != {((m, 4 * h), (h, 4 * h), (4 * h,))}:
+        raise ValueError(f"lstm_sequence expects x (B,T,m) and cells w (m,4h), "
+                         f"u (h,4h), b (4h,); got {xv.shape}, {sorted(shapes)}")
+    B, T, _ = xv.shape
     if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
         raise ValueError(f"lstm_sequence: lengths {lengths} do not fit x {xv.shape}")
+    # Both directions run as one LSTM of H = D*h units: each gate's columns
+    # hold direction 0's h units, then direction 1's, and U is block diagonal.
+    D = len(cells)
+    H, H2, H3 = D * h, 2 * D * h, 3 * D * h
+    wv = np.stack([w.reshape(m, 4, h) for w in ws], axis=2).reshape(m, 4 * H)
+    bv = np.stack([b.reshape(4, h) for b in bs], axis=1).reshape(4 * H)
+    uv = np.zeros((D, h, 4, D, h))
+    for d, u in enumerate(us):
+        uv[d, :, :, d] = u.reshape(h, 4, h)
+    uv = uv.reshape(H, 4 * H)
     # Steps past the longest row are all padding; they are never run.
-    L, h2, h3 = int(lengths.max()), 2 * h, 3 * h
-    keep = (np.arange(L)[:, None] < lengths)[:, :, None].astype(np.float64)
+    L = int(lengths.max())
+
+    def flip(a):
+        """a (L, B, k*H), reverse columns time-reversed: loop step s runs
+        forward step s and reverse step L-1-s."""
+        if D == 1:
+            return a
+        a = a.reshape(L, B, -1, D, h)
+        out = a.copy()
+        out[:, :, :, 1] = a[::-1, :, :, 1]
+        return out.reshape(L, B, -1)
+
+    real = np.arange(L)[:, None] < lengths  # (L, B)
+    keep = flip(np.repeat(real[:, :, None], H, axis=2).astype(np.float64))
     # sigmoid(v) = 0.5 + 0.5*tanh(v/2). Halving is exact, so halving the gate
     # columns of x·W + b and of U gives one tanh argument for all four gates.
-    half = np.ones(4 * h)
-    half[:h3] = 0.5
+    half = np.ones(4 * H)
+    half[:H3] = 0.5
     xs = xv[:, :L].transpose(1, 0, 2)  # time-major (L, B, m)
-    xw = (xs @ wv + bv) * half
+    xw = flip((xs @ wv + bv) * half)
     uh = uv * half
-    steps = range(L - 1, -1, -1) if reverse else range(L)
-    acts = np.empty((L, B, 4 * h))  # sigmoid gates, then the candidate
-    cs, tcs, hs = np.empty((L, B, h)), np.empty((L, B, h)), np.empty((L, B, h))
-    h_t, c_t = np.zeros((B, h)), np.zeros((B, h))
-    for t in steps:
+    acts = np.empty((L, B, 4 * H))  # sigmoid gates, then the candidate
+    cs, tcs, hs = np.empty((L, B, H)), np.empty((L, B, H)), np.empty((L, B, H))
+    h_t, c_t = np.zeros((B, H)), np.zeros((B, H))
+    for t in range(L):
         a = np.tanh(xw[t] + h_t @ uh, out=acts[t])
-        a[:, :h3] *= 0.5
-        a[:, :h3] += 0.5
+        a[:, :H3] *= 0.5
+        a[:, :H3] += 0.5
         # Zeroing c on padding zeroes h too, since tanh(0) = 0.
-        c_t = np.multiply(a[:, h:h2] * c_t + a[:, :h] * a[:, h3:], keep[t],
+        c_t = np.multiply(a[:, H:H2] * c_t + a[:, :H] * a[:, H3:], keep[t],
                           out=cs[t])
-        h_t = np.multiply(a[:, h2:h3], np.tanh(c_t, out=tcs[t]), out=hs[t])
-    ov = np.zeros((B, T, h))
-    ov[:, :L] = hs.transpose(1, 0, 2)
+        h_t = np.multiply(a[:, H2:H3], np.tanh(c_t, out=tcs[t]), out=hs[t])
+    ov = np.zeros((B, T, H))
+    ov[:, :L] = flip(hs).transpose(1, 0, 2)
     out = Tensor(ov, tape)
 
     def backward(g):
-        zero = np.zeros((1, B, h))
-        h_prev = np.concatenate((hs[1:], zero) if reverse else (zero, hs[:-1]))
-        c_prev = np.concatenate((cs[1:], zero) if reverse else (zero, cs[:-1]))
-        sig, cand = acts[:, :, :h3], acts[:, :, h3:]
+        zero = np.zeros((1, B, H))
+        h_prev = np.concatenate((zero, hs[:-1]))
+        c_prev = np.concatenate((zero, cs[:-1]))
+        sig, cand = acts[:, :, :H3], acts[:, :, H3:]
         # Step t of dPre is (dc, dc, dh, dc) times step t of scales.
-        scales = np.concatenate((cand, c_prev, tcs, acts[:, :, :h]), axis=2) \
+        scales = np.concatenate((cand, c_prev, tcs, acts[:, :, :H]), axis=2) \
             * np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=2)
-        dc_scale = acts[:, :, h2:h3] * (1.0 - tcs * tcs)
-        gs = g[:, :L].transpose(1, 0, 2)
-        dpre = np.empty((L, B, 4 * h))
-        dh_next, dc_next = np.zeros((B, h)), np.zeros((B, h))
-        for t in reversed(steps):
+        dc_scale = acts[:, :, H2:H3] * (1.0 - tcs * tcs)
+        gs = flip(g[:, :L].transpose(1, 0, 2))
+        dpre = np.empty((L, B, 4 * H))
+        dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+        for t in reversed(range(L)):
             # Padding steps pass no gradient on, in either direction.
             dh = (gs[t] + dh_next) * keep[t]
             dc = (dh * dc_scale[t] + dc_next) * keep[t]
             d = np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), scales[t],
                             out=dpre[t])
             dh_next = d @ uv.T
-            dc_next = dc * acts[t, :, h:h2]
-        flat = dpre.reshape(L * B, 4 * h)
+            dc_next = dc * acts[t, :, H:H2]
+        # Off-diagonal blocks of dU belong to no parameter and are dropped.
+        du = (h_prev.reshape(L * B, H).T @ dpre.reshape(L * B, 4 * H)) \
+            .reshape(D, h, 4, D, h)
+        flat = flip(dpre).reshape(L * B, 4 * H)
         dx = np.zeros_like(xv)
-        dx[:, :L] = (dpre @ wv.T).transpose(1, 0, 2)
+        dx[:, :L] = (flat @ wv.T).reshape(L, B, m).transpose(1, 0, 2)
         _accumulate(x, dx)
-        _accumulate(w, xs.reshape(L * B, m).T @ flat)
-        _accumulate(u, h_prev.reshape(L * B, h).T @ flat)
-        _accumulate(b, flat.sum(axis=0))
+        dw = (xs.reshape(L * B, m).T @ flat).reshape(m, 4, D, h)
+        db = flat.sum(axis=0).reshape(4, D, h)
+        for d, (w, u, b) in enumerate(cells):
+            _accumulate(w, dw[:, :, d].reshape(m, 4 * h))
+            _accumulate(u, du[d, :, :, d].reshape(h, 4 * h))
+            _accumulate(b, db[:, d].reshape(4 * h))
 
     tape._record(out, backward)
     return out

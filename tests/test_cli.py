@@ -448,6 +448,30 @@ class TestCv:
         assert (out / "folds.csv").exists()
 
 
+    def test_dropped_counts_each_cropped_out_context_once(self, tmp_path,
+                                                         capsys):
+        config, _ = write_fixture(tmp_path)
+        # A fourth document whose participants stand 11 terms apart, more
+        # than n = 8 can hold: its pair and the reverse neutral one drop.
+        far = {"doc_id": "doc3",
+               "sentences": [["e1"] + ["слово"] * 10 + ["e2"]],
+               "groups": [["g1", "e1"], ["g2", "e2"]],
+               "mentions": [[0, 0, 1, "g1"], [0, 11, 12, "g2"]]}
+        with open(tmp_path / "documents.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(far, ensure_ascii=False) + "\n")
+        with open(tmp_path / "opinions.tsv", "a", encoding="utf-8") as fh:
+            fh.write("doc3\tg1\tg2\tpositive\n")
+        corpus = cp.load_corpus(str(tmp_path / "documents.jsonl"),
+                                str(tmp_path / "opinions.tsv"))
+        _, dropped = md.samples_for_docs(
+            corpus.documents, corpus,
+            lx.load_frame_lexicon(str(tmp_path / "frames.tsv")), 8,
+            tz.lemmatize)
+        assert dropped > 0
+        assert cli.main(["cv", "--config", str(config)]) == 0
+        assert stdout_pairs(capsys)["dropped"] == str(dropped)
+
+
 class TestPretrainedVectors:
     def test_eval_and_analyze_do_not_read_them(self, tmp_path, capsys,
                                                 monkeypatch):

@@ -32,32 +32,44 @@ def _lstm_params(rng, m, h):
                                 ((4 * h,), "b"))]
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+def _cells(rng, m, h, count):
+    return [_lstm_params(rng, m, h) for _ in range(count)]
+
+
+@pytest.mark.parametrize("two_cells", [False, True])
 @pytest.mark.parametrize("trial", range(20))
-def test_matches_per_step_oracle(trial, reverse):
+def test_matches_per_step_oracle(trial, two_cells):
+    # One cell reads forward; a second reads backward, in columns h:2h.
     rng = np.random.default_rng(7000 + trial)
     B, T, h, m = (int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                   int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+    # Trials 0 and 1 run one row; every later trial has a row of one step.
+    if trial < 2:
+        B = 1
     lengths = rng.integers(1, T + 1, size=B)
-    params = _lstm_params(rng, m, h)
+    if trial >= 2:
+        lengths[trial % B] = 1
+    cells = _cells(rng, m, h, 2 if two_cells else 1)
+    params = [p for cell in cells for p in cell]
     x_data = rng.uniform(-2, 2, (B, T, m))
-    readout = rng.uniform(-1, 1, (B, T, h))
+    readout = rng.uniform(-1, 1, (B, T, len(cells) * h))
 
     for p in params:
         p.zero_grad()
     tape = tg.Tape()
     x = tape.constant(x_data)
-    states = tg.lstm_sequence(x, *params, lengths, reverse=reverse)
+    states = tg.lstm_sequence(x, cells, lengths)
     tape.backward(_weighted_sum(tape, states, readout))
     got_x, got_params = x.grad, [p.grad.copy() for p in params]
-    assert states.data.shape == (B, T, h)
+    assert states.data.shape == (B, T, len(cells) * h)
 
     for p in params:
         p.zero_grad()
     for row, n in enumerate(lengths):
         tape = tg.Tape()
         xr = tape.constant(x_data[row, :n])
-        want = pc.lstm_sequence(tape, xr, *params, reverse=reverse)
+        want = tg.concat([pc.lstm_sequence(tape, xr, *cell, reverse=d == 1)
+                          for d, cell in enumerate(cells)], axis=1)
         tape.backward(_weighted_sum(tape, want, readout[row, :n]))
         assert np.allclose(states.data[row, :n], want.data, rtol=0, atol=TOL)
         assert np.all(states.data[row, n:] == 0.0)
@@ -75,29 +87,26 @@ def test_single_step_single_unit_closed_form():
     pre = x[0, 0] @ w.data + b.data
     sig = 1.0 / (1.0 + np.exp(-pre))
     want = sig[2] * np.tanh(sig[0] * np.tanh(pre[3]))
-    for reverse in (False, True):
-        out = tg.lstm_sequence(tg.Tape().constant(x), w, u, b, [1],
-                               reverse=reverse)
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == pytest.approx(want, abs=1e-15)
+    for count in (1, 2):
+        out = tg.lstm_sequence(tg.Tape().constant(x), [(w, u, b)] * count, [1])
+        assert out.data.shape == (1, 1, count)
+        assert np.allclose(out.data[0, 0], want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("T,h", [(1, 1), (1, 3), (4, 1)])
 def test_gradient_check_edge_sizes(T, h):
     rng = np.random.default_rng(10 * T + h)
-    params = _lstm_params(rng, 2, h)
+    cells = _cells(rng, 2, h, 2)
     x = tg.Parameter(rng.uniform(-1, 1, (2, T, 2)), "x")
     lengths = [T, max(1, T - 2)]
     readout = rng.uniform(-1, 1, (2, T, 2 * h))
 
     def f(tape):
         xm = tg.add(tape.zeros(2, T, 2), x)
-        both = tg.concat([tg.lstm_sequence(xm, *params, lengths),
-                          tg.lstm_sequence(xm, *params, lengths, reverse=True)],
-                         axis=2)
+        both = tg.lstm_sequence(xm, cells, lengths)
         return _weighted_sum(tape, both, readout)
 
-    assert tg.gradient_check(f, [x] + params) < 1e-6
+    assert tg.gradient_check(f, [x] + cells[0] + cells[1]) < 1e-6
 
 
 @pytest.mark.parametrize("x_shape,w_shape,u_shape,b_shape", [
@@ -116,9 +125,23 @@ def test_bad_shapes_rejected(x_shape, w_shape, u_shape, b_shape):
     tape = tg.Tape()
     with pytest.raises(ValueError):
         tg.lstm_sequence(tape.constant(np.zeros(x_shape)),
-                         tg.Parameter(np.zeros(w_shape), "w"),
-                         tg.Parameter(np.zeros(u_shape), "u"),
-                         tg.Parameter(np.zeros(b_shape), "b"), [1])
+                         [(tg.Parameter(np.zeros(w_shape), "w"),
+                           tg.Parameter(np.zeros(u_shape), "u"),
+                           tg.Parameter(np.zeros(b_shape), "b"))], [1])
+
+
+@pytest.mark.parametrize("cells", [
+    [(3, 2), (3, 3)],          # the two directions' h differ
+    [(3, 2), (4, 2)],          # the reverse cell's w has other rows
+    [],                        # no cell
+    [(3, 2), (3, 2), (3, 2)],  # three cells
+])
+def test_bad_cells_rejected(cells):
+    rng = np.random.default_rng(5)
+    tape = tg.Tape()
+    with pytest.raises(ValueError):
+        tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
+                         [_lstm_params(rng, m, h) for m, h in cells], [4, 2])
 
 
 @pytest.mark.parametrize("lengths", [[0, 2], [2, 5], [2], [[2, 2]]])
@@ -127,16 +150,53 @@ def test_bad_lengths_rejected(lengths):
     tape = tg.Tape()
     with pytest.raises(ValueError):
         tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
-                         *_lstm_params(rng, 3, 2), lengths)
+                         [_lstm_params(rng, 3, 2)], lengths)
 
 
 def test_one_tape_record_per_call():
     rng = np.random.default_rng(4)
     tape = tg.Tape()
     x = tape.constant(rng.uniform(-1, 1, (5, 9, 3)))
+    for count in (1, 2):
+        before = len(tape._records)
+        tg.lstm_sequence(x, _cells(rng, 3, 2, count), [9, 1, 4, 9, 2])
+        assert len(tape._records) == before + 1
+
+
+def test_bilstm_adds_one_tape_record():
+    rng = np.random.default_rng(6)
+    tape = tg.Tape()
+    x = tape.constant(rng.uniform(-1, 1, (4, 7, 3)))
     before = len(tape._records)
-    tg.lstm_sequence(x, *_lstm_params(rng, 3, 2), [9, 1, 4, 9, 2])
+    states = enc.BiLstm(3, 2, rng, "bi").states(x, [7, 2, 1, 5])
+    assert states.shape == (4, 7, 4)
     assert len(tape._records) == before + 1
+
+
+def _cell(name):
+    """Names and shapes of one cell at row width 5 and h = 3."""
+    return [(name + ".w", (5, 12)), (name + ".u", (3, 12)),
+            (name + ".b", (12,))]
+
+
+@pytest.mark.parametrize("kind,want", [
+    ("lstm", _cell("lstm")),
+    ("bilstm", _cell("bilstm.fwd") + _cell("bilstm.bwd")),
+    ("att-blstm", _cell("attblstm.fwd") + _cell("attblstm.bwd")
+     + [("attblstm.att.w", (6,))]),
+    ("att-blstm-zyang", _cell("zyang.fwd") + _cell("zyang.bwd")
+     + [("zyang.att.w_a", (6, 6)), ("zyang.att.b_a", (6,)),
+        ("zyang.att.u_w", (6,))]),
+    ("ian", _cell("ian.ctx.fwd") + _cell("ian.ctx.bwd")
+     + _cell("ian.feat.fwd") + _cell("ian.feat.bwd")
+     + [("ian.att.w_c", (6, 6)), ("ian.att.b_c", (1,)),
+        ("ian.att.w_t", (6, 6)), ("ian.att.b_t", (1,))]),
+])
+def test_parameter_names_and_shapes_pinned(kind, want):
+    # Checkpoints store parameters by name and shape, in this order.
+    encoder = enc.build_encoder(enc.EncoderConfig(kind, n=8, h=3), 5,
+                                np.random.default_rng(0))
+    assert [(p.name, p.shape) for p in encoder.parameters()] == want
 
 
 EQUIVALENT_KINDS = ("lstm", "bilstm", "att-blstm", "att-blstm-zyang", "ian",

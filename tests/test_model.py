@@ -534,6 +534,53 @@ class TestRunners:
             csvs.append(path.read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_run_cv_extracts_each_document_once(self, monkeypatch):
+        corpus = tiny_corpus(5)
+        calls = []
+        extract = cp.extract_contexts
+
+        def counted(doc, *args):
+            calls.append(doc.doc_id)
+            return extract(doc, *args)
+
+        monkeypatch.setattr(cp, "extract_contexts", counted)
+        md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(),
+                  embed_options=CHEAP_EMBED, k=3)
+        assert sorted(calls) == sorted(d.doc_id for d in corpus.documents)
+
+    def test_run_cv_folds_match_per_fold_extraction(self, monkeypatch):
+        corpus = tiny_corpus(5)
+        seen = []
+
+        def recorded(train_samples, test_samples, gold, dropped, *args,
+                     **kwargs):
+            seen.append((train_samples, test_samples, gold, dropped))
+            return md.SplitResult(0.0, md.RunHistory(10), None, test_samples,
+                                  dropped)
+
+        def fields(samples):
+            return [(s.doc_id, s.sentence_idx, s.label, s.source_group,
+                     s.target_group, s.terms.terms, s.subj_pos, s.obj_pos)
+                    for s in samples]
+
+        monkeypatch.setattr(md, "_run_split", recorded)
+        result = md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(), k=3)
+        assert len(seen) == 3
+        for fold, (train, test, gold, dropped) in enumerate(seen):
+            sides = [[d for d in corpus.documents
+                      if (result.folds.fold_of_doc[d.doc_id] == fold) == held]
+                     for held in (False, True)]
+            want_gold = {}
+            want_train, train_dropped = md.samples_for_docs(
+                sides[0], corpus, None, CHEAP_ENCODER.n, tz.lemmatize)
+            want_test, test_dropped = md.samples_for_docs(
+                sides[1], corpus, None, CHEAP_ENCODER.n, tz.lemmatize,
+                want_gold)
+            assert test and fields(train) == fields(want_train)
+            assert fields(test) == fields(want_test)
+            assert list(gold.items()) == list(want_gold.items())
+            assert dropped == train_dropped + test_dropped
+
     def test_cv_csv_format(self, tmp_path):
         result = md.CvResult([0.5, 0.75, 1.0], [None] * 3, None)
         path = tmp_path / "folds.csv"

@@ -372,9 +372,7 @@ def test_every_op_passes_gradient_check(trial):
         xm = tg.add(tg.embedding_lookup(tape, table, ids, mask), x)
         h = tg.tanh(tg.matmul(xm, w))
         c = tg.conv1d(xm, cw, cb)
-        states = tg.concat([tg.lstm_sequence(c, lw, lu, lb, lengths),
-                            tg.lstm_sequence(c, lw, lu, lb, lengths,
-                                             reverse=True)], axis=2)
+        states = tg.lstm_sequence(c, [(lw, lu, lb), (lw, lu, lb)], lengths)
         pooled = tg.max_pool_over_time(states, [[0, 2], [0, 1]],
                                        [[2, 4], [1, lengths[1]]])
         feats = tg.gather(xm, [[1, 0], [0, 0]])
