@@ -6,6 +6,8 @@ its positions in that group. Distributions of these weights are compared
 between neutral contexts (class N) and sentiment-labeled ones (class S).
 """
 
+from collections import defaultdict
+
 import numpy as np
 
 from . import lexicons as lx
@@ -67,15 +69,24 @@ def extract_alpha(model, sample):
     return _alphas(model, [sample])[0, :len(sample.terms.terms)]
 
 
-def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
-                         preposition_list=None):
-    """Sum of weights over positions whose term belongs to the group."""
+def _group_weights(alpha, terms, sentiment_lexicon, preposition_list):
+    """{group: sum of the weights of its terms} over one context, each
+    group's weights summed in position order; every term is classified
+    once."""
     if len(alpha) != len(terms):
         raise ValueError("weight count %d does not match %d terms"
                          % (len(alpha), len(terms)))
-    return float(sum(
-        a for a, term in zip(alpha, terms)
-        if tz.group_of(term, sentiment_lexicon, preposition_list) == group))
+    totals = defaultdict(int)
+    for a, term in zip(alpha, terms):
+        totals[tz.group_of(term, sentiment_lexicon, preposition_list)] += a
+    return totals
+
+
+def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
+                         preposition_list=None):
+    """Sum of weights over positions whose term belongs to the group."""
+    return float(_group_weights(alpha, terms, sentiment_lexicon,
+                                preposition_list)[group])
 
 
 def silverman_bandwidth(samples):
@@ -106,12 +117,12 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
     weights = {(group, cls): [] for group in REPORT_GROUPS
                for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
     for sample, alpha in zip(contexts, _alphas(model, contexts)):
-        alpha = alpha[:len(sample.terms.terms)]
+        terms = sample.terms.terms
+        totals = _group_weights(alpha[:len(terms)].tolist(), terms,
+                                sentiment_lexicon, preposition_list)
         cls = label_class(sample.label)
         for group in REPORT_GROUPS:
-            weight = context_group_weight(alpha, sample.terms.terms, group,
-                                          sentiment_lexicon, preposition_list)
-            weights[group, cls].append(min(weight, 1.0))
+            weights[group, cls].append(min(float(totals[group]), 1.0))
     summaries = []
     for group in REPORT_GROUPS:
         sides = {}

@@ -86,6 +86,8 @@ class AttitudeModel:
         self.embedder = embedder
         self.encoder = encoder
         self.head = head
+        # Every parameter is a view into this one; the optimizer steps it.
+        self.flat = tg.Parameter.packed(self.parameters())
 
     def parameters(self):
         return (self.embedder.parameters() + self.encoder.parameters()
@@ -264,11 +266,10 @@ def aggregate_opinions(context_predictions):
             for key, vectors in grouped.items()}
 
 
-def _confusion_f1(keys, predicted, gold, cls):
+def _confusion_f1(labels, cls):
+    """F1 of one class over (predicted, gold) label pairs."""
     tp = fp = fn = 0
-    for key in keys:
-        p = _label_of(predicted.get(key, lx.NEUTRAL))
-        g = _label_of(gold.get(key, lx.NEUTRAL))
+    for p, g in labels:
         if p == cls and g == cls:
             tp += 1
         elif p == cls:
@@ -282,9 +283,8 @@ def _confusion_f1(keys, predicted, gold, cls):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _class_macro(keys, predicted, gold):
-    scores = [_confusion_f1(keys, predicted, gold, cls)
-              for cls in (lx.POSITIVE, lx.NEGATIVE)]
+def _class_macro(labels):
+    scores = [_confusion_f1(labels, cls) for cls in (lx.POSITIVE, lx.NEGATIVE)]
     return sum(scores) / len(scores)
 
 
@@ -293,20 +293,23 @@ def macro_f1(predicted, gold, scope=SCOPE_DOCUMENT):
 
     Keys missing from `predicted` count as neutral predictions. The
     document scope averages per-document class-macro values; the
-    collection scope pools confusion counts over all keys first.
+    collection scope pools confusion counts over all keys first. Each
+    key's two labels are resolved once.
     """
     if scope not in SCOPES:
         raise ValueError("unknown scope: %r" % (scope,))
     keys = sorted(set(predicted) | set(gold))
     if not keys:
         return 0.0
+    labels = [(_label_of(predicted.get(key, lx.NEUTRAL)),
+               _label_of(gold.get(key, lx.NEUTRAL))) for key in keys]
     if scope == SCOPE_COLLECTION:
-        return _class_macro(keys, predicted, gold)
+        return _class_macro(labels)
     by_doc = defaultdict(list)
-    for key in keys:
-        by_doc[key[0]].append(key)
-    per_doc = [_class_macro(doc_keys, predicted, gold)
-               for _, doc_keys in sorted(by_doc.items())]
+    for key, pair in zip(keys, labels):
+        by_doc[key[0]].append(pair)
+    per_doc = [_class_macro(doc_labels)
+               for _, doc_labels in sorted(by_doc.items())]
     return sum(per_doc) / len(per_doc)
 
 
@@ -357,8 +360,7 @@ def train(model, samples, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if cfg.neutral_ratio is not None:
         samples = downsample_neutral(samples, cfg.neutral_ratio, rng)
-    params = model.parameters()
-    optimizer = _make_optimizer(cfg, params)
+    optimizer = _make_optimizer(cfg, [model.flat])
     history = RunHistory(cfg.eval_period)
     gold = _sample_gold(samples)
     labels = np.array([LABEL_INDEX[s.label] for s in samples])
@@ -377,12 +379,13 @@ def train(model, samples, cfg, rng=None):
                     "non-finite loss %r at epoch %d" % (float(loss.data), epoch))
             tape.backward(loss)
             optimizer.step()
-            for p in params:
-                if not np.isfinite(p.data).all():
-                    raise NumericError(
-                        "parameter %r is not finite after a step of epoch %d"
-                        % (p.name, epoch))
-                p.zero_grad()
+            if not np.isfinite(model.flat.data).all():
+                bad = next(p for p in model.parameters()
+                           if not np.isfinite(p.data).all())
+                raise NumericError(
+                    "parameter %r is not finite after a step of epoch %d"
+                    % (bad.name, epoch))
+            model.flat.zero_grad()
             epoch_losses.append(float(loss.data))
         if epoch % cfg.eval_period == 0:
             f1 = evaluate_on_samples(model, samples, gold, SCOPE_DOCUMENT,

@@ -57,6 +57,34 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
+    @classmethod
+    def packed(cls, params: Sequence["Parameter"]) -> "Parameter":
+        """One parameter whose data and grad hold all of params end to end.
+
+        Each of params keeps its name, shape and values, but its data and
+        grad become views into the two flat arrays, so one update of the
+        packed parameter updates them all. A parameter that is already
+        such a view, or that is listed twice, is rejected: packing it again
+        would cut it off from the arrays it was packed into first.
+        """
+        params = list(params)
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("cannot pack a parameter twice")
+        for p in params:
+            if p.data.base is not None or p.grad.base is not None:
+                raise ValueError(f"parameter {p.name!r} is already packed")
+        sizes = [p.data.size for p in params]
+        flat = cls(np.zeros(sum(sizes)), "packed")
+        offset = 0
+        for p, size in zip(params, sizes):
+            span = slice(offset, offset + size)
+            flat.data[span] = p.data.reshape(-1)
+            flat.grad[span] = p.grad.reshape(-1)
+            p.data = flat.data[span].reshape(p.data.shape)
+            p.grad = flat.grad[span].reshape(p.grad.shape)
+            offset += size
+        return flat
+
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
@@ -242,8 +270,14 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
     [input, forget, output, candidate]; states start at zero. Row i reads
     its first lengths[i] steps: the first cell forward, a second backward
     from the row's own last real step. Step t of the result is the state
-    after step t; past a row's length it is exactly 0. The backward pass
-    is a handwritten BPTT loop.
+    after step t; past a row's length it is exactly 0.
+
+    Both directions run as one step loop over H = D*h units. The forward
+    loop and the handwritten BPTT loop both run transposed and gate-major:
+    a step's gates are (4, H, B), each one contiguous (H, B) block. Every
+    rescaling in them is by a power of two, and each product with U takes
+    a memory layout for which OpenBLAS sums every dot product as it does
+    for the batch-major h·U, so values match a batch-major loop bit for bit.
     """
     if len(cells) not in (1, 2):
         raise ValueError(f"lstm_sequence takes one or two cells, got {len(cells)}")
@@ -264,7 +298,7 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
     # Both directions run as one LSTM of H = D*h units: each gate's columns
     # hold direction 0's h units, then direction 1's, and U is block diagonal.
     D = len(cells)
-    H, H2, H3 = D * h, 2 * D * h, 3 * D * h
+    H = D * h
     wv = np.stack([w.reshape(m, 4, h) for w in ws], axis=2).reshape(m, 4 * H)
     bv = np.stack([b.reshape(4, h) for b in bs], axis=1).reshape(4 * H)
     uv = np.zeros((D, h, 4, D, h))
@@ -275,61 +309,89 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
     L = int(lengths.max())
 
     def flip(a):
-        """a (L, B, k*H), reverse columns time-reversed: loop step s runs
+        """a (L, ..., H), reverse columns time-reversed: loop step s runs
         forward step s and reverse step L-1-s."""
         if D == 1:
             return a
-        a = a.reshape(L, B, -1, D, h)
+        a = a.reshape(a.shape[:-1] + (D, h))
         out = a.copy()
-        out[:, :, :, 1] = a[::-1, :, :, 1]
-        return out.reshape(L, B, -1)
+        out[..., 1, :] = a[::-1, ..., 1, :]
+        return out.reshape(out.shape[:-2] + (H,))
 
+    def swap(a):
+        """a (L, p, q) as a C-contiguous (L, q, p)."""
+        return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+    # keep (L, H, B) is 1 where a unit reads a real step, 0 on padding.
     real = np.arange(L)[:, None] < lengths  # (L, B)
-    keep = flip(np.repeat(real[:, :, None], H, axis=2).astype(np.float64))
+    keep = np.repeat(np.stack([real, real[::-1]][:D], axis=1), h, axis=1) \
+        .astype(np.float64)
     # sigmoid(v) = 0.5 + 0.5*tanh(v/2). Halving is exact, so halving the gate
     # columns of x·W + b and of U gives one tanh argument for all four gates.
     half = np.ones(4 * H)
-    half[:H3] = 0.5
+    half[:3 * H] = 0.5
     xs = xv[:, :L].transpose(1, 0, 2)  # time-major (L, B, m)
-    xw = flip((xs @ wv + bv) * half)
-    uh = uv * half
-    acts = np.empty((L, B, 4 * H))  # sigmoid gates, then the candidate
-    cs, tcs, hs = np.empty((L, B, H)), np.empty((L, B, H)), np.empty((L, B, H))
-    h_t, c_t = np.zeros((B, H)), np.zeros((B, H))
+    xw = swap(flip(((xs @ wv + bv) * half).reshape(L, B, 4, H))
+              .reshape(L, B, 4 * H))  # (L, 4H, B)
+    # The loop carries s = 1 + tanh = 2*sigmoid for the three gates and 2h
+    # for the state; the two factors of 0.5 this needs sit in U and keep.
+    # U^T as a view of the (H, 4H) array: uh @ h sums like h^T @ U.
+    uh = (uv * (0.5 * half)).T
+    keep_half = 0.5 * keep
+    acts = np.empty((L, 4, H, B))  # s of the three gates, then the candidate
+    pres = acts.reshape(L, 4 * H, B)
+    cs, tcs, hs = np.empty((L, H, B)), np.empty((L, H, B)), np.empty((L, H, B))
+    h_t, c_t = np.zeros((H, B)), np.zeros((H, B))
     for t in range(L):
-        a = np.tanh(xw[t] + h_t @ uh, out=acts[t])
-        a[:, :H3] *= 0.5
-        a[:, :H3] += 0.5
+        np.tanh(xw[t] + uh @ h_t, out=pres[t])
+        a = acts[t]
+        a[:3] += 1.0
+        i, f, o, g = a
         # Zeroing c on padding zeroes h too, since tanh(0) = 0.
-        c_t = np.multiply(a[:, H:H2] * c_t + a[:, :H] * a[:, H3:], keep[t],
-                          out=cs[t])
-        h_t = np.multiply(a[:, H2:H3], np.tanh(c_t, out=tcs[t]), out=hs[t])
+        c_t = np.multiply(f * c_t + i * g, keep_half[t], out=cs[t])
+        h_t = np.multiply(o, np.tanh(c_t, out=tcs[t]), out=hs[t])
+    states = 0.5 * swap(hs)  # (L, B, H)
     ov = np.zeros((B, T, H))
-    ov[:, :L] = flip(hs).transpose(1, 0, 2)
+    ov[:, :L] = flip(states).transpose(1, 0, 2)
     out = Tensor(ov, tape)
 
     def backward(g):
-        zero = np.zeros((1, B, H))
-        h_prev = np.concatenate((zero, hs[:-1]))
-        c_prev = np.concatenate((zero, cs[:-1]))
-        sig, cand = acts[:, :, :H3], acts[:, :, H3:]
-        # Step t of dPre is (dc, dc, dh, dc) times step t of scales.
-        scales = np.concatenate((cand, c_prev, tcs, acts[:, :, :H]), axis=2) \
-            * np.concatenate((sig * (1.0 - sig), 1.0 - cand * cand), axis=2)
-        dc_scale = acts[:, :, H2:H3] * (1.0 - tcs * tcs)
-        gs = flip(g[:, :L].transpose(1, 0, 2))
-        dpre = np.empty((L, B, 4 * H))
-        dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+        # Gate-major like the forward loop. Step t of dPre is (dc, dc, dh,
+        # dc) times step t of scales, with dc = dh * dc_scale + dc_next: one
+        # multiply broadcasts dc over the four gates, a second overwrites
+        # gate 2 with dh. Padding steps pass no gradient on, in either
+        # direction: keep is folded into scales and the forget factor fk.
+        sig = 0.5 * acts[:, :3]
+        cand = acts[:, 3]
+        dsig = sig * (1.0 - sig)
+        scales = np.empty((L, 4, H, B))
+        np.multiply(cand, dsig[:, 0], out=scales[:, 0])
+        scales[0, 1] = 0.0  # c_prev of the first step
+        np.multiply(cs[:-1], dsig[1:, 1], out=scales[1:, 1])
+        np.multiply(tcs, dsig[:, 2], out=scales[:, 2])
+        np.multiply(sig[:, 0], 1.0 - cand * cand, out=scales[:, 3])
+        scales *= keep[:, None]
+        dc_scale = sig[:, 2] * (1.0 - tcs * tcs)
+        fk = sig[:, 1] * keep
+        gs = swap(flip(g[:, :L].transpose(1, 0, 2)))  # (L, H, B)
+        # dPre is kept batch-major: uv @ dPre[t]^T, with dPre[t] a (B, 4H)
+        # row block, sums like dPre[t] @ U^T.
+        dpre = np.empty((L, B, 4, H))
+        dflat = dpre.reshape(L, B, 4 * H)
+        dpre_t = dpre.transpose(0, 2, 3, 1)
+        dh_next, dc_next = np.zeros((H, B)), np.zeros((H, B))
         for t in reversed(range(L)):
-            # Padding steps pass no gradient on, in either direction.
-            dh = (gs[t] + dh_next) * keep[t]
-            dc = (dh * dc_scale[t] + dc_next) * keep[t]
-            d = np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), scales[t],
-                            out=dpre[t])
-            dh_next = d @ uv.T
-            dc_next = dc * acts[t, :, H:H2]
+            dh = gs[t] + dh_next
+            dc = dh * dc_scale[t]
+            dc += dc_next
+            d = dpre_t[t]
+            np.multiply(dc, scales[t], out=d)
+            np.multiply(dh, scales[t, 2], out=d[2])
+            np.matmul(uv, dflat[t].T, out=dh_next)
+            dc_next = dc * fk[t]
+        h_prev = np.concatenate((np.zeros((1, B, H)), states[:-1]))
         # Off-diagonal blocks of dU belong to no parameter and are dropped.
-        du = (h_prev.reshape(L * B, H).T @ dpre.reshape(L * B, 4 * H)) \
+        du = (h_prev.reshape(L * B, H).T @ dflat.reshape(L * B, 4 * H)) \
             .reshape(D, h, 4, D, h)
         flat = flip(dpre).reshape(L * B, 4 * H)
         dx = np.zeros_like(xv)

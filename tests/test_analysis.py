@@ -215,6 +215,44 @@ class TestSummarize:
                 alpha, sample.terms.terms, tz.GROUP_FRAMES, SENT_LEX, PREPS))
         assert np.array_equal(frames.kde_s, an.kde(values, frames.grid))
 
+    def test_equal_to_the_per_group_path_on_random_contexts(self):
+        # summarize_distributions classifies each term once per context;
+        # its means and curves must equal, exactly, those built from
+        # context_group_weight one group at a time.
+        rng = np.random.default_rng(11)
+        words = ["ужасно", "прекрасно", "в", "на", "и", "слово", "хвалит"]
+        samples = []
+        for i in range(40):
+            n_real = int(rng.integers(2, 9))
+            subj, obj = (int(v) for v in rng.choice(n_real, 2, replace=False))
+            frames = [p for p in range(n_real) if rng.random() < 0.3]
+            samples.append(make_sample(
+                list(rng.choice(words, n_real)), subj, obj,
+                label=md.LABELS[int(rng.integers(0, 3))], frames=frames,
+                doc_id="d%d" % i))
+        for kind in ("att-blstm", "att-cnn"):
+            model = attentive_model(samples, kind=kind, seed=12)
+            summaries = an.summarize_distributions(model, samples, SENT_LEX,
+                                                   PREPS)
+            _, alphas = md.infer(model, samples)
+            for summary in summaries:
+                sides = {an.CLASS_NEUTRAL: [], an.CLASS_SENTIMENT: []}
+                for sample, alpha in zip(samples, alphas):
+                    terms = sample.terms.terms
+                    weight = an.context_group_weight(
+                        alpha[:len(terms)], terms, summary.group, SENT_LEX,
+                        PREPS)
+                    sides[an.label_class(sample.label)].append(
+                        min(weight, 1.0))
+                neutral, sentiment = sides[an.CLASS_NEUTRAL], \
+                    sides[an.CLASS_SENTIMENT]
+                assert summary.mean_n == float(np.mean(neutral))
+                assert summary.mean_s == float(np.mean(sentiment))
+                assert np.array_equal(summary.kde_n,
+                                      an.kde(neutral, summary.grid))
+                assert np.array_equal(summary.kde_s,
+                                      an.kde(sentiment, summary.grid))
+
     def test_missing_class_is_flagged(self):
         samples = [s for s in mixed_samples() if s.label == lx.NEUTRAL]
         model = attentive_model(samples, seed=10)

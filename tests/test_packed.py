@@ -1,0 +1,135 @@
+"""The packed parameter buffer: every model parameter is a view into one
+flat data array and one flat grad array, which the optimizer, the
+numeric guard and the gradient reset of `md.train` use as one."""
+
+import numpy as np
+import pytest
+
+import per_context as pc
+from attex import corpus as cp
+from attex import encoders as enc
+from attex import model as md
+from attex import tensorgrad as tg
+from attex.errors import NumericError
+
+
+def kind_model(kind, seed=0):
+    rng = np.random.default_rng(seed)
+    seqs = pc.random_contexts(rng, 6, 4)
+    cfg = enc.EncoderConfig(kind, n=6, h=3, filters=2, window=2, k=3)
+    options = {"m": 3, "polarity_dim": 2, "position_dim": 2,
+               "use_position": enc.default_use_position(kind)}
+    return md.build_model(pc.vocab_for(seqs), cfg, options, rng=rng), seqs
+
+
+def assert_packed(model):
+    params = model.parameters()
+    assert sum(p.data.size for p in params) == model.flat.data.size
+    for p in params:
+        assert np.shares_memory(p.data, model.flat.data), p.name
+        assert np.shares_memory(p.grad, model.flat.grad), p.name
+
+
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_every_parameter_is_a_view_of_the_buffer(kind, tmp_path):
+    model, _ = kind_model(kind)
+    assert_packed(model)
+    # Names, shapes and values stay as they were built; order is the
+    # buffer's order.
+    offset = 0
+    for p in model.parameters():
+        size = p.data.size
+        assert np.array_equal(model.flat.data[offset:offset + size],
+                              p.data.reshape(-1))
+        offset += size
+
+    path = tmp_path / "model.ckpt"
+    tg.save_checkpoint(path, model.parameters())
+    fresh, _ = kind_model(kind, seed=1)
+    tg.restore_parameters(fresh.parameters(), tg.load_checkpoint(path))
+    assert_packed(fresh)
+    assert np.array_equal(fresh.flat.data, model.flat.data)
+
+
+def test_zeroing_the_buffer_zeroes_every_grad():
+    model, seqs = kind_model("att-blstm")
+    batch = model.compile([cp.ContextSample("d", 0, s, "neutral", "a", "b")
+                           for s in seqs])
+    tape = tg.Tape()
+    logits, _ = model.forward(tape, batch)
+    tape.backward(tg.softmax_cross_entropy(logits, np.zeros(len(seqs), int)))
+    assert any(p.grad.any() for p in model.parameters())
+    model.flat.zero_grad()
+    assert not any(p.grad.any() for p in model.parameters())
+
+
+@pytest.mark.parametrize("optimizer", [md.Sgd, md.Adam])
+def test_one_step_over_the_buffer_equals_per_parameter_steps(optimizer):
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (3,), (2, 5, 2), (1,)]
+    values = [rng.normal(size=shape) for shape in shapes]
+    apart = [tg.Parameter(v, "p%d" % i) for i, v in enumerate(values)]
+    together = [tg.Parameter(v, "p%d" % i) for i, v in enumerate(values)]
+    flat = tg.Parameter.packed(together)
+    per_param = optimizer(apart, 0.05)
+    packed = optimizer([flat], 0.05)
+    for _ in range(20):
+        for a, b in zip(apart, together):
+            g = rng.normal(size=a.shape) * rng.choice([1e-6, 1.0, 1e3])
+            a.grad[...] = g
+            b.grad[...] = g
+        per_param.step()
+        packed.step()
+        for a in apart:
+            a.zero_grad()
+        flat.zero_grad()
+        for a, b in zip(apart, together):
+            assert np.array_equal(a.data, b.data), a.name
+
+
+def test_guard_names_a_later_parameter(monkeypatch):
+    # Only head.w_r, the second to last parameter, goes non-finite; the
+    # guard sees it through the buffer and names it.
+    model, seqs = kind_model("att-blstm")
+    samples = [cp.ContextSample("d%d" % i, 0, s, "neutral", "a", "b")
+               for i, s in enumerate(seqs)]
+    step = md.Adam.step
+
+    def poisoned(self):
+        step(self)
+        model.head.w_r.data[0, 0] = np.inf
+
+    monkeypatch.setattr(md.Adam, "step", poisoned)
+    with pytest.raises(NumericError,
+                       match="parameter 'head.w_r' .*epoch 1$"):
+        md.train(model, samples, md.TrainConfig(max_epochs=10))
+
+
+def test_packing_again_is_rejected():
+    model, _ = kind_model("bilstm")
+    with pytest.raises(ValueError, match="already packed"):
+        tg.Parameter.packed(model.parameters())
+    with pytest.raises(ValueError, match="already packed"):
+        md.AttitudeModel(model.embedder, model.encoder, model.head)
+    # The failed attempts left the model's views in place.
+    assert_packed(model)
+
+
+def test_listing_a_parameter_twice_is_rejected():
+    p = tg.Parameter(np.ones(3), "p")
+    with pytest.raises(ValueError, match="twice"):
+        tg.Parameter.packed([p, p])
+    assert p.data.base is None
+
+
+def test_packing_keeps_values_and_pending_gradients():
+    a = tg.Parameter(np.arange(6.0).reshape(2, 3), "a")
+    b = tg.Parameter(np.zeros((3, 0)), "b")
+    c = tg.Parameter([7.0], "c")
+    a.grad[...] = 1.5
+    flat = tg.Parameter.packed([a, b, c])
+    assert np.array_equal(flat.data, [0, 1, 2, 3, 4, 5, 7])
+    assert np.array_equal(flat.grad, [1.5] * 6 + [0.0])
+    assert (a.shape, b.shape, c.shape) == ((2, 3), (3, 0), (1,))
+    flat.data[-1] = 8.0
+    assert c.data[0] == 8.0
