@@ -19,8 +19,6 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import analysis as an
 from . import corpus as cp
 from . import encoders as enc
@@ -194,9 +192,9 @@ def _term_to_obj(term):
 
 
 def _term_from_obj(obj):
-    return tz.Term(obj["kind"], lemma=obj.get("lemma"),
-                   polarity=obj.get("polarity"),
-                   token_kind=obj.get("token"))
+    return tz.Term.shared(obj["kind"], lemma=obj.get("lemma"),
+                          polarity=obj.get("polarity"),
+                          token_kind=obj.get("token"))
 
 
 def _sample_to_line(sample):
@@ -274,6 +272,16 @@ def cmd_prepare(cfg):
     return 0
 
 
+def _manifest_split(cfg, corpus, required_by):
+    """(train, test) documents of the manifest; a manifest that does not
+    list exactly the corpus documents is a data error."""
+    manifest = cp.load_split_manifest(cfg.path("manifest", required_by))
+    try:
+        return cp.train_test_split(corpus.documents, manifest)
+    except ValueError as exc:
+        raise DataError(str(exc), path=cfg.path("manifest"))
+
+
 def _cached_samples(cfg, n, doc_ids=None):
     """prepare's cache, cut to doc_ids when given and cropped to n terms.
 
@@ -294,16 +302,13 @@ def cmd_train(cfg):
     encoder_cfg = cfg.encoder_config("train")
     train_ids = None
     if cfg.mode == "traintest":
-        manifest = cp.load_split_manifest(cfg.path("manifest", "train"))
-        train_ids = {d for d, side in manifest.items() if side == "train"}
+        train_docs, _ = _manifest_split(cfg, cfg.load_corpus("train"), "train")
+        train_ids = {doc.doc_id for doc in train_docs}
     kept, dropped = _cached_samples(cfg, encoder_cfg.n, train_ids)
-    vocab = enc.build_vocab(kept)
-    model = md.build_model(vocab, encoder_cfg, cfg.embed_options(),
-                           rng=np.random.default_rng([cfg.seed, 0]))
-    history = md.train(model, kept, cfg.train_config(),
-                       rng=np.random.default_rng([cfg.seed, 0, 1]))
+    model, history = md.fit(kept, encoder_cfg, cfg.train_config(),
+                            cfg.embed_options())
     tg.save_checkpoint(_checkpoint_path(cfg), model.parameters())
-    _write_vocab(vocab, _vocab_path(cfg))
+    _write_vocab(model.embedder.vocab, _vocab_path(cfg))
     history.to_csv(os.path.join(cfg.out, "history.csv"))
     _echo([("seed", cfg.seed),
            ("contexts", len(kept)),
@@ -354,13 +359,9 @@ def cmd_eval(cfg):
     if cfg.mode != "traintest":
         raise UsageError("eval requires mode=traintest with a manifest")
     corpus = cfg.load_corpus("eval")
-    manifest = cp.load_split_manifest(cfg.path("manifest", "eval"))
+    _, test_docs = _manifest_split(cfg, corpus, "eval")
     encoder_cfg = cfg.encoder_config("eval")
     model = _restore_model(cfg, encoder_cfg)
-    try:
-        _, test_docs = cp.train_test_split(corpus.documents, manifest)
-    except ValueError as exc:
-        raise DataError(str(exc), path=cfg.path("manifest"))
     gold = {}
     test_samples, dropped = md.samples_for_docs(
         test_docs, corpus, cfg.frame_lexicon(), encoder_cfg.n, tz.lemmatize,

@@ -6,7 +6,7 @@ mini-batch is one forward and one backward pass over (B, ...) arrays,
 and inference runs the same batched forward in chunks. Every
 `eval_period` epochs the train macro-F1 is measured; the run stops when
 it exceeds `stop_threshold` (strictly) or the epoch cap is reached.
-Evaluation aggregates per-context probabilities into one prediction per
+Evaluation averages per-context probabilities into one label per
 (document, source group, target group) and scores macro-F1 of the
 positive and negative classes, averaged per document by default.
 """
@@ -28,28 +28,6 @@ LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 SCOPE_DOCUMENT = "per-document-averaged"
 SCOPE_COLLECTION = "collection"
 SCOPES = (SCOPE_DOCUMENT, SCOPE_COLLECTION)
-
-OPTIMIZERS = ("sgd", "adam")
-
-
-class Prediction:
-    """Probability vector with argmax label; exact ties go neutral."""
-
-    __slots__ = ("probabilities",)
-
-    def __init__(self, probabilities):
-        self.probabilities = np.asarray(probabilities, dtype=float)
-        if self.probabilities.shape != (len(LABELS),):
-            raise ValueError("expected %d probabilities" % len(LABELS))
-
-    @property
-    def predicted(self):
-        p = self.probabilities
-        best = p.max()
-        winners = np.flatnonzero(p == best)
-        if len(winners) != 1:
-            return lx.NEUTRAL
-        return LABELS[winners[0]]
 
 
 class ClassifierHead:
@@ -180,42 +158,41 @@ class RunHistory:
 
 
 class Sgd:
-    def __init__(self, params, learning_rate):
-        self.params = list(params)
+    """Gradient descent on one parameter, the model's flat buffer."""
+
+    def __init__(self, param, learning_rate):
+        self.param = param
         self.learning_rate = learning_rate
 
     def step(self):
-        for p in self.params:
-            p.data -= self.learning_rate * p.grad
+        self.param.data -= self.learning_rate * self.param.grad
 
 
 class Adam:
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+    """Adam on one parameter, the model's flat buffer."""
+
+    def __init__(self, param, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.param = param
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(param.data)
+        self.v = np.zeros_like(param.data)
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        lr = self.learning_rate
-        for p, m, v in zip(self.params, self.m, self.v):
-            m[...] = b1 * m + (1 - b1) * p.grad
-            v[...] = b2 * v + (1 - b2) * p.grad ** 2
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        p, m, v = self.param, self.m, self.v
+        m[...] = b1 * m + (1 - b1) * p.grad
+        v[...] = b2 * v + (1 - b2) * p.grad ** 2
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _make_optimizer(cfg, params):
-    if cfg.optimizer == "sgd":
-        return Sgd(params, cfg.learning_rate)
-    return Adam(params, cfg.learning_rate)
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
 
 
 def prepare_samples(samples, n):
@@ -249,21 +226,24 @@ def downsample_neutral(samples, ratio, rng):
             if s.label != lx.NEUTRAL or i in keep]
 
 
-def _label_of(value):
-    return value.predicted if isinstance(value, Prediction) else value
+def opinion_labels(keys, probabilities):
+    """{key: label} from the mean of each opinion key's probability rows.
 
-
-def aggregate_opinions(context_predictions):
-    """Mean probability vector per opinion key.
-
-    context_predictions: iterable of (key, probability vector) where key
-    is (doc_id, source_group, target_group).
+    keys[i] is the (doc_id, source_group, target_group) key of row i of
+    probabilities (N, 3); keys keep their first-seen order. The label is
+    the argmax of the key's mean; an exact tie for the maximum goes
+    neutral.
     """
-    grouped = defaultdict(list)
-    for key, probs in context_predictions:
-        grouped[key].append(np.asarray(probs, dtype=float))
-    return {key: Prediction(np.mean(vectors, axis=0))
-            for key, vectors in grouped.items()}
+    index = {}
+    rows = np.array([index.setdefault(key, len(index)) for key in keys],
+                    dtype=np.intp)
+    sums = np.zeros((len(index), len(LABELS)))
+    np.add.at(sums, rows, probabilities)
+    means = sums / np.bincount(rows, minlength=len(index))[:, None]
+    winners = means == means.max(axis=1, keepdims=True)
+    best = np.where(winners.sum(axis=1) == 1, means.argmax(axis=1),
+                    LABEL_INDEX[lx.NEUTRAL])
+    return {key: LABELS[i] for key, i in zip(index, best.tolist())}
 
 
 def _confusion_f1(labels, cls):
@@ -289,20 +269,20 @@ def _class_macro(labels):
 
 
 def macro_f1(predicted, gold, scope=SCOPE_DOCUMENT):
-    """Macro-F1 of positive and negative predictions.
+    """Macro-F1 of positive and negative labels; both dicts map opinion
+    keys to labels.
 
     Keys missing from `predicted` count as neutral predictions. The
     document scope averages per-document class-macro values; the
-    collection scope pools confusion counts over all keys first. Each
-    key's two labels are resolved once.
+    collection scope pools confusion counts over all keys first.
     """
     if scope not in SCOPES:
         raise ValueError("unknown scope: %r" % (scope,))
     keys = sorted(set(predicted) | set(gold))
     if not keys:
         return 0.0
-    labels = [(_label_of(predicted.get(key, lx.NEUTRAL)),
-               _label_of(gold.get(key, lx.NEUTRAL))) for key in keys]
+    labels = [(predicted.get(key, lx.NEUTRAL), gold.get(key, lx.NEUTRAL))
+              for key in keys]
     if scope == SCOPE_COLLECTION:
         return _class_macro(labels)
     by_doc = defaultdict(list)
@@ -341,10 +321,9 @@ def infer(model, samples, compiled=None):
 
 
 def predict_opinions(model, samples, compiled=None):
-    """One aggregated prediction per opinion key of the samples."""
+    """{opinion key: label} over the samples (see opinion_labels)."""
     probabilities, _ = infer(model, samples, compiled)
-    return aggregate_opinions((s.opinion_key(), p)
-                              for s, p in zip(samples, probabilities))
+    return opinion_labels([s.opinion_key() for s in samples], probabilities)
 
 
 def evaluate_on_samples(model, samples, gold, scope=SCOPE_DOCUMENT,
@@ -360,7 +339,7 @@ def train(model, samples, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if cfg.neutral_ratio is not None:
         samples = downsample_neutral(samples, cfg.neutral_ratio, rng)
-    optimizer = _make_optimizer(cfg, [model.flat])
+    optimizer = OPTIMIZERS[cfg.optimizer](model.flat, cfg.learning_rate)
     history = RunHistory(cfg.eval_period)
     gold = _sample_gold(samples)
     labels = np.array([LABEL_INDEX[s.label] for s in samples])
@@ -436,13 +415,25 @@ class SplitResult:
         self.dropped = dropped
 
 
-def _run_split(train_samples, test_samples, gold, dropped, encoder_cfg,
-               train_cfg, embed_options, scope, split_seed):
+def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
+    """Vocabulary, model and training of one split: (model, history).
+
+    The model is built from default_rng([seed, split]) and trained with
+    default_rng([seed, split, 1]), seed being train_cfg.seed; the CV fold
+    index or 0 for a train/test manifest is the split.
+    """
     vocab = enc.build_vocab(train_samples)
     model = build_model(vocab, encoder_cfg, embed_options,
-                        rng=np.random.default_rng(split_seed))
+                        rng=np.random.default_rng([train_cfg.seed, split]))
     history = train(model, train_samples, train_cfg,
-                    rng=np.random.default_rng(split_seed + [1]))
+                    rng=np.random.default_rng([train_cfg.seed, split, 1]))
+    return model, history
+
+
+def _run_split(train_samples, test_samples, gold, dropped, encoder_cfg,
+               train_cfg, embed_options, scope, split):
+    model, history = fit(train_samples, encoder_cfg, train_cfg, embed_options,
+                         split)
     f1 = evaluate_on_samples(model, test_samples, gold, scope)
     return SplitResult(f1, history, model, test_samples, dropped)
 
@@ -486,8 +477,7 @@ def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,
                      if fold_of[key[0]] == fold}
         results.append(_run_split(train_samples, test_samples, test_gold,
                                   dropped, encoder_cfg, train_cfg,
-                                  embed_options, scope,
-                                  split_seed=[train_cfg.seed, fold]))
+                                  embed_options, scope, split=fold))
     return CvResult([r.f1 for r in results], [r.history for r in results],
                     folds, results)
 
@@ -495,7 +485,13 @@ def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,
 def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
                    frame_lexicon=None, embed_options=None,
                    scope=SCOPE_DOCUMENT):
-    """Train on the manifest's train documents, score its test ones."""
+    """Train on the manifest's train documents, score its test ones.
+
+    It trains the model that `attex train --mode traintest` writes (both
+    call `fit` with split 0) and scores it as `attex eval` does, in
+    memory: the attention-discrepancy acceptance test studies that model
+    and its held-out contexts without files.
+    """
     train_docs, test_docs = cp.train_test_split(corpus.documents, manifest)
     train_samples, dropped_train = samples_for_docs(
         train_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize)
@@ -504,7 +500,7 @@ def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
         test_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize, gold)
     return _run_split(train_samples, test_samples, gold,
                       dropped_train + dropped_test, encoder_cfg, train_cfg,
-                      embed_options, scope, split_seed=[train_cfg.seed, 0])
+                      embed_options, scope, split=0)
 
 
 def _suite_sample(rng, n_real, participants, row):

@@ -41,9 +41,9 @@ class ContextDropped(Exception):
 class Term:
     """One element of a masked context sequence; never changed once made.
 
-    The named constructors (word, frame, ...) return one shared instance
-    per distinct term, so the contexts of a corpus hold references to
-    their terms, not copies of them.
+    `Term.shared` and the named constructors (word, frame, ...) built on
+    it return one shared instance per distinct term, so the contexts of a
+    corpus hold references to their terms, not copies of them.
     """
 
     __slots__ = ("kind", "lemma", "polarity", "token_kind")
@@ -66,7 +66,7 @@ class Term:
         self.token_kind = token_kind
 
     @classmethod
-    def _shared(cls, kind, lemma=None, polarity=None, token_kind=None):
+    def shared(cls, kind, lemma=None, polarity=None, token_kind=None):
         key = (kind, lemma, polarity, token_kind)
         term = _SHARED_TERMS.get(key)
         if term is None:
@@ -75,27 +75,27 @@ class Term:
 
     @classmethod
     def word(cls, lemma):
-        return cls._shared(WORD, lemma=lemma)
+        return cls.shared(WORD, lemma=lemma)
 
     @classmethod
     def entity_subj(cls):
-        return cls._shared(ENTITY_SUBJ)
+        return cls.shared(ENTITY_SUBJ)
 
     @classmethod
     def entity_obj(cls):
-        return cls._shared(ENTITY_OBJ)
+        return cls.shared(ENTITY_OBJ)
 
     @classmethod
     def entity_other(cls):
-        return cls._shared(ENTITY_OTHER)
+        return cls.shared(ENTITY_OTHER)
 
     @classmethod
     def frame(cls, lemma, polarity):
-        return cls._shared(FRAME, lemma=lemma, polarity=polarity)
+        return cls.shared(FRAME, lemma=lemma, polarity=polarity)
 
     @classmethod
     def token(cls, token_kind):
-        return cls._shared(TOKEN, token_kind=token_kind)
+        return cls.shared(TOKEN, token_kind=token_kind)
 
     def display(self):
         """Surface text for exports: lemma, token kind, or mask name."""

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import synth
 from attex import cli
 from attex import corpus as cp
 from attex import lexicons as lx
@@ -76,6 +77,54 @@ def write_fixture(tmp_path):
         % (documents, opinions, frames, sentiment, preps, manifest, out),
         encoding="utf-8")
     return config, out
+
+
+SYNTH_DOCS = 12
+SYNTH_SEED = 3
+
+
+def write_synth_fixture(tmp_path):
+    """SYNTH_DOCS synthetic documents as attex input files, every third
+    one on the test side, with the synthetic benchmark's settings."""
+    corpus = synth.build_corpus(seed=SYNTH_SEED, n_docs=SYNTH_DOCS)
+
+    def write(name, lines):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        return path
+
+    paths = {
+        "documents": write("documents.jsonl", [json.dumps({
+            "doc_id": doc.doc_id,
+            "sentences": [s.tokens for s in doc.sentences],
+            "groups": [[g.group_id] + list(g.surface_variants)
+                       for g in doc.synonym_groups],
+            "mentions": [[m.sentence_idx, m.token_span[0], m.token_span[1],
+                          m.group_id] for m in doc.entity_mentions],
+        }, ensure_ascii=False) for doc in corpus.documents]),
+        "opinions": write("opinions.tsv", [
+            "\t".join((doc.doc_id, o.source_group, o.target_group, o.label))
+            for doc in corpus.documents for o in corpus.opinions(doc.doc_id)]),
+        "frames": write("frames.tsv", [
+            "%s\t%s" % (" ".join(e.lemmas), e.polarity[:3])
+            for e in synth.frame_lexicon().entries]),
+        "manifest": write("manifest.tsv", [
+            "%s\t%s" % (doc.doc_id, "test" if i % 3 == 2 else "train")
+            for i, doc in enumerate(corpus.documents)]),
+    }
+    ecfg = synth.encoder_config("att-blstm")
+    tcfg = synth.train_config(SYNTH_SEED)
+    settings = dict(paths, out=tmp_path / "out", encoder=ecfg.kind,
+                    features=ecfg.feature_mode, seed=tcfg.seed)
+    for key in ("n", "h", "filters", "window", "k"):
+        settings[key] = getattr(ecfg, key)
+    settings.update(synth.embed_options())
+    for key in ("max_epochs", "eval_period", "stop_threshold",
+                "learning_rate", "optimizer", "batch_size", "neutral_ratio"):
+        settings[key] = getattr(tcfg, key)
+    config = write("run.conf", ["%s = %s" % item for item in settings.items()])
+    return config, tmp_path / "out"
 
 
 def stdout_pairs(capsys):
@@ -194,6 +243,38 @@ class TestPrepare:
             seq = sample.terms
             assert seq.terms[seq.subj_pos].kind == tz.ENTITY_SUBJ
             assert seq.terms[seq.obj_pos].kind == tz.ENTITY_OBJ
+
+    def test_cached_contexts_share_terms(self, tmp_path, capsys):
+        config, out = write_fixture(tmp_path)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        samples = cli.read_cache(str(out / "contexts.jsonl"))
+        praised = [t for s in samples for t in s.terms.terms
+                   if t.lemma == "хвалит"]
+        assert len(praised) >= 2
+        assert all(t is tz.Term.frame("хвалит", lx.POSITIVE)
+                   for t in praised)
+        subjects = [s.terms.terms[s.subj_pos] for s in samples]
+        assert all(t is tz.Term.entity_subj() for t in subjects)
+
+    @pytest.mark.parametrize("term", [
+        {"kind": "word"},
+        {"kind": "frame", "lemma": "x", "polarity": "sideways"},
+        {"kind": "nonsense"},
+        {"kind": "word", "lemma": ["unhashable"]},
+    ])
+    def test_bad_cached_term_is_data_error(self, tmp_path, capsys, term):
+        config, out = write_fixture(tmp_path)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["terms"][-1] = term
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:2: bad cache record: " % cache)
 
     def test_missing_lexicon_fails_before_work(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
@@ -378,6 +459,50 @@ class TestTrain:
         all_samples = cli.read_cache(str(out / "contexts.jsonl"))
         train_count = sum(1 for s in all_samples if s.doc_id != "doc2")
         assert int(pairs["contexts"]) == train_count
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_that_misses_a_document_is_data_error(
+            self, tmp_path, capsys, command):
+        # train and eval split the configured documents by the same
+        # manifest check, so both reject it with the same message.
+        config, out = prepared(tmp_path, capsys)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("doc0\ttrain\ndoc2\ttest\ndoc9\ttrain\n",
+                            encoding="utf-8")
+        assert cli.main([command, "--config", str(config),
+                         "--mode", "traintest"]) == 2
+        assert capsys.readouterr().err == (
+            "data error: %s: manifest missing doc_id 'doc1'\n" % manifest)
+        assert not (out / "model.ckpt").exists()
+
+    def test_traintest_agrees_with_run_train_test(self, tmp_path, capsys):
+        # The CLI's prepare, train and eval and the library's
+        # run_train_test build, train and score the same model.
+        config, out = write_synth_fixture(tmp_path)
+        run = ["--config", str(config), "--mode", "traintest"]
+        for command in ("prepare", "train", "eval"):
+            assert cli.main([command] + run) == 0
+        evaluated = stdout_pairs(capsys)
+
+        corpus = cp.load_corpus(str(tmp_path / "documents.jsonl"),
+                                str(tmp_path / "opinions.tsv"))
+        manifest = cp.load_split_manifest(str(tmp_path / "manifest.tsv"))
+        res = md.run_train_test(
+            corpus, manifest, synth.encoder_config("att-blstm"),
+            synth.train_config(SYNTH_SEED),
+            frame_lexicon=lx.load_frame_lexicon(str(tmp_path / "frames.tsv")),
+            embed_options=synth.embed_options())
+        assert 0.0 < res.f1 < 1.0
+        arrays = tg.load_checkpoint(str(out / "model.ckpt"))
+        params = res.model.parameters()
+        assert list(arrays) == [p.name for p in params]
+        for p in params:
+            assert np.array_equal(arrays[p.name], p.data), p.name
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert [(int(e), float(f1), float(loss))
+                for e, f1, loss in (row.split(",") for row in rows)] \
+            == res.history.rows
+        assert evaluated["f1_per_document"] == repr(res.f1)
 
 
 class TestEval:

@@ -42,20 +42,28 @@ def toy_model(samples, seed=0, kind="cnn", n=6, filters=6, window=1):
     return md.build_model(vocab, cfg, options, rng=np.random.default_rng(seed))
 
 
+KEY = ("d", "a", "b")
+
+
+def label_of(*rows):
+    """opinion_labels' label for one key whose contexts give rows."""
+    return md.opinion_labels([KEY] * len(rows), np.array(rows))[KEY]
+
+
 class TestPrediction:
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            md.Prediction([0.5, 0.5])
+    """The label rule: argmax of the mean, exact ties go neutral."""
 
     def test_unique_argmax(self):
-        assert md.Prediction([0.5, 0.2, 0.3]).predicted == lx.POSITIVE
-        assert md.Prediction([0.1, 0.6, 0.3]).predicted == lx.NEGATIVE
+        assert label_of([0.5, 0.2, 0.3]) == lx.POSITIVE
+        assert label_of([0.1, 0.6, 0.3]) == lx.NEGATIVE
+        assert label_of([0.2, 0.2, 0.6]) == lx.NEUTRAL
 
     def test_exact_tie_goes_neutral(self):
-        assert md.Prediction([0.4, 0.4, 0.2]).predicted == lx.NEUTRAL
+        assert label_of([0.4, 0.4, 0.2]) == lx.NEUTRAL
+        assert label_of([0.2, 0.4, 0.4]) == lx.NEUTRAL
 
     def test_all_equal_goes_neutral(self):
-        assert md.Prediction([1 / 3, 1 / 3, 1 / 3]).predicted == lx.NEUTRAL
+        assert label_of([1 / 3, 1 / 3, 1 / 3]) == lx.NEUTRAL
 
 
 def head_probabilities(head, s):
@@ -174,18 +182,18 @@ class TestOptimizers:
     def test_sgd_step(self):
         p = tg.Parameter(np.array([3.0, -2.0]), "p")
         p.grad[...] = [6.0, -4.0]
-        md.Sgd([p], 0.1).step()
+        md.Sgd(p, 0.1).step()
         assert np.allclose(p.data, [2.4, -1.6], atol=1e-15)
 
     def test_adam_first_step_is_signed_lr(self):
         p = tg.Parameter(np.array([0.0, 0.0]), "p")
         p.grad[...] = [1e4, -1e-4]
-        md.Adam([p], 0.1).step()
+        md.Adam(p, 0.1).step()
         assert np.allclose(p.data, [-0.1, 0.1], atol=1e-3)
 
     def test_adam_minimizes_quadratic(self):
         p = tg.Parameter(np.array([5.0]), "p")
-        opt = md.Adam([p], 0.2)
+        opt = md.Adam(p, 0.2)
         for _ in range(300):
             p.grad[...] = 2.0 * p.data
             opt.step()
@@ -194,31 +202,60 @@ class TestOptimizers:
 
 
 class TestAggregate:
+    """opinion_labels groups context rows by opinion key."""
+
     def test_single_context(self):
-        out = md.aggregate_opinions([(("d", "a", "b"), [0.7, 0.1, 0.2])])
-        assert set(out) == {("d", "a", "b")}
-        assert out[("d", "a", "b")].predicted == lx.POSITIVE
+        out = md.opinion_labels([KEY], np.array([[0.7, 0.1, 0.2]]))
+        assert out == {KEY: lx.POSITIVE}
 
     def test_mean_tie_goes_neutral(self):
-        pairs = [(("d", "a", "b"), [0.6, 0.2, 0.2]),
-                 (("d", "a", "b"), [0.2, 0.6, 0.2])]
-        pred = md.aggregate_opinions(pairs)[("d", "a", "b")]
-        assert np.allclose(pred.probabilities, [0.4, 0.4, 0.2])
-        assert pred.predicted == lx.NEUTRAL
+        # Each row alone has a unique argmax; their mean ties.
+        rows = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]])
+        assert md.opinion_labels([KEY] * 2, rows) == {KEY: lx.NEUTRAL}
 
     def test_majority_by_mean(self):
-        pairs = [(("d", "a", "b"), [0.1, 0.8, 0.1]),
-                 (("d", "a", "b"), [0.1, 0.7, 0.2]),
-                 (("d", "a", "b"), [0.5, 0.3, 0.2])]
-        assert md.aggregate_opinions(pairs)[("d", "a", "b")].predicted \
-            == lx.NEGATIVE
+        rows = np.array([[0.1, 0.8, 0.1], [0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
+        assert md.opinion_labels([KEY] * 3, rows) == {KEY: lx.NEGATIVE}
+        # The mean decides, not the count of rows each label wins.
+        rows = np.array([[0.4, 0.3, 0.3], [0.4, 0.3, 0.3], [0.0, 1.0, 0.0]])
+        assert md.opinion_labels([KEY] * 3, rows) == {KEY: lx.NEGATIVE}
 
     def test_keys_stay_separate(self):
-        pairs = [(("d", "a", "b"), [0.9, 0.05, 0.05]),
-                 (("d", "b", "a"), [0.05, 0.9, 0.05])]
-        out = md.aggregate_opinions(pairs)
-        assert out[("d", "a", "b")].predicted == lx.POSITIVE
-        assert out[("d", "b", "a")].predicted == lx.NEGATIVE
+        keys = [("d", "a", "b"), ("d", "b", "a"), ("d", "a", "b")]
+        rows = np.array([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05],
+                         [0.9, 0.05, 0.05]])
+        assert md.opinion_labels(keys, rows) == {
+            ("d", "a", "b"): lx.POSITIVE, ("d", "b", "a"): lx.NEGATIVE}
+
+    def test_first_seen_key_order(self):
+        keys = [("d2", "a", "b"), ("d1", "a", "b"), ("d2", "a", "b"),
+                ("d0", "b", "a"), ("d1", "a", "b")]
+        rows = np.full((len(keys), 3), 1 / 3)
+        assert list(md.opinion_labels(keys, rows)) == [
+            ("d2", "a", "b"), ("d1", "a", "b"), ("d0", "b", "a")]
+
+    def test_no_contexts_no_labels(self):
+        assert md.opinion_labels([], np.zeros((0, 3))) == {}
+
+    def test_means_equal_per_key_numpy_means(self):
+        # Each key gets the label of the per-key reference: np.mean over
+        # that key's rows alone, then argmax with exact ties to neutral.
+        # Rows of [0.4, 0.4, 0.2] make exact ties.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            keys = [("d%d" % rng.integers(0, 3), "a",
+                     "g%d" % rng.integers(0, 4)) for _ in range(n)]
+            rows = rng.dirichlet(np.ones(3), size=n)
+            rows[rng.random(n) < 0.2] = [0.4, 0.4, 0.2]
+            got = md.opinion_labels(keys, rows)
+            for key in set(keys):
+                mean = np.mean([r for k, r in zip(keys, rows) if k == key],
+                               axis=0)
+                winners = np.flatnonzero(mean == mean.max())
+                want = (md.LABELS[winners[0]] if len(winners) == 1
+                        else lx.NEUTRAL)
+                assert got[key] == want
 
 
 def brute_force_class_macro(keys, predicted, gold):

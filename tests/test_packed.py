@@ -71,14 +71,15 @@ def test_one_step_over_the_buffer_equals_per_parameter_steps(optimizer):
     apart = [tg.Parameter(v, "p%d" % i) for i, v in enumerate(values)]
     together = [tg.Parameter(v, "p%d" % i) for i, v in enumerate(values)]
     flat = tg.Parameter.packed(together)
-    per_param = optimizer(apart, 0.05)
-    packed = optimizer([flat], 0.05)
+    per_param = [optimizer(a, 0.05) for a in apart]
+    packed = optimizer(flat, 0.05)
     for _ in range(20):
         for a, b in zip(apart, together):
             g = rng.normal(size=a.shape) * rng.choice([1e-6, 1.0, 1e3])
             a.grad[...] = g
             b.grad[...] = g
-        per_param.step()
+        for opt in per_param:
+            opt.step()
         packed.step()
         for a in apart:
             a.zero_grad()
