@@ -3,17 +3,21 @@
 Settings come from a key=value config file; the command-line flags
 --encoder/--features/--mode/--seed/--out override file values.
 `prepare` writes the masked contexts to a cache that `train` and
-`analyze` read; `cv` and `eval` extract the contexts again.
+`analyze` read; `cv` and `eval` extract the contexts again. The cache's
+first line holds the sha256 of the inputs it was extracted from, and
+`train` and `analyze` refuse a cache whose inputs have changed since.
 Every input file is UTF-8 text whose blank lines are skipped. Every
 output file is written beside its target and moved onto it, so an
 interrupted run leaves the previous file whole.
 Exit codes: 0 success, 1 usage or configuration error (a config file
 included), 2 data error (a malformed line or byte of an input file,
-reported as `path:line:`, or fewer than 3 documents for `cv`), 3 numeric
-failure.
+reported as `path:line:`, a cache prepared from other inputs, or fewer
+than 3 documents for `cv`), 3 numeric failure.
 """
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import sys
@@ -44,6 +48,9 @@ _BOOL_KEYS = ("use_position",)
 _STR_KEYS = ("encoder", "features", "mode", "optimizer", "scope", "out",
              "cache")
 _ALL_KEYS = _PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
+# The input files that the cache's contexts are extracted from.
+_CACHE_INPUTS = ("documents", "opinions", "frames")
+_CACHE_HEADER = "inputs_sha256"
 
 
 class UsageError(Exception):
@@ -222,13 +229,44 @@ def _sample_from_obj(obj, path, lineno):
         raise DataError("bad cache record: %s" % exc, path=path, line=lineno)
 
 
-def write_cache(samples, path):
-    write_lines(path, (_sample_to_line(sample) for sample in samples))
+def _inputs_sha256(cfg, required_by):
+    """sha256 of the cache's input files, each as the list of lines that
+    read_lines yields, or null when its setting is unset; documents must
+    be set."""
+    cfg.path("documents", required_by)
+    digest = hashlib.sha256()
+    for key in _CACHE_INPUTS:
+        path = cfg.path(key)
+        lines = None if path is None else [line for _, line in read_lines(path)]
+        digest.update(json.dumps(lines, ensure_ascii=False).encode("utf-8"))
+    return digest.hexdigest()
 
 
-def read_cache(path):
-    return [_sample_from_obj(obj, path, lineno)
-            for lineno, obj in read_json_lines(path)]
+def write_cache(samples, path, sha256):
+    """A header line holding the inputs' sha256, then one line per sample."""
+    header = json.dumps({_CACHE_HEADER: sha256})
+    write_lines(path, itertools.chain(
+        [header], (_sample_to_line(sample) for sample in samples)))
+
+
+def read_cache(path, sha256=None):
+    """The samples of a cache, without its header line.
+
+    Given the sha256 of the current inputs, a cache whose header holds
+    another one, or that has no header, is a data error.
+    """
+    records = read_json_lines(path)
+    first = next(records, None)
+    if first is not None and isinstance(first[1], dict) \
+            and _CACHE_HEADER in first[1]:
+        header = first[1][_CACHE_HEADER]
+    else:
+        header = None
+        records = itertools.chain([first] if first else [], records)
+    if sha256 is not None and header != sha256:
+        raise DataError("cache was prepared from other inputs; "
+                        "run prepare again", path=path, line=1)
+    return [_sample_from_obj(obj, path, lineno) for lineno, obj in records]
 
 
 def _write_vocab(vocab, path):
@@ -257,7 +295,7 @@ def cmd_prepare(cfg):
     samples, opinions = md.extract_samples(corpus.documents, corpus,
                                            cfg.frame_lexicon())
     provenance = Counter(o.provenance for o in opinions.values())
-    write_cache(samples, cfg.cache)
+    write_cache(samples, cfg.cache, _inputs_sha256(cfg, "prepare"))
     by_label = {label: 0 for label in md.LABELS}
     for sample in samples:
         by_label[sample.label] += 1
@@ -282,14 +320,16 @@ def _manifest_split(cfg, corpus, required_by):
         raise DataError(str(exc), path=cfg.path("manifest"))
 
 
-def _cached_samples(cfg, n, doc_ids=None):
+def _cached_samples(cfg, n, required_by, doc_ids=None):
     """prepare's cache, cut to doc_ids when given and cropped to n terms.
 
-    Returns (kept, dropped); a cache with no usable context is a data error.
+    Returns (kept, dropped). A cache prepared from other inputs than the
+    configured ones, or with no usable context, is a data error.
     """
+    sha256 = _inputs_sha256(cfg, required_by)
     if not os.path.exists(cfg.cache):
         raise DataError("run prepare first: missing cache", path=cfg.cache)
-    samples = read_cache(cfg.cache)
+    samples = read_cache(cfg.cache, sha256)
     if doc_ids is not None:
         samples = [s for s in samples if s.doc_id in doc_ids]
     kept, dropped = md.prepare_samples(samples, n)
@@ -304,7 +344,7 @@ def cmd_train(cfg):
     if cfg.mode == "traintest":
         train_docs, _ = _manifest_split(cfg, cfg.load_corpus("train"), "train")
         train_ids = {doc.doc_id for doc in train_docs}
-    kept, dropped = _cached_samples(cfg, encoder_cfg.n, train_ids)
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n, "train", train_ids)
     model, history = md.fit(kept, encoder_cfg, cfg.train_config(),
                             cfg.embed_options())
     tg.save_checkpoint(_checkpoint_path(cfg), model.parameters())
@@ -380,7 +420,7 @@ def cmd_eval(cfg):
 
 def cmd_analyze(cfg):
     encoder_cfg = cfg.encoder_config("analyze")
-    kept, dropped = _cached_samples(cfg, encoder_cfg.n)
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n, "analyze")
     model = _restore_model(cfg, encoder_cfg)
     sentiment = cfg.sentiment_lexicon()
     prepositions = cfg.preposition_list()

@@ -36,8 +36,6 @@ NUM = "<num>"
 URL_TOKEN = "<url>"
 SPECIALS = (PAD, UNK, SUBJ, OBJ, OTHER, PUNCT, NUM, URL_TOKEN)
 
-ENCODER_KINDS = ("cnn", "pcnn", "lstm", "bilstm", "att-blstm",
-                 "att-blstm-zyang", "att-cnn", "ian")
 FEATURE_MODES = ("att-ends", "att-ef")
 
 _TOKEN_KIND_SYMBOL = {tz.PUNCTUATION: PUNCT, tz.NUMBER: NUM, tz.URL: URL_TOKEN}
@@ -205,7 +203,22 @@ def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
                  feature_lengths)
 
 
-class Embedder:
+class Module:
+    """A model part. Its parameters are its tg.Parameter attributes and
+    those of its Module attributes, depth first, in assignment order;
+    that order is the checkpoint's."""
+
+    def parameters(self):
+        params = []
+        for value in vars(self).values():
+            if isinstance(value, tg.Parameter):
+                params.append(value)
+            elif isinstance(value, Module):
+                params.extend(value.parameters())
+        return params
+
+
+class Embedder(Module):
     """Trainable word/polarity/position tables; rows are concatenated
     per term and the sequence is right-padded with zero rows."""
 
@@ -220,6 +233,8 @@ class Embedder:
         self.use_position = use_position
         self.position_dim = position_dim
         self.max_distance = (n - 1) if max_distance is None else max_distance
+        self.row_width = m + polarity_dim + (2 * position_dim if use_position
+                                             else 0)
 
         word = rng.uniform(-0.1, 0.1, (len(vocab), m))
         if pretrained:
@@ -239,19 +254,6 @@ class Embedder:
                 rng.uniform(-0.1, 0.1, (rows, position_dim)), "emb.position")
         else:
             self.position_table = None
-
-    @property
-    def row_width(self):
-        width = self.m + self.polarity_dim
-        if self.use_position:
-            width += 2 * self.position_dim
-        return width
-
-    def parameters(self):
-        params = [self.word_table, self.polarity_table]
-        if self.position_table is not None:
-            params.append(self.position_table)
-        return params
 
     def embed(self, tape, batch):
         """Batch -> x (B, n, row_width), zero on padding."""
@@ -280,37 +282,32 @@ class EncoderOutput:
         self.alpha = alpha
 
 
-def _glorot(rng, fan_in, fan_out, shape, name):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+def _glorot(rng, shape, name):
+    """Uniform Glorot init; fan_in is the product of all but the last
+    extent (1 for a vector), fan_out the last extent."""
+    limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
     return tg.Parameter(rng.uniform(-limit, limit, shape), name)
 
 
-class LstmCell:
+class LstmCell(Module):
     """Gates packed [input, forget, output, candidate]; forget bias 1."""
 
     def __init__(self, input_dim, h, rng, name):
-        self.h = h
-        self.w = _glorot(rng, input_dim, 4 * h, (input_dim, 4 * h), name + ".w")
-        self.u = _glorot(rng, h, 4 * h, (h, 4 * h), name + ".u")
+        self.w = _glorot(rng, (input_dim, 4 * h), name + ".w")
+        self.u = _glorot(rng, (h, 4 * h), name + ".u")
         bias = np.zeros(4 * h)
         bias[h:2 * h] = 1.0
         self.b = tg.Parameter(bias, name + ".b")
-
-    def parameters(self):
-        return [self.w, self.u, self.b]
 
     def run(self, x, lengths):
         """Hidden states (B, T, h) of x (B, T, m), 0 past each row's length."""
         return tg.lstm_sequence(x, [self.parameters()], lengths)
 
 
-class BiLstm:
+class BiLstm(Module):
     def __init__(self, input_dim, h, rng, name):
         self.fwd = LstmCell(input_dim, h, rng, name + ".fwd")
         self.bwd = LstmCell(input_dim, h, rng, name + ".bwd")
-
-    def parameters(self):
-        return self.fwd.parameters() + self.bwd.parameters()
 
     def states(self, x, lengths):
         """(B, T, 2h): step t joins both directions' states at step t."""
@@ -332,22 +329,15 @@ def _pcnn_segments(batch):
             np.stack([p1, p2, batch.lengths], axis=1))
 
 
-class CnnEncoder:
+class CnnEncoder(Module):
     kind = "cnn"
     attentive = False
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
-        self.w = _glorot(rng, cfg.window * row_width, cfg.filters,
-                         (cfg.window, row_width, cfg.filters), "cnn.w")
+        self.z = cfg.filters
+        self.w = _glorot(rng, (cfg.window, row_width, cfg.filters), "cnn.w")
         self.b = tg.Parameter(np.zeros(cfg.filters), "cnn.b")
-
-    @property
-    def z(self):
-        return self.cfg.filters
-
-    def parameters(self):
-        return [self.w, self.b]
 
     def encode(self, tape, x, batch):
         conv = tg.tanh(tg.conv1d(x, self.w, self.b))
@@ -356,83 +346,58 @@ class CnnEncoder:
                                                    batch.lengths[:, None]))
 
 
-class PcnnEncoder:
+class PcnnEncoder(Module):
     kind = "pcnn"
     attentive = False
 
     def __init__(self, cfg, row_width, rng, name="pcnn"):
         self.cfg = cfg
-        self.w = _glorot(rng, cfg.window * row_width, cfg.filters,
-                         (cfg.window, row_width, cfg.filters), name + ".w")
+        self.z = 3 * cfg.filters
+        self.w = _glorot(rng, (cfg.window, row_width, cfg.filters), name + ".w")
         self.b = tg.Parameter(np.zeros(cfg.filters), name + ".b")
-
-    @property
-    def z(self):
-        return 3 * self.cfg.filters
-
-    def parameters(self):
-        return [self.w, self.b]
 
     def encode(self, tape, x, batch):
         conv = tg.conv1d(x, self.w, self.b)
         return EncoderOutput(tg.max_pool_over_time(conv, *_pcnn_segments(batch)))
 
 
-class LstmEncoder:
+class LstmEncoder(Module):
     kind = "lstm"
     attentive = False
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
+        self.z = cfg.h
         self.cell = LstmCell(row_width, cfg.h, rng, "lstm")
-
-    @property
-    def z(self):
-        return self.cfg.h
-
-    def parameters(self):
-        return self.cell.parameters()
 
     def encode(self, tape, x, batch):
         states = self.cell.run(x, batch.lengths)
         return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
 
-class BiLstmEncoder:
+class BiLstmEncoder(Module):
     kind = "bilstm"
     attentive = False
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
+        self.z = 2 * cfg.h
         self.bilstm = BiLstm(row_width, cfg.h, rng, "bilstm")
-
-    @property
-    def z(self):
-        return 2 * self.cfg.h
-
-    def parameters(self):
-        return self.bilstm.parameters()
 
     def encode(self, tape, x, batch):
         states = self.bilstm.states(x, batch.lengths)
         return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
 
-class AttBLstmEncoder:
+class AttBLstmEncoder(Module):
     kind = "att-blstm"
     attentive = True
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
+        self.z = 2 * cfg.h
         self.bilstm = BiLstm(row_width, cfg.h, rng, "attblstm")
-        self.w = _glorot(rng, 2 * cfg.h, 1, (2 * cfg.h,), "attblstm.att.w")
-
-    @property
-    def z(self):
-        return 2 * self.cfg.h
-
-    def parameters(self):
-        return self.bilstm.parameters() + [self.w]
+        self.w = _glorot(rng, (2 * cfg.h,), "attblstm.att.w")
 
     def encode(self, tape, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
@@ -442,24 +407,18 @@ class AttBLstmEncoder:
         return EncoderOutput(s, alpha=alpha.data)
 
 
-class AttBLstmZYangEncoder:
+class AttBLstmZYangEncoder(Module):
     kind = "att-blstm-zyang"
     attentive = True
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
         h2 = 2 * cfg.h
+        self.z = h2
         self.bilstm = BiLstm(row_width, cfg.h, rng, "zyang")
-        self.w_a = _glorot(rng, h2, h2, (h2, h2), "zyang.att.w_a")
+        self.w_a = _glorot(rng, (h2, h2), "zyang.att.w_a")
         self.b_a = tg.Parameter(np.zeros(h2), "zyang.att.b_a")
-        self.u_w = _glorot(rng, h2, 1, (h2,), "zyang.att.u_w")
-
-    @property
-    def z(self):
-        return 2 * self.cfg.h
-
-    def parameters(self):
-        return self.bilstm.parameters() + [self.w_a, self.b_a, self.u_w]
+        self.u_w = _glorot(rng, (h2,), "zyang.att.u_w")
 
     def encode(self, tape, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
@@ -469,25 +428,17 @@ class AttBLstmZYangEncoder:
         return EncoderOutput(s, alpha=alpha.data)
 
 
-class AttCnnEncoder:
+class AttCnnEncoder(Module):
     kind = "att-cnn"
     attentive = True
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
-        self.row_width = row_width
+        self.z = 3 * cfg.filters + row_width
         self.pcnn = PcnnEncoder(cfg, row_width, rng, name="attcnn.pcnn")
-        self.w1 = _glorot(rng, 2 * row_width, cfg.h,
-                          (2 * row_width, cfg.h), "attcnn.att.w1")
+        self.w1 = _glorot(rng, (2 * row_width, cfg.h), "attcnn.att.w1")
         self.b1 = tg.Parameter(np.zeros(cfg.h), "attcnn.att.b1")
-        self.w2 = _glorot(rng, cfg.h, 1, (cfg.h,), "attcnn.att.w2")
-
-    @property
-    def z(self):
-        return 3 * self.cfg.filters + self.row_width
-
-    def parameters(self):
-        return self.pcnn.parameters() + [self.w1, self.b1, self.w2]
+        self.w2 = _glorot(rng, (cfg.h,), "attcnn.att.w2")
 
     def encode(self, tape, x, batch):
         pooled = self.pcnn.encode(tape, x, batch)
@@ -505,27 +456,20 @@ class AttCnnEncoder:
         return EncoderOutput(s, alpha=mean_alpha)
 
 
-class IanEncoder:
+class IanEncoder(Module):
     kind = "ian"
     attentive = True
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
+        self.z = 4 * cfg.h
         h2 = 2 * cfg.h
         self.context_lstm = BiLstm(row_width, cfg.h, rng, "ian.ctx")
         self.feature_lstm = BiLstm(row_width, cfg.h, rng, "ian.feat")
-        self.w_c = _glorot(rng, h2, h2, (h2, h2), "ian.att.w_c")
+        self.w_c = _glorot(rng, (h2, h2), "ian.att.w_c")
         self.b_c = tg.Parameter(np.zeros(1), "ian.att.b_c")
-        self.w_t = _glorot(rng, h2, h2, (h2, h2), "ian.att.w_t")
+        self.w_t = _glorot(rng, (h2, h2), "ian.att.w_t")
         self.b_t = tg.Parameter(np.zeros(1), "ian.att.b_t")
-
-    @property
-    def z(self):
-        return 4 * self.cfg.h
-
-    def parameters(self):
-        return (self.context_lstm.parameters() + self.feature_lstm.parameters()
-                + [self.w_c, self.b_c, self.w_t, self.b_t])
 
     def _attend(self, states, mask, pooled, w, b):
         scores = tg.einsum("btd,bd->bt", tg.matmul(states, w), pooled)
@@ -549,16 +493,11 @@ class IanEncoder:
         return EncoderOutput(s, alpha=gamma.data)
 
 
-_ENCODER_CLASSES = {
-    "cnn": CnnEncoder,
-    "pcnn": PcnnEncoder,
-    "lstm": LstmEncoder,
-    "bilstm": BiLstmEncoder,
-    "att-blstm": AttBLstmEncoder,
-    "att-blstm-zyang": AttBLstmZYangEncoder,
-    "att-cnn": AttCnnEncoder,
-    "ian": IanEncoder,
-}
+# gradient_suite seeds each kind by its index, so this order is pinned.
+_ENCODER_CLASSES = {cls.kind: cls for cls in (
+    CnnEncoder, PcnnEncoder, LstmEncoder, BiLstmEncoder, AttBLstmEncoder,
+    AttBLstmZYangEncoder, AttCnnEncoder, IanEncoder)}
+ENCODER_KINDS = tuple(_ENCODER_CLASSES)
 
 
 def build_encoder(cfg, row_width, rng):

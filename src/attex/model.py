@@ -30,18 +30,13 @@ SCOPE_COLLECTION = "collection"
 SCOPES = (SCOPE_DOCUMENT, SCOPE_COLLECTION)
 
 
-class ClassifierHead:
+class ClassifierHead(enc.Module):
     """Linear readout over tanh(s) to 3 class logits per row."""
 
     def __init__(self, z, rng):
-        limit = np.sqrt(6.0 / (z + len(LABELS)))
-        self.w_r = tg.Parameter(rng.uniform(-limit, limit, (z, len(LABELS))),
-                                "head.w_r")
+        self.w_r = enc._glorot(rng, (z, len(LABELS)), "head.w_r")
         self.b_r = tg.Parameter(np.zeros(len(LABELS)), "head.b_r")
         self.z = z
-
-    def parameters(self):
-        return [self.w_r, self.b_r]
 
     def forward(self, tape, s):
         """s (B, z) -> logits (B, 3)."""
@@ -68,6 +63,7 @@ class AttitudeModel:
         self.flat = tg.Parameter.packed(self.parameters())
 
     def parameters(self):
+        # By hand: flat is a Parameter too, so an enc.Module would list it.
         return (self.embedder.parameters() + self.encoder.parameters()
                 + self.head.parameters())
 

@@ -416,6 +416,86 @@ class TestRunawayNesting:
             "data error: %s:2: invalid JSON: " % path)
 
 
+class TestStaleCache:
+    """train and analyze refuse a cache whose input files changed after
+    prepare; the cache's first line holds the inputs' sha256."""
+
+    RUN = ["--mode", "traintest"]
+
+    def refused(self, capsys, config, out, commands=("train", "analyze")):
+        for command in commands:
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(config)]
+                            + self.RUN) == 2
+            assert capsys.readouterr().err == (
+                "data error: %s:1: cache was prepared from other inputs; "
+                "run prepare again\n" % (out / "contexts.jsonl"))
+
+    def trained(self, tmp_path, capsys):
+        config, out = prepared(tmp_path, capsys)
+        assert cli.main(["train", "--config", str(config)] + self.RUN) == 0
+        return config, out
+
+    def test_swapped_frame_words(self, tmp_path, capsys):
+        config, out = self.trained(tmp_path, capsys)
+        documents = tmp_path / "documents.jsonl"
+        text = documents.read_text(encoding="utf-8")
+        documents.write_text(text.replace("хвалит", "@")
+                             .replace("осудил", "хвалит")
+                             .replace("@", "осудил"), encoding="utf-8")
+        self.refused(capsys, config, out)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        for command in ("train", "analyze"):
+            assert cli.main([command, "--config", str(config)]
+                            + self.RUN) == 0
+
+    @pytest.mark.parametrize("name,old,new", [
+        ("opinions.tsv", "doc2\tg1\tg3\tnegative\n", ""),
+        ("frames.tsv", "осудил\tneg", "осудил\tpos"),
+        ("run.conf", "opinions = ", "# opinions = "),
+    ])
+    def test_changed_or_unset_input(self, tmp_path, capsys, name, old, new):
+        config, out = self.trained(tmp_path, capsys)
+        path = tmp_path / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        self.refused(capsys, config, out)
+
+    def test_cache_without_header(self, tmp_path, capsys):
+        config, out = self.trained(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert list(header) == ["inputs_sha256"]
+        assert len(header["inputs_sha256"]) == 64
+        cache.write_text("".join(lines[1:]), encoding="utf-8")
+        assert len(cli.read_cache(str(cache))) == len(lines) - 1
+        self.refused(capsys, config, out)
+
+    def test_line_endings_and_blank_lines_do_not_count(self, tmp_path,
+                                                       capsys):
+        # The sha256 covers the lines that read_lines yields.
+        config, out = self.trained(tmp_path, capsys)
+        documents = tmp_path / "documents.jsonl"
+        text = documents.read_text(encoding="utf-8")
+        documents.write_bytes(("\n" + text.replace("\n", "\r\n\n"))
+                              .encode("utf-8"))
+        for command in ("train", "analyze"):
+            assert cli.main([command, "--config", str(config)]
+                            + self.RUN) == 0
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_documents_setting_is_required(self, tmp_path, capsys, command):
+        config, out = self.trained(tmp_path, capsys)
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("documents = ", "# documents = "),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config)]) == 1
+        assert "requires the 'documents' setting" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_artifacts_and_echo(self, tmp_path, capsys):
         config, out = prepared(tmp_path, capsys)

@@ -8,11 +8,15 @@ The fused path sums in a different order, so values and gradients are
 compared within 1e-10.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import per_context as pc
+from attex import cli
 from attex import encoders as enc
+from attex import model as md
 from attex import tensorgrad as tg
 
 TOL = 1e-10
@@ -180,6 +184,11 @@ def _cell(name):
 
 
 @pytest.mark.parametrize("kind,want", [
+    ("cnn", [("cnn.w", (3, 5, 32)), ("cnn.b", (32,))]),
+    ("pcnn", [("pcnn.w", (3, 5, 32)), ("pcnn.b", (32,))]),
+    ("att-cnn", [("attcnn.pcnn.w", (3, 5, 32)), ("attcnn.pcnn.b", (32,)),
+                 ("attcnn.att.w1", (10, 3)), ("attcnn.att.b1", (3,)),
+                 ("attcnn.att.w2", (3,))]),
     ("lstm", _cell("lstm")),
     ("bilstm", _cell("bilstm.fwd") + _cell("bilstm.bwd")),
     ("att-blstm", _cell("attblstm.fwd") + _cell("attblstm.bwd")
@@ -197,6 +206,74 @@ def test_parameter_names_and_shapes_pinned(kind, want):
     encoder = enc.build_encoder(enc.EncoderConfig(kind, n=8, h=3), 5,
                                 np.random.default_rng(0))
     assert [(p.name, p.shape) for p in encoder.parameters()] == want
+
+
+def fresh_model(kind, use_position):
+    cfg = enc.EncoderConfig(kind, n=8, h=3, filters=3, window=2, k=4)
+    options = {"m": 4, "polarity_dim": 2, "use_position": use_position,
+               "position_dim": 2}
+    return md.build_model(enc.Vocab(["b", "a", "c"]), cfg, options,
+                          rng=np.random.default_rng([0, 0]))
+
+
+def test_whole_model_names_and_shapes_pinned():
+    model = fresh_model("att-cnn", use_position=True)
+    assert [(p.name, p.shape) for p in model.parameters()] == [
+        ("emb.word", (11, 4)), ("emb.polarity", (3, 2)),
+        ("emb.position", (15, 2)), ("attcnn.pcnn.w", (2, 10, 3)),
+        ("attcnn.pcnn.b", (3,)), ("attcnn.att.w1", (20, 3)),
+        ("attcnn.att.b1", (3,)), ("attcnn.att.w2", (3,)),
+        ("head.w_r", (19, 3)), ("head.b_r", (3,))]
+
+
+# sha256 of a fresh model's parameter bytes in order: initial values and
+# the draw order of the generator stay as they were.
+INITIAL_SHA256 = {  # kind: (use_position off, use_position on)
+    "cnn": (
+        "27adbee4c4bf48b19d0e6043e06b32faecbcf142d0c9feabbf2c5429712bf8ad",
+        "32361286018f021cea9b383b0e018e23f37c865ec0f5a34689c2a33f2159a25b"),
+    "pcnn": (
+        "f134d669c388bc17dab471cb722eec64bf26f2211f612081c27a9403f85624e2",
+        "6ab99e980bd34fcc4a0ca01d567a8e946f4be634df75ec4acfe4fd88fdacf258"),
+    "lstm": (
+        "3c7724f8791ce957c86cc9f6121e314a746fa8293ac19095e2094260e3d52e98",
+        "296c146bf1158af2a98f18b69fed036b1f5b5ecd1b4f347a456e0f05208608f9"),
+    "bilstm": (
+        "ea9f08d3f23b8a8df8e1ddcf583752a33784f48ad643d3ecfd2a41ae690b6dd1",
+        "d2f63bbbe74c905d59fcc19c8d11b3f199137081c361d3daead1b046d783912f"),
+    "att-blstm": (
+        "555fbf856e2757e2410ee105854eeca7983e734c5cfd4999798285cac94a6816",
+        "8dc8a497a2a1245e59c51039a756e97227847f906ad102a7c87cab3954323352"),
+    "att-blstm-zyang": (
+        "982ab45e43e40b2a13303648ec13fe47043c0bba6fff3a44fd9b3f1bf465b405",
+        "61606ba5241baf12a3ea106b736277a30338d6c88a806a3efe0da9cc26cca5ff"),
+    "att-cnn": (
+        "e921c10c6a28038e381188d9cca156a93f362893fd7c611895ec4437da5dbd2e",
+        "3c9c8cccbc9d6ce355a773800e9dbf20d6affb760e3d62ac33a636423e21c8d3"),
+    "ian": (
+        "2a0d325f3caa20f8e3052ea067da9331a41f0b7852a473f307fee39a21e8ed5d",
+        "a238e9ed244d9a79a6dc4ee859622a3b9a128b5c3294fd55fe09381c7a45fa38"),
+}
+
+
+@pytest.mark.parametrize("use_position", [False, True])
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_initial_values_pinned(kind, use_position):
+    digest = hashlib.sha256()
+    for p in fresh_model(kind, use_position).parameters():
+        digest.update(p.data.tobytes())
+    assert digest.hexdigest() == INITIAL_SHA256[kind][use_position]
+
+
+def test_encoder_kinds_pinned():
+    # gradient_suite and the tests seed each kind by its index.
+    assert enc.ENCODER_KINDS == ("cnn", "pcnn", "lstm", "bilstm", "att-blstm",
+                                 "att-blstm-zyang", "att-cnn", "ian")
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    for sub in commands.choices.values():
+        encoder = next(a for a in sub._actions if a.dest == "encoder")
+        assert tuple(encoder.choices) == enc.ENCODER_KINDS
 
 
 EQUIVALENT_KINDS = ("lstm", "bilstm", "att-blstm", "att-blstm-zyang", "ian",

@@ -134,3 +134,66 @@ def test_packing_keeps_values_and_pending_gradients():
     assert (a.shape, b.shape, c.shape) == ((2, 3), (3, 0), (1,))
     flat.data[-1] = 8.0
     assert c.data[0] == 8.0
+
+
+def reachable_parameters(root):
+    """Every tg.Parameter reachable from root through the attributes of
+    attex objects and the items of lists, tuples and dicts, at any depth."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, tg.Parameter):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("attex."):
+            slots = getattr(type(obj), "__slots__", ())
+            stack.extend(getattr(obj, name) for name in slots
+                         if hasattr(obj, name))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+@pytest.mark.parametrize("use_position", [False, True])
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_no_parameter_left_out(kind, use_position, tmp_path):
+    # A parameter missing from parameters() would be neither trained,
+    # zeroed nor saved.
+    rng = np.random.default_rng(7)
+    seqs = pc.random_contexts(rng, 6, 4)
+    cfg = enc.EncoderConfig(kind, n=6, h=3, filters=2, window=2, k=3)
+    options = {"m": 3, "polarity_dim": 2, "position_dim": 2,
+               "use_position": use_position}
+    model = md.build_model(pc.vocab_for(seqs), cfg, options, rng=rng)
+    listed = model.parameters()
+    found = [p for p in reachable_parameters(model) if p is not model.flat]
+    assert len(found) == len(listed)
+    for p in found:
+        assert sum(q is p for q in listed) == 1, p.name
+        assert p.data.base is model.flat.data, p.name
+    path = tmp_path / "model.ckpt"
+    tg.save_checkpoint(str(path), listed)
+    assert sorted(tg.load_checkpoint(str(path))) == sorted(
+        p.name for p in found)
+
+
+def test_module_parameters_follow_attribute_order():
+    class Inner(enc.Module):
+        def __init__(self):
+            self.x = tg.Parameter(np.zeros(1), "x")
+            self.size = 2
+            self.y = tg.Parameter(np.zeros(2), "y")
+
+    class Toy(enc.Module):
+        def __init__(self):
+            self.a = tg.Parameter(np.zeros(1), "a")
+            self.absent = None
+            self.inner = Inner()
+            self.b = tg.Parameter(np.zeros(1), "b")
+
+    assert [p.name for p in Toy().parameters()] == ["a", "x", "y", "b"]
