@@ -184,11 +184,6 @@ def _cell(name):
 
 
 @pytest.mark.parametrize("kind,want", [
-    ("cnn", [("cnn.w", (3, 5, 32)), ("cnn.b", (32,))]),
-    ("pcnn", [("pcnn.w", (3, 5, 32)), ("pcnn.b", (32,))]),
-    ("att-cnn", [("attcnn.pcnn.w", (3, 5, 32)), ("attcnn.pcnn.b", (32,)),
-                 ("attcnn.att.w1", (10, 3)), ("attcnn.att.b1", (3,)),
-                 ("attcnn.att.w2", (3,))]),
     ("lstm", _cell("lstm")),
     ("bilstm", _cell("bilstm.fwd") + _cell("bilstm.bwd")),
     ("att-blstm", _cell("attblstm.fwd") + _cell("attblstm.bwd")
@@ -200,6 +195,11 @@ def _cell(name):
      + _cell("ian.feat.fwd") + _cell("ian.feat.bwd")
      + [("ian.att.w_c", (6, 6)), ("ian.att.b_c", (1,)),
         ("ian.att.w_t", (6, 6)), ("ian.att.b_t", (1,))]),
+    ("cnn", [("cnn.w", (3, 5, 32)), ("cnn.b", (32,))]),
+    ("pcnn", [("pcnn.w", (3, 5, 32)), ("pcnn.b", (32,))]),
+    ("att-cnn", [("attcnn.pcnn.w", (3, 5, 32)), ("attcnn.pcnn.b", (32,)),
+                 ("attcnn.att.w1", (10, 3)), ("attcnn.att.b1", (3,)),
+                 ("attcnn.att.w2", (3,))]),
 ])
 def test_parameter_names_and_shapes_pinned(kind, want):
     # Checkpoints store parameters by name and shape, in this order.
