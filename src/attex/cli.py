@@ -48,8 +48,6 @@ _BOOL_KEYS = ("use_position",)
 _STR_KEYS = ("encoder", "features", "mode", "optimizer", "scope", "out",
              "cache")
 _ALL_KEYS = _PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
-# The input files that the cache's contexts are extracted from.
-_CACHE_INPUTS = ("documents", "opinions", "frames")
 _CACHE_HEADER = "inputs_sha256"
 
 
@@ -230,13 +228,14 @@ def _sample_from_obj(obj, path, lineno):
 
 
 def _inputs_sha256(cfg, required_by):
-    """sha256 of the cache's input files, each as the list of lines that
-    read_lines yields, or null when its setting is unset; documents must
-    be set."""
-    cfg.path("documents", required_by)
+    """sha256 of the files that the cache's contexts are extracted from:
+    the documents and opinions files that load_corpus reads, then the
+    frames file. Each counts as the list of lines that read_lines yields,
+    or null when absent; documents must be set."""
+    paths = cp.corpus_paths(cfg.path("documents", required_by),
+                            cfg.path("opinions")) + (cfg.path("frames"),)
     digest = hashlib.sha256()
-    for key in _CACHE_INPUTS:
-        path = cfg.path(key)
+    for path in paths:
         lines = None if path is None else [line for _, line in read_lines(path)]
         digest.update(json.dumps(lines, ensure_ascii=False).encode("utf-8"))
     return digest.hexdigest()
@@ -252,18 +251,13 @@ def write_cache(samples, path, sha256):
 def read_cache(path, sha256=None):
     """The samples of a cache, without its header line.
 
-    Given the sha256 of the current inputs, a cache whose header holds
-    another one, or that has no header, is a data error.
+    A cache whose first line is no header, or, given the sha256 of the
+    current inputs, whose header holds another one, is a data error.
     """
     records = read_json_lines(path)
-    first = next(records, None)
-    if first is not None and isinstance(first[1], dict) \
-            and _CACHE_HEADER in first[1]:
-        header = first[1][_CACHE_HEADER]
-    else:
-        header = None
-        records = itertools.chain([first] if first else [], records)
-    if sha256 is not None and header != sha256:
+    _, first = next(records, (1, None))
+    header = first.get(_CACHE_HEADER) if isinstance(first, dict) else None
+    if header is None or (sha256 is not None and header != sha256):
         raise DataError("cache was prepared from other inputs; "
                         "run prepare again", path=path, line=1)
     return [_sample_from_obj(obj, path, lineno) for lineno, obj in records]

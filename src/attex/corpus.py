@@ -274,19 +274,24 @@ def load_opinions(path, documents):
     return dict(opinions_by_doc)
 
 
-def load_corpus(path, opinions_path=None):
-    """Load documents (and opinions when present) into a Corpus.
+def corpus_paths(path, opinions_path=None):
+    """(documents file, opinions file or None) that load_corpus reads.
 
     `path` may be a directory holding documents.jsonl/opinions.tsv or
     the documents file itself, with the opinions file given separately.
     """
-    if os.path.isdir(path):
-        documents_path = os.path.join(path, DOCUMENTS_FILENAME)
-        candidate = os.path.join(path, OPINIONS_FILENAME)
-        if opinions_path is None and os.path.exists(candidate):
-            opinions_path = candidate
-    else:
-        documents_path = path
+    if not os.path.isdir(path):
+        return path, opinions_path
+    candidate = os.path.join(path, OPINIONS_FILENAME)
+    if opinions_path is None and os.path.exists(candidate):
+        opinions_path = candidate
+    return os.path.join(path, DOCUMENTS_FILENAME), opinions_path
+
+
+def load_corpus(path, opinions_path=None):
+    """Load documents (and opinions when present) into a Corpus; the
+    arguments are those of corpus_paths."""
+    documents_path, opinions_path = corpus_paths(path, opinions_path)
     documents = load_documents(documents_path)
     opinions_by_doc = {}
     if opinions_path is not None:

@@ -470,7 +470,33 @@ class TestStaleCache:
         assert list(header) == ["inputs_sha256"]
         assert len(header["inputs_sha256"]) == 64
         cache.write_text("".join(lines[1:]), encoding="utf-8")
-        assert len(cli.read_cache(str(cache))) == len(lines) - 1
+        self.refused(capsys, config, out)
+
+    def documents_directory(self, tmp_path, capsys):
+        """The fixture with documents naming the directory that holds
+        documents.jsonl and opinions.tsv, and opinions unset; prepare,
+        train and analyze all run on it."""
+        config, out = write_fixture(tmp_path)
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace("documents = %s" % (tmp_path / "documents.jsonl"),
+                         "documents = %s" % tmp_path)
+            .replace("opinions = ", "# opinions = "), encoding="utf-8")
+        for command in ("prepare", "train", "analyze"):
+            assert cli.main([command, "--config", str(config)]
+                            + ([] if command == "prepare" else self.RUN)) == 0
+        return config, out
+
+    def test_documents_directory(self, tmp_path, capsys):
+        self.documents_directory(tmp_path, capsys)
+
+    def test_opinions_found_in_documents_directory(self, tmp_path, capsys):
+        # The sha256 covers the opinions file that load_corpus picks up.
+        config, out = self.documents_directory(tmp_path, capsys)
+        opinions = tmp_path / "opinions.tsv"
+        text = opinions.read_text(encoding="utf-8")
+        opinions.write_text(text.replace("doc2\tg1\tg3\tnegative\n", ""),
+                            encoding="utf-8")
         self.refused(capsys, config, out)
 
     def test_line_endings_and_blank_lines_do_not_count(self, tmp_path,
