@@ -69,24 +69,24 @@ def extract_alpha(model, sample):
     return _alphas(model, [sample])[0, :len(sample.terms.terms)]
 
 
-def _group_weights(alpha, terms, sentiment_lexicon, preposition_list):
+def _group_weights(alpha, terms, group_of):
     """{group: sum of the weights of its terms} over one context, each
-    group's weights summed in position order; every term is classified
-    once."""
+    group's weights summed in position order; group_of(term) names a
+    term's group."""
     if len(alpha) != len(terms):
         raise ValueError("weight count %d does not match %d terms"
                          % (len(alpha), len(terms)))
     totals = defaultdict(int)
     for a, term in zip(alpha, terms):
-        totals[tz.group_of(term, sentiment_lexicon, preposition_list)] += a
+        totals[group_of(term)] += a
     return totals
 
 
 def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
                          preposition_list=None):
     """Sum of weights over positions whose term belongs to the group."""
-    return float(_group_weights(alpha, terms, sentiment_lexicon,
-                                preposition_list)[group])
+    return float(_group_weights(alpha, terms, lambda term: tz.group_of(
+        term, sentiment_lexicon, preposition_list))[group])
 
 
 def silverman_bandwidth(samples):
@@ -116,10 +116,17 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
     grid = np.asarray(grid, dtype=float)
     weights = {(group, cls): [] for group in REPORT_GROUPS
                for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
+    groups = {}  # id(term) -> group: each distinct term is classified once
+
+    def group_of(term):
+        if id(term) not in groups:
+            groups[id(term)] = tz.group_of(term, sentiment_lexicon,
+                                           preposition_list)
+        return groups[id(term)]
+
     for sample, alpha in zip(contexts, _alphas(model, contexts)):
         terms = sample.terms.terms
-        totals = _group_weights(alpha[:len(terms)].tolist(), terms,
-                                sentiment_lexicon, preposition_list)
+        totals = _group_weights(alpha[:len(terms)].tolist(), terms, group_of)
         cls = label_class(sample.label)
         for group in REPORT_GROUPS:
             weights[group, cls].append(min(float(totals[group]), 1.0))

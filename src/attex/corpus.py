@@ -8,6 +8,7 @@ one classification sample is produced per (opinion, sentence) whose
 sentence mentions both sides.
 """
 
+import itertools
 import os
 from collections import defaultdict
 
@@ -331,40 +332,57 @@ def augment_neutral(doc, annotated):
     return list(annotated) + added
 
 
+def _context_sequence(sentence_terms, subj_span, obj_span):
+    """The TermSequence of one context: a sentence's (terms, positions)
+    with the subject and object mentions masked as such."""
+    terms, positions = sentence_terms
+    if subj_span == obj_span:
+        raise ValueError("subject and object use the same mention")
+    if subj_span not in positions:
+        raise ValueError("subject mention absent from sentence")
+    if obj_span not in positions:
+        raise ValueError("object mention absent from sentence")
+    subj_pos, obj_pos = positions[subj_span], positions[obj_span]
+    terms = list(terms)
+    terms[subj_pos] = tz.Term.entity_subj()
+    terms[obj_pos] = tz.Term.entity_obj()
+    return tz.TermSequence(terms, subj_pos, obj_pos)
+
+
 def extract_contexts(doc, opinions, frame_lexicon=None, lemmatizer=tz.lemmatize):
-    """One sample per (opinion, sentence) mentioning both sides.
+    """One sample per (opinion, sentence) mentioning both sides, in
+    opinion then sentence order.
 
     When a side has several mentions in a sentence, the mention pair
     with the smallest start-token distance wins; ties prefer the
-    leftmost subject, then the leftmost object.
+    leftmost subject, then the leftmost object. A sentence's terms are
+    built once, when it first yields a context, and every context of it
+    only swaps in its participant masks.
     """
-    sent_lemmas = [[lemmatizer(t) for t in s.tokens] for s in doc.sentences]
-    if frame_lexicon is None:
-        sent_frames = [[] for _ in doc.sentences]
-    else:
-        sent_frames = [lx.match_frames(lemmas, frame_lexicon)
-                       for lemmas in sent_lemmas]
-    mentions_by_sentence = defaultdict(list)
+    spans_by_sentence = defaultdict(lambda: defaultdict(list))
     for m in doc.entity_mentions:
-        mentions_by_sentence[m.sentence_idx].append(m)
-
+        spans_by_sentence[m.sentence_idx][m.group_id].append(m.token_span)
+    mentioned = sorted(spans_by_sentence.items())
+    built = {}
     samples = []
     for opinion in opinions:
-        for s_idx, sentence in enumerate(doc.sentences):
-            mentions = mentions_by_sentence[s_idx]
-            sources = [m for m in mentions if m.group_id == opinion.source_group]
-            targets = [m for m in mentions if m.group_id == opinion.target_group]
+        for s_idx, spans_by_group in mentioned:
+            sources = spans_by_group.get(opinion.source_group)
+            targets = spans_by_group.get(opinion.target_group)
             if not sources or not targets:
                 continue
-            subj, obj = min(
-                ((s, t) for s in sources for t in targets),
-                key=lambda pair: (abs(pair[0].token_span[0] - pair[1].token_span[0]),
-                                  pair[0].token_span[0], pair[1].token_span[0]))
-            seq = tz.build_term_sequence(
-                sentence.tokens,
-                [(m.token_span[0], m.token_span[1], m.group_id) for m in mentions],
-                subj.token_span, obj.token_span,
-                frames=sent_frames[s_idx], lemmatizer=lemmatizer)
+            subj, obj = min(((s, t) for s in sources for t in targets),
+                            key=lambda pair: (abs(pair[0][0] - pair[1][0]),
+                                              pair[0][0], pair[1][0]))
+            if s_idx not in built:
+                tokens = doc.sentences[s_idx].tokens
+                lemmas = [lemmatizer(t) for t in tokens]
+                frames = ([] if frame_lexicon is None
+                          else lx.match_frames(lemmas, frame_lexicon))
+                built[s_idx] = tz.sentence_terms(
+                    tokens, lemmas, itertools.chain(*spans_by_group.values()),
+                    frames)
+            seq = _context_sequence(built[s_idx], subj, obj)
             samples.append(ContextSample(doc.doc_id, s_idx, seq, opinion.label,
                                          opinion.source_group, opinion.target_group))
     return samples

@@ -172,7 +172,12 @@ class Batch:
 
 
 def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
-    """TermSequences -> Batch; att-ef adds up to k-2 frame positions."""
+    """TermSequences -> Batch; att-ef adds up to k-2 frame positions.
+
+    Each distinct term is mapped to its word and polarity ids once. Terms
+    are shared instances (tz.Term.shared), so they are told apart by
+    identity; an equal term that is not shared just gets its own row.
+    """
     if feature_mode not in FEATURE_MODES:
         raise ValueError("unknown feature mode: %r" % (feature_mode,))
     count = len(seqs)
@@ -181,22 +186,26 @@ def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
     lengths = np.empty(count, dtype=np.intp)
     features = np.zeros((count, k), dtype=np.intp)
     feature_lengths = np.empty(count, dtype=np.intp)
-    neutral = _POLARITY_INDEX[lx.NEUTRAL]
     for i, seq in enumerate(seqs):
         terms = seq.terms
         if len(terms) > n:
             raise ValueError("sequence length %d exceeds n=%d" % (len(terms), n))
         lengths[i] = len(terms)
-        word_ids[i, :len(terms)] = [vocab.id_of_term(t) for t in terms]
-        polarity_ids[i, :len(terms)] = [
-            _POLARITY_INDEX[t.polarity] if t.kind == tz.FRAME else neutral
-            for t in terms]
         feats = [seq.subj_pos, seq.obj_pos]
         if feature_mode == "att-ef":
             feats += [j for j, t in enumerate(terms) if t.kind == tz.FRAME]
         feats = feats[:k]
         features[i, :len(feats)] = feats
         feature_lengths[i] = len(feats)
+    terms = [t for seq in seqs for t in seq.terms]
+    distinct = {id(t): t for t in terms}
+    row_of = {key: row for row, key in enumerate(distinct)}
+    neutral = _POLARITY_INDEX[lx.NEUTRAL]
+    table = np.array([(vocab.id_of_term(t), _POLARITY_INDEX[t.polarity]
+                       if t.kind == tz.FRAME else neutral)
+                      for t in distinct.values()], dtype=np.intp).reshape(-1, 2)
+    real = np.arange(n) < lengths[:, None]
+    word_ids[real], polarity_ids[real] = table[[row_of[id(t)] for t in terms]].T
     subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
     obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
     return Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos, features,

@@ -111,9 +111,6 @@ class Tape:
         """Tape-bound leaf; gradients may flow into it but go nowhere."""
         return Tensor(data, self)
 
-    def zeros(self, *shape: int) -> Tensor:
-        return Tensor(np.zeros(shape), self)
-
     def backward(self, loss: Tensor, seed: float = 1.0) -> None:
         """Reverse sweep from a scalar loss, seeding d(loss)/d(loss)=seed."""
         if loss.tape is not self:

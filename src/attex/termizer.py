@@ -157,8 +157,9 @@ class TermSequence:
 
 
 def lemmatize(token):
-    """Default lemmatizer: Unicode lowercasing."""
-    return token.lower()
+    """Default lemmatizer: Unicode casefolding, as the lexicons fold
+    their entries (so "Straße" is "strasse")."""
+    return token.casefold()
 
 
 def _is_number(token):
@@ -194,54 +195,31 @@ def classify_token(token):
     return None
 
 
-def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=(),
-                        lemmatizer=lemmatize):
-    """Mask mentions, collapse frame matches, classify leftover tokens.
+def sentence_terms(tokens, lemmas, mentions, frames=()):
+    """Terms of one sentence with every mention masked as entity_other,
+    and {mention span: its term position}.
 
-    tokens: sentence surface tokens.
-    mentions: (start, end, group_id) half-open token spans, disjoint.
-    subj_span, obj_span: the chosen participant mention spans; must be
-        members of `mentions`.
-    frames: ((start, end), polarity) matches over the lemmatized tokens;
-        matches overlapping any mention are discarded.
+    tokens, lemmas: the sentence's surface tokens and their lemmas.
+    mentions: (start, end) half-open token spans, disjoint.
+    frames: ((start, end), polarity) matches over the lemmas; matches
+        overlapping any mention are discarded.
     """
-    subj_span = tuple(subj_span)
-    obj_span = tuple(obj_span)
-    if subj_span == obj_span:
-        raise ValueError("subject and object use the same mention")
-    mention_spans = {(m[0], m[1]) for m in mentions}
-    if subj_span not in mention_spans:
-        raise ValueError("subject mention absent from sentence")
-    if obj_span not in mention_spans:
-        raise ValueError("object mention absent from sentence")
-
-    lemmas = [lemmatizer(tok) for tok in tokens]
     in_mention = [False] * len(tokens)
-    for start, end in mention_spans:
-        for i in range(start, end):
-            in_mention[i] = True
-
-    mention_at = {m[0]: (m[0], m[1]) for m in mentions}
-    frame_at = {}
-    for (start, end), polarity in frames:
-        if any(in_mention[start:end]):
-            continue
-        frame_at[start] = (end, polarity)
+    mention_end = {}
+    for start, end in mentions:
+        mention_end[start] = end
+        in_mention[start:end] = [True] * (end - start)
+    frame_at = {start: (end, polarity) for (start, end), polarity in frames
+                if not any(in_mention[start:end])}
 
     terms = []
-    subj_pos = obj_pos = None
+    positions = {}
     i = 0
     while i < len(tokens):
-        if i in mention_at:
-            start, end = mention_at[i]
-            if (start, end) == subj_span:
-                subj_pos = len(terms)
-                terms.append(Term.entity_subj())
-            elif (start, end) == obj_span:
-                obj_pos = len(terms)
-                terms.append(Term.entity_obj())
-            else:
-                terms.append(Term.entity_other())
+        if i in mention_end:
+            end = mention_end[i]
+            positions[i, end] = len(terms)
+            terms.append(Term.entity_other())
             i = end
         elif i in frame_at:
             end, polarity = frame_at[i]
@@ -256,8 +234,7 @@ def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=(),
             else:
                 terms.append(Term.token(kind))
             i += 1
-
-    return TermSequence(terms, subj_pos, obj_pos)
+    return terms, positions
 
 
 def crop_to_window(seq, n):

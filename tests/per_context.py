@@ -11,10 +11,18 @@ Ops that the package does not provide (the elementwise product, row and
 slice selection, stacking, the 1-d softmax, the clamped cross-entropy,
 the 2-d convolution and max pool) are defined here on top of
 `tg.Tensor` and the tape's record list.
+
+The extraction and compilation that feed the model are kept here the
+same way: `extract_contexts` builds every context's terms from the
+tokens (`build_term_sequence`), and `compile_sequences` maps every term
+of every context to its ids one by one.
 """
+
+from collections import defaultdict
 
 import numpy as np
 
+from attex import corpus as cp
 from attex import encoders as enc
 from attex import lexicons as lx
 from attex import tensorgrad as tg
@@ -148,7 +156,7 @@ def lstm_step(tape, x_t, h_prev, c_prev, w, u, b):
 def lstm_run(tape, rows, w, u, b):
     """States after each row of the list `rows`, in order."""
     h = u.shape[0]
-    h_t, c_t = tape.zeros(h), tape.zeros(h)
+    h_t, c_t = tape.constant(np.zeros(h)), tape.constant(np.zeros(h))
     states = []
     for x_t in rows:
         h_t, c_t = lstm_step(tape, x_t, h_t, c_t, w, u, b)
@@ -191,8 +199,8 @@ def embed(tape, embedder, seq):
             parts.append(tg.embedding_lookup(tape, embedder.position_table, ids))
     x = tg.concat(parts, axis=1)
     if n_real < embedder.n:
-        x = tg.concat([x, tape.zeros(embedder.n - n_real, embedder.row_width)],
-                      axis=0)
+        pad = tape.constant(np.zeros((embedder.n - n_real, embedder.row_width)))
+        x = tg.concat([x, pad], axis=0)
     frames = [i for i, t in enumerate(seq.terms) if t.kind == tz.FRAME]
     return Context(x, n_real, seq.subj_pos, seq.obj_pos, frames)
 
@@ -214,7 +222,7 @@ def _pcnn(encoder, ctx):
         if end > start:
             blocks.append(max_pool(narrow(conv, 0, start, end - start)))
         else:
-            blocks.append(ctx.x.tape.zeros(encoder.cfg.filters))
+            blocks.append(ctx.x.tape.constant(np.zeros(encoder.cfg.filters)))
     return tg.concat(blocks, axis=0)
 
 
@@ -332,3 +340,132 @@ def vocab_for(seqs):
     lemmas = [t.lemma for seq in seqs for t in seq.terms
               if t.kind in (tz.WORD, tz.FRAME)]
     return enc.Vocab(lemmas)
+
+
+def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=(),
+                        lemmatizer=tz.lemmatize):
+    """Mask mentions, collapse frame matches, classify leftover tokens.
+
+    tokens: sentence surface tokens.
+    mentions: (start, end, group_id) half-open token spans, disjoint.
+    subj_span, obj_span: the chosen participant mention spans; must be
+        members of `mentions`.
+    frames: ((start, end), polarity) matches over the lemmatized tokens;
+        matches overlapping any mention are discarded.
+    """
+    subj_span = tuple(subj_span)
+    obj_span = tuple(obj_span)
+    if subj_span == obj_span:
+        raise ValueError("subject and object use the same mention")
+    mention_spans = {(m[0], m[1]) for m in mentions}
+    if subj_span not in mention_spans:
+        raise ValueError("subject mention absent from sentence")
+    if obj_span not in mention_spans:
+        raise ValueError("object mention absent from sentence")
+
+    lemmas = [lemmatizer(tok) for tok in tokens]
+    in_mention = [False] * len(tokens)
+    for start, end in mention_spans:
+        for i in range(start, end):
+            in_mention[i] = True
+
+    mention_at = {m[0]: (m[0], m[1]) for m in mentions}
+    frame_at = {}
+    for (start, end), polarity in frames:
+        if any(in_mention[start:end]):
+            continue
+        frame_at[start] = (end, polarity)
+
+    terms = []
+    subj_pos = obj_pos = None
+    i = 0
+    while i < len(tokens):
+        if i in mention_at:
+            start, end = mention_at[i]
+            if (start, end) == subj_span:
+                subj_pos = len(terms)
+                terms.append(tz.Term.entity_subj())
+            elif (start, end) == obj_span:
+                obj_pos = len(terms)
+                terms.append(tz.Term.entity_obj())
+            else:
+                terms.append(tz.Term.entity_other())
+            i = end
+        elif i in frame_at:
+            end, polarity = frame_at[i]
+            preceding = lemmas[i - 1] if i > 0 else ""
+            adjusted = lx.apply_negation(polarity, preceding)
+            terms.append(tz.Term.frame(" ".join(lemmas[i:end]), adjusted))
+            i = end
+        else:
+            kind = tz.classify_token(tokens[i])
+            if kind is None:
+                terms.append(tz.Term.word(lemmas[i]))
+            else:
+                terms.append(tz.Term.token(kind))
+            i += 1
+
+    return tz.TermSequence(terms, subj_pos, obj_pos)
+
+
+def extract_contexts(doc, opinions, frame_lexicon=None, lemmatizer=tz.lemmatize):
+    """cp.extract_contexts with every context built from the tokens."""
+    sent_lemmas = [[lemmatizer(t) for t in s.tokens] for s in doc.sentences]
+    if frame_lexicon is None:
+        sent_frames = [[] for _ in doc.sentences]
+    else:
+        sent_frames = [lx.match_frames(lemmas, frame_lexicon)
+                       for lemmas in sent_lemmas]
+    mentions_by_sentence = defaultdict(list)
+    for m in doc.entity_mentions:
+        mentions_by_sentence[m.sentence_idx].append(m)
+
+    samples = []
+    for opinion in opinions:
+        for s_idx, sentence in enumerate(doc.sentences):
+            mentions = mentions_by_sentence[s_idx]
+            sources = [m for m in mentions if m.group_id == opinion.source_group]
+            targets = [m for m in mentions if m.group_id == opinion.target_group]
+            if not sources or not targets:
+                continue
+            subj, obj = min(
+                ((s, t) for s in sources for t in targets),
+                key=lambda pair: (abs(pair[0].token_span[0] - pair[1].token_span[0]),
+                                  pair[0].token_span[0], pair[1].token_span[0]))
+            seq = build_term_sequence(
+                sentence.tokens,
+                [(m.token_span[0], m.token_span[1], m.group_id) for m in mentions],
+                subj.token_span, obj.token_span,
+                frames=sent_frames[s_idx], lemmatizer=lemmatizer)
+            samples.append(cp.ContextSample(doc.doc_id, s_idx, seq, opinion.label,
+                                            opinion.source_group, opinion.target_group))
+    return samples
+
+
+def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
+    """enc.compile_sequences with every term of every context mapped by
+    vocab.id_of_term, one by one."""
+    count = len(seqs)
+    word_ids = np.zeros((count, n), dtype=np.intp)
+    polarity_ids = np.zeros((count, n), dtype=np.intp)
+    lengths = np.empty(count, dtype=np.intp)
+    features = np.zeros((count, k), dtype=np.intp)
+    feature_lengths = np.empty(count, dtype=np.intp)
+    neutral = lx.POLARITIES.index(lx.NEUTRAL)
+    for i, seq in enumerate(seqs):
+        terms = seq.terms
+        lengths[i] = len(terms)
+        word_ids[i, :len(terms)] = [vocab.id_of_term(t) for t in terms]
+        polarity_ids[i, :len(terms)] = [
+            lx.POLARITIES.index(t.polarity) if t.kind == tz.FRAME else neutral
+            for t in terms]
+        feats = [seq.subj_pos, seq.obj_pos]
+        if feature_mode == "att-ef":
+            feats += [j for j, t in enumerate(terms) if t.kind == tz.FRAME]
+        feats = feats[:k]
+        features[i, :len(feats)] = feats
+        feature_lengths[i] = len(feats)
+    subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
+    obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
+    return enc.Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos,
+                     features, feature_lengths)

@@ -215,6 +215,21 @@ class TestSummarize:
                 alpha, sample.terms.terms, tz.GROUP_FRAMES, SENT_LEX, PREPS))
         assert np.array_equal(frames.kde_s, an.kde(values, frames.grid))
 
+    def test_classifies_each_distinct_term_once(self, monkeypatch):
+        samples = mixed_samples() * 3
+        model = attentive_model(samples, seed=10)
+        calls = []
+        group_of = tz.group_of
+
+        def counted(term, *args):
+            calls.append(term)
+            return group_of(term, *args)
+
+        monkeypatch.setattr(tz, "group_of", counted)
+        an.summarize_distributions(model, samples, SENT_LEX, PREPS)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {t for s in samples for t in s.terms.terms}
+
     def test_equal_to_the_per_group_path_on_random_contexts(self):
         # summarize_distributions classifies each term once per context;
         # its means and curves must equal, exactly, those built from

@@ -149,3 +149,51 @@ def test_compile_pads_with_zero_ids():
     assert batch.lengths[0] == 2
     assert np.all(batch.word_ids[0, 2:] == 0)
     assert np.array_equal(batch.mask[0], [True, True] + [False] * 4)
+
+
+def mixed_contexts(rng, n, count, words):
+    """random_contexts with other-mention masks and typed tokens mixed in."""
+    extra = [tz.Term.entity_other(), tz.Term.token(tz.PUNCTUATION),
+             tz.Term.token(tz.NUMBER), tz.Term.token(tz.URL)]
+    seqs = []
+    for seq in pc.random_contexts(rng, n, count, words):
+        terms = list(seq.terms)
+        for j in range(len(terms)):
+            if j not in (seq.subj_pos, seq.obj_pos) and rng.random() < 0.2:
+                terms[j] = extra[int(rng.integers(len(extra)))]
+        seqs.append(tz.TermSequence(terms, seq.subj_pos, seq.obj_pos))
+    return seqs
+
+
+@pytest.mark.parametrize("mode", enc.FEATURE_MODES)
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_compile_equals_the_per_term_oracle(kind, mode):
+    # The vocabulary comes from other contexts over fewer lemmas, so some
+    # terms map to <unk>.
+    rng = np.random.default_rng([80, enc.ENCODER_KINDS.index(kind),
+                                 enc.FEATURE_MODES.index(mode)])
+    model = random_model(rng, kind, mode, mixed_contexts(rng, 8, 8, 6), 8)
+    seqs = mixed_contexts(rng, 8, 32, 9)
+    got = model.compile(samples_of(seqs))
+    cfg = model.encoder.cfg
+    want = pc.compile_sequences(seqs, model.embedder.vocab, cfg.n, cfg.k,
+                                cfg.feature_mode)
+    assert np.any(got.word_ids == model.embedder.vocab.id_of(enc.UNK))
+    for name in enc.Batch.__slots__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_compile_maps_each_distinct_term_once(monkeypatch):
+    seqs = mixed_contexts(np.random.default_rng(7), 8, 64, 6)
+    vocab = pc.vocab_for(seqs)
+    calls = []
+    id_of_term = enc.Vocab.id_of_term
+
+    def counted(self, term):
+        calls.append(term)
+        return id_of_term(self, term)
+
+    monkeypatch.setattr(enc.Vocab, "id_of_term", counted)
+    enc.compile_sequences(seqs, vocab, 8)
+    assert len(calls) == len(set(calls))
+    assert len(calls) < sum(len(seq) for seq in seqs)

@@ -1,14 +1,20 @@
 """Ingestion, augmentation, context extraction, and splitting."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import per_context as pc
+import synth
 from attex import corpus as cp
 from attex import lexicons as lx
+from attex import model as md
 from attex import termizer as tz
 from attex.errors import DataError
 
@@ -265,6 +271,117 @@ class TestExtractContexts:
                 if opinion.source_group in present and opinion.target_group in present:
                     want[opinion.label] += 1
         assert Counter(s.label for s in samples) == want
+
+    def test_frame_entries_match_their_casefolded_words(self, tmp_path):
+        # The lexicon casefolds its entries, so the lemmas must be
+        # casefolded too: "Straße" is "strasse", a final sigma is "σ".
+        path = tmp_path / "frames.txt"
+        path.write_text("Straße\tneg\nΟΔΟΣ\tpos\n", encoding="utf-8")
+        doc = cp.Document(
+            "d",
+            [cp.Sentence(["A", "Straße", "B"]), cp.Sentence(["A", "οδος", "B"])],
+            [cp.EntityMention(0, (0, 1), "A"), cp.EntityMention(0, (2, 3), "B"),
+             cp.EntityMention(1, (0, 1), "A"), cp.EntityMention(1, (2, 3), "B")],
+            [cp.SynonymGroup("A", ["a"]), cp.SynonymGroup("B", ["b"])])
+        samples = cp.extract_contexts(doc, [cp.Opinion("A", "B", "positive")],
+                                      lx.load_frame_lexicon(path))
+        assert [s.terms.terms[1] for s in samples] == [
+            tz.Term.frame("strasse", "negative"),
+            tz.Term.frame("οδοσ", "positive")]
+
+    def test_lemmatizes_each_token_once(self):
+        doc = synth.build_corpus(0, n_docs=3).documents[0]
+        opinions = cp.augment_neutral(doc, [])
+        calls = []
+
+        def counted(token):
+            calls.append(token)
+            return tz.lemmatize(token)
+
+        samples = cp.extract_contexts(doc, opinions, synth.frame_lexicon(),
+                                      counted)
+        assert len(samples) > len({s.sentence_idx for s in samples})
+        assert len(calls) <= sum(len(s) for s in doc.sentences)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "05e089781f7a9641015e43db5ce96e753763f9299fc4be0c94581d402e4c7eee"),
+        (1, "681f22a17ec4b35529dcb7fe61fa97da3f18fa7d6a5f41312184a91381b6f909"),
+        (2, "4e6ef878f8991ee4f8bb1653f8d1fc93e8b74964ce48653f1b7912be2f4559b8"),
+    ])
+    def test_synthetic_contexts_are_pinned(self, seed, digest):
+        corpus = synth.build_corpus(seed)
+        samples, _ = md.extract_samples(corpus.documents, corpus,
+                                        synth.frame_lexicon())
+        assert contexts_digest(samples) == digest
+
+
+def contexts_digest(samples):
+    """sha256 of every context's fields and term keys, in order."""
+    digest = hashlib.sha256()
+    for s in samples:
+        record = [s.doc_id, s.sentence_idx, s.label, s.source_group,
+                  s.target_group,
+                  [[t.kind, t.lemma, t.polarity, t.token_kind]
+                   for t in s.terms.terms],
+                  s.subj_pos, s.obj_pos]
+        digest.update(json.dumps(record, ensure_ascii=False).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+ORACLE_GROUPS = ("A", "B", "C", "D")
+ORACLE_TOKENS = ("мир", "не", "f1", "F1", "f2", "g", "Не", ",", "42",
+                 "http://e.org")
+ORACLE_FRAMES = lx.FrameLexicon([
+    lx.FrameEntry(("f1",), lx.POSITIVE),
+    lx.FrameEntry(("f2", "g"), lx.NEGATIVE),
+    lx.FrameEntry(("g",), lx.NEUTRAL),
+    lx.FrameEntry(("мир", "f1"), lx.NEGATIVE)])
+
+
+@st.composite
+def oracle_documents(draw):
+    """Documents of 1-4 sentences with 2-5 mentions each, listed in any
+    order. Mentions span 1-3 tokens drawn like the rest, so frames
+    overlap them; a group may be mentioned twice in a sentence."""
+    tokens_st = st.lists(st.sampled_from(ORACLE_TOKENS), max_size=3)
+    sentences, mentions = [], []
+    for s_idx in range(draw(st.integers(1, 4))):
+        tokens = []
+        for _ in range(draw(st.integers(2, 5))):
+            tokens += draw(tokens_st)
+            width = draw(st.integers(1, 3))
+            mentions.append(cp.EntityMention(
+                s_idx, (len(tokens), len(tokens) + width),
+                draw(st.sampled_from(ORACLE_GROUPS))))
+            tokens += draw(st.lists(st.sampled_from(ORACLE_TOKENS),
+                                    min_size=width, max_size=width))
+        tokens += draw(tokens_st)
+        sentences.append(cp.Sentence(tokens))
+    groups = [cp.SynonymGroup(g, [g.lower()]) for g in ORACLE_GROUPS]
+    doc = cp.Document("d", sentences, draw(st.permutations(mentions)), groups)
+    pairs = draw(st.lists(st.permutations(ORACLE_GROUPS).map(
+        lambda p: (p[0], p[1])), unique=True, max_size=6))
+    annotated = [cp.Opinion(s, t, draw(st.sampled_from(
+        (lx.POSITIVE, lx.NEGATIVE)))) for s, t in pairs]
+    return doc, cp.augment_neutral(doc, annotated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_documents(), frames=st.booleans())
+def test_extraction_equals_the_per_context_oracle(case, frames):
+    doc, opinions = case
+    lexicon = ORACLE_FRAMES if frames else None
+    got = cp.extract_contexts(doc, opinions, lexicon)
+    want = pc.extract_contexts(doc, opinions, lexicon)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.doc_id, g.sentence_idx, g.label, g.source_group,
+                g.target_group) == (w.doc_id, w.sentence_idx, w.label,
+                                    w.source_group, w.target_group)
+        assert len(g.terms) == len(w.terms)
+        assert all(a is b for a, b in zip(g.terms.terms, w.terms.terms))
+        assert (g.subj_pos, g.obj_pos) == (w.subj_pos, w.obj_pos)
 
 
 def _docs_with_counts(counts):

@@ -106,7 +106,7 @@ def test_gradient_check_edge_sizes(T, h):
     readout = rng.uniform(-1, 1, (2, T, 2 * h))
 
     def f(tape):
-        xm = tg.add(tape.zeros(2, T, 2), x)
+        xm = tg.add(tape.constant(np.zeros((2, T, 2))), x)
         both = tg.lstm_sequence(xm, cells, lengths)
         return _weighted_sum(tape, both, readout)
 

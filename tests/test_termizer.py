@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from attex import corpus as cp
 from attex import lexicons as lx
 from attex import termizer as tz
 
@@ -92,9 +93,28 @@ class TestTermSequenceValidation:
             tz.TermSequence([], 0, 1)
 
 
+def build_term_sequence(tokens, mentions, subj_span, obj_span, frames=()):
+    """One context's terms as extract_contexts builds them: the
+    sentence's terms, then the participant masks."""
+    lemmas = [tz.lemmatize(t) for t in tokens]
+    terms = tz.sentence_terms(tokens, lemmas, [m[:2] for m in mentions], frames)
+    return cp._context_sequence(terms, subj_span, obj_span)
+
+
+class TestSentenceTerms:
+    def test_every_mention_masked_as_other(self):
+        terms, positions = tz.sentence_terms(
+            ["the", "United", "States", "met", "Cuba"],
+            ["the", "united", "states", "met", "cuba"],
+            [(1, 3), (4, 5)])
+        assert terms == [tz.Term.word("the"), tz.Term.entity_other(),
+                         tz.Term.word("met"), tz.Term.entity_other()]
+        assert positions == {(1, 3): 1, (4, 5): 3}
+
+
 class TestBuildTermSequence:
     def test_participants_and_frame(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["Russia", "condemns", "NATO"],
             mentions=[(0, 1, "g1"), (2, 3, "g2")],
             subj_span=(0, 1), obj_span=(2, 3),
@@ -105,7 +125,7 @@ class TestBuildTermSequence:
         assert (seq.subj_pos, seq.obj_pos) == (0, 2)
 
     def test_plain_words_and_tokens(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["A", "said", "hi", ",", "1945", "B"],
             mentions=[(0, 1, "g1"), (5, 6, "g2")],
             subj_span=(0, 1), obj_span=(5, 6))
@@ -118,7 +138,7 @@ class TestBuildTermSequence:
         frames = lx.match_frames(
             ["сша", "не", "одобрить", "ес"],
             lx.FrameLexicon([lx.FrameEntry(["одобрить"], "positive")]))
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["США", "не", "одобрить", "ЕС"],
             mentions=[(0, 1, "g1"), (3, 4, "g2")],
             subj_span=(0, 1), obj_span=(3, 4),
@@ -128,7 +148,7 @@ class TestBuildTermSequence:
         assert seq.terms[2] == tz.Term.frame("одобрить", want)
 
     def test_multi_token_mention_collapses(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["the", "United", "States", "met", "Cuba"],
             mentions=[(1, 3, "g1"), (4, 5, "g2")],
             subj_span=(1, 3), obj_span=(4, 5))
@@ -137,14 +157,14 @@ class TestBuildTermSequence:
         assert (seq.subj_pos, seq.obj_pos) == (1, 3)
 
     def test_other_mentions_masked(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["A", "likes", "B", "near", "C"],
             mentions=[(0, 1, "g1"), (2, 3, "g2"), (4, 5, "g3")],
             subj_span=(0, 1), obj_span=(2, 3))
         assert seq.terms[4] == tz.Term.entity_other()
 
     def test_multi_word_frame_collapses(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["A", "gave", "up", "B"],
             mentions=[(0, 1, "g1"), (3, 4, "g2")],
             subj_span=(0, 1), obj_span=(3, 4),
@@ -154,7 +174,7 @@ class TestBuildTermSequence:
                              tz.Term.entity_obj()]
 
     def test_frame_overlapping_mention_discarded(self):
-        seq = tz.build_term_sequence(
+        seq = build_term_sequence(
             ["A", "met", "B"],
             mentions=[(0, 1, "g1"), (2, 3, "g2")],
             subj_span=(0, 1), obj_span=(2, 3),
@@ -164,13 +184,13 @@ class TestBuildTermSequence:
 
     def test_missing_participant_mention(self):
         with pytest.raises(ValueError, match="absent"):
-            tz.build_term_sequence(
+            build_term_sequence(
                 ["A", "B"], mentions=[(0, 1, "g1")],
                 subj_span=(0, 1), obj_span=(1, 2))
 
     def test_same_span_for_both_sides(self):
-        with pytest.raises(ValueError):
-            tz.build_term_sequence(
+        with pytest.raises(ValueError, match="same mention"):
+            build_term_sequence(
                 ["A", "B"], mentions=[(0, 1, "g1"), (1, 2, "g2")],
                 subj_span=(0, 1), obj_span=(0, 1))
 
@@ -192,8 +212,7 @@ class TestBuildTermSequence:
         for _ in range(int(rng.integers(0, 4))):
             tokens.append(str(rng.choice(filler)))
         subj, obj = mentions[0], mentions[1]
-        seq = tz.build_term_sequence(
-            tokens, mentions, subj_span=subj[:2], obj_span=obj[:2])
+        seq = build_term_sequence(tokens, mentions, subj_span=subj[:2], obj_span=obj[:2])
 
         lowered = {s.lower() for s in sentinels}
         for term in seq.terms:
