@@ -4,8 +4,9 @@ Settings come from a key=value config file; the command-line flags
 --encoder/--features/--mode/--seed/--out override file values.
 `prepare` writes the masked contexts to a cache that `train` and
 `analyze` read; `cv` and `eval` extract the contexts again. The cache's
-first line holds the sha256 of the inputs it was extracted from, and
-`train` and `analyze` refuse a cache whose inputs have changed since.
+first line holds the sha256 of the inputs it was extracted from and the
+table of distinct terms, and `train` and `analyze` refuse a cache whose
+inputs have changed since.
 Every input file is UTF-8 text whose blank lines are skipped. Every
 output file is written beside its target and moved onto it, so an
 interrupted run leaves the previous file whole.
@@ -48,7 +49,8 @@ _BOOL_KEYS = ("use_position",)
 _STR_KEYS = ("encoder", "features", "mode", "optimizer", "scope", "out",
              "cache")
 _ALL_KEYS = _PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
-_CACHE_HEADER = "inputs_sha256"
+_CACHE_FORMAT = 2
+_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class UsageError(Exception):
@@ -185,46 +187,23 @@ class ExperimentConfig:
         return cp.load_corpus(documents, self.values.get("opinions"))
 
 
-def _term_to_obj(term):
-    obj = {"kind": term.kind}
-    if term.lemma is not None:
-        obj["lemma"] = term.lemma
-    if term.polarity is not None:
-        obj["polarity"] = term.polarity
-    if term.token_kind is not None:
-        obj["token"] = term.token_kind
-    return obj
+def _sample_row(sample, index_of):
+    """A sample's cache line: its fields, then its terms' table ids."""
+    seq = sample.terms
+    return _JSON.encode([sample.doc_id, sample.sentence_idx, sample.label,
+                         sample.source_group, sample.target_group,
+                         seq.subj_pos, seq.obj_pos,
+                         [index_of[id(t)] for t in seq.terms]])
 
 
-def _term_from_obj(obj):
-    return tz.Term.shared(obj["kind"], lemma=obj.get("lemma"),
-                          polarity=obj.get("polarity"),
-                          token_kind=obj.get("token"))
-
-
-def _sample_to_line(sample):
-    obj = {
-        "doc_id": sample.doc_id,
-        "sentence_idx": sample.sentence_idx,
-        "label": sample.label,
-        "source": sample.source_group,
-        "target": sample.target_group,
-        "subj_pos": sample.terms.subj_pos,
-        "obj_pos": sample.terms.obj_pos,
-        "terms": [_term_to_obj(t) for t in sample.terms.terms],
-    }
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True,
-                      separators=(",", ":"))
-
-
-def _sample_from_obj(obj, path, lineno):
-    try:
-        terms = [_term_from_obj(t) for t in obj["terms"]]
-        seq = tz.TermSequence(terms, obj["subj_pos"], obj["obj_pos"])
-        return cp.ContextSample(obj["doc_id"], obj["sentence_idx"], seq,
-                                obj["label"], obj["source"], obj["target"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("bad cache record: %s" % exc, path=path, line=lineno)
+def _row_sample(row, table):
+    doc_id, sentence, label, source, target, subj_pos, obj_pos, ids = row
+    if not isinstance(doc_id, str):
+        raise ValueError("doc_id must be a string")
+    if not all(type(i) is int and 0 <= i < len(table) for i in ids):
+        raise ValueError("term ids must be integers below %d" % len(table))
+    seq = tz.TermSequence([table[i] for i in ids], subj_pos, obj_pos)
+    return cp.ContextSample(doc_id, sentence, seq, label, source, target)
 
 
 def _inputs_sha256(cfg, required_by):
@@ -242,25 +221,43 @@ def _inputs_sha256(cfg, required_by):
 
 
 def write_cache(samples, path, sha256):
-    """A header line holding the inputs' sha256, then one line per sample."""
-    header = json.dumps({_CACHE_HEADER: sha256})
+    """A header line holding the inputs' sha256, the format and the table
+    of distinct terms (told apart by identity, as they are shared) in
+    first-seen order; then one line per sample with its terms' table ids.
+    """
+    distinct = {id(t): t for sample in samples for t in sample.terms.terms}
+    index_of = {key: i for i, key in enumerate(distinct)}
+    header = {"inputs_sha256": sha256, "format": _CACHE_FORMAT,
+              "terms": [[t.kind, t.lemma, t.polarity, t.token_kind]
+                        for t in distinct.values()]}
     write_lines(path, itertools.chain(
-        [header], (_sample_to_line(sample) for sample in samples)))
+        [_JSON.encode(header)],
+        (_sample_row(sample, index_of) for sample in samples)))
 
 
 def read_cache(path, sha256=None):
-    """The samples of a cache, without its header line.
-
-    A cache whose first line is no header, or, given the sha256 of the
-    current inputs, whose header holds another one, is a data error.
-    """
+    """The samples of a cache. A first line that is no header of this
+    format or, given the sha256 of the current inputs, holds another one
+    is a data error, as is a bad term table (line 1) or record."""
     records = read_json_lines(path)
-    _, first = next(records, (1, None))
-    header = first.get(_CACHE_HEADER) if isinstance(first, dict) else None
-    if header is None or (sha256 is not None and header != sha256):
+    _, header = next(records, (1, None))
+    header = header if isinstance(header, dict) else {}
+    found = header.get("inputs_sha256")
+    if (found is None or header.get("format") != _CACHE_FORMAT
+            or (sha256 is not None and found != sha256)):
         raise DataError("cache was prepared from other inputs; "
                         "run prepare again", path=path, line=1)
-    return [_sample_from_obj(obj, path, lineno) for lineno, obj in records]
+    lineno, samples = 1, []
+    try:
+        entries = header["terms"]
+        if not all(isinstance(e, list) and len(e) == 4 for e in entries):
+            raise ValueError("a term is not [kind, lemma, polarity, token]")
+        table = [tz.Term.shared(*entry) for entry in entries]
+        for lineno, row in records:
+            samples.append(_row_sample(row, table))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError("bad cache record: %s" % exc, path=path, line=lineno)
+    return samples
 
 
 def _write_vocab(vocab, path):

@@ -256,25 +256,80 @@ class TestPrepare:
         subjects = [s.terms.terms[s.subj_pos] for s in samples]
         assert all(t is tz.Term.entity_subj() for t in subjects)
 
+    # The header's term table: [kind, lemma, polarity, token_kind].
     @pytest.mark.parametrize("term", [
-        {"kind": "word"},
-        {"kind": "frame", "lemma": "x", "polarity": "sideways"},
-        {"kind": "nonsense"},
-        {"kind": "word", "lemma": ["unhashable"]},
+        ["word", None, None, None],
+        ["frame", "x", "sideways", None],
+        ["nonsense", None, None, None],
+        ["word", ["unhashable"], None, None],
+        ["word", "x", None],
+        ["word", "x", None, None, None],
+        {"kind": "word", "lemma": "x"},
+        "word",
     ])
     def test_bad_cached_term_is_data_error(self, tmp_path, capsys, term):
         config, out = write_fixture(tmp_path)
         assert cli.main(["prepare", "--config", str(config)]) == 0
         cache = out / "contexts.jsonl"
         lines = cache.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[1])
-        record["terms"][-1] = term
-        lines[1] = json.dumps(record, ensure_ascii=False)
+        header = json.loads(lines[0])
+        header["terms"][-1] = term
+        lines[0] = json.dumps(header, ensure_ascii=False)
         cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["analyze", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(
-            "data error: %s:2: bad cache record: " % cache)
+            "data error: %s:1: bad cache record: " % cache)
+
+    @pytest.mark.parametrize("table", ["word", 7, None])
+    def test_bad_term_table_is_data_error(self, tmp_path, capsys, table):
+        config, out = prepared(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        if table is None:
+            del header["terms"]
+        else:
+            header["terms"] = table
+        lines[0] = json.dumps(header, ensure_ascii=False)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:1: bad cache record: " % cache)
+
+    # Each case rewrites the last record, so the error names its line.
+    @pytest.mark.parametrize("case", [
+        "id-out-of-range", "id-negative", "id-true", "id-float", "id-string",
+        "ids-not-array", "short-record", "long-record", "object-record",
+        "doc-id-array",
+    ])
+    def test_bad_cached_record_is_data_error(self, tmp_path, capsys, case):
+        config, out = prepared(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        size = len(json.loads(lines[0])["terms"])
+        row = json.loads(lines[-1])
+        bad_id = {"id-out-of-range": size, "id-negative": -1, "id-true": True,
+                  "id-float": 1.0, "id-string": "0"}
+        if case in bad_id:
+            # Not a participant's mask, whose loss alone fails the record.
+            j = min({0, 1, 2} - {row[5], row[6]})
+            row[-1][j] = bad_id[case]
+        elif case == "ids-not-array":
+            row[-1] = 0
+        elif case == "short-record":
+            row = row[:-1]
+        elif case == "long-record":
+            row.append(0)
+        elif case == "doc-id-array":
+            row[0] = [row[0]]
+        else:
+            row = dict(zip("abcdefgh", row))
+        lines[-1] = json.dumps(row, ensure_ascii=False)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: %s:%d: bad cache record: " % (cache, len(lines)))
 
     def test_missing_lexicon_fails_before_work(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
@@ -305,16 +360,16 @@ class TestPrepare:
         config, out = write_fixture(tmp_path)
         assert cli.main(["prepare", "--config", str(config)]) == 0
         first = (out / "contexts.jsonl").read_bytes()
-        to_line = cli._sample_to_line
+        to_row = cli._sample_row
         calls = []
 
-        def failing_to_line(sample):
+        def failing_to_row(sample, index_of):
             calls.append(sample)
             if len(calls) == 3:
                 raise OSError("No space left on device")
-            return to_line(sample)
+            return to_row(sample, index_of)
 
-        monkeypatch.setattr(cli, "_sample_to_line", failing_to_line)
+        monkeypatch.setattr(cli, "_sample_row", failing_to_row)
         assert cli.main(["prepare", "--config", str(config)]) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert (out / "contexts.jsonl").read_bytes() == first
@@ -467,9 +522,47 @@ class TestStaleCache:
         cache = out / "contexts.jsonl"
         lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
         header = json.loads(lines[0])
-        assert list(header) == ["inputs_sha256"]
+        assert list(header) == ["inputs_sha256", "format", "terms"]
         assert len(header["inputs_sha256"]) == 64
+        assert header["format"] == 2
         cache.write_text("".join(lines[1:]), encoding="utf-8")
+        self.refused(capsys, config, out)
+
+    def test_parent_format_cache(self, tmp_path, capsys):
+        # The format before the term table: a header holding only the
+        # sha256, then one JSON object per term in each record.
+        config, out = self.trained(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        header = json.loads(cache.read_text(encoding="utf-8").splitlines()[0])
+        lines = [json.dumps({"inputs_sha256": header["inputs_sha256"]})]
+        for sample in cli.read_cache(str(cache)):
+            terms = [{key: value for key, value in (
+                ("kind", t.kind), ("lemma", t.lemma),
+                ("polarity", t.polarity), ("token", t.token_kind))
+                if value is not None} for t in sample.terms.terms]
+            lines.append(json.dumps(
+                {"doc_id": sample.doc_id,
+                 "sentence_idx": sample.sentence_idx,
+                 "label": sample.label, "source": sample.source_group,
+                 "target": sample.target_group, "subj_pos": sample.subj_pos,
+                 "obj_pos": sample.obj_pos, "terms": terms},
+                ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        cache.write_text("".join(line + "\n" for line in lines),
+                         encoding="utf-8")
+        self.refused(capsys, config, out)
+
+    @pytest.mark.parametrize("version", [None, 1, 3, "2", True])
+    def test_other_format_version(self, tmp_path, capsys, version):
+        config, out = self.trained(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        if version is None:
+            del header["format"]
+        else:
+            header["format"] = version
+        lines[0] = json.dumps(header, ensure_ascii=False) + "\n"
+        cache.write_text("".join(lines), encoding="utf-8")
         self.refused(capsys, config, out)
 
     def documents_directory(self, tmp_path, capsys):
