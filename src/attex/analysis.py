@@ -69,26 +69,6 @@ def extract_alpha(model, sample):
     return _alphas(model, [sample])[0, :len(sample.terms.terms)]
 
 
-def _group_weights(alpha, terms, group_of):
-    """{group: sum of the weights of its terms} over one context, each
-    group's weights summed in position order; group_of(term) names a
-    term's group."""
-    if len(alpha) != len(terms):
-        raise ValueError("weight count %d does not match %d terms"
-                         % (len(alpha), len(terms)))
-    totals = defaultdict(int)
-    for a, term in zip(alpha, terms):
-        totals[group_of(term)] += a
-    return totals
-
-
-def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
-                         preposition_list=None):
-    """Sum of weights over positions whose term belongs to the group."""
-    return float(_group_weights(alpha, terms, lambda term: tz.group_of(
-        term, sentiment_lexicon, preposition_list))[group])
-
-
 def silverman_bandwidth(samples):
     """1.06 * sample std * N^(-1/5), floored at 1e-3."""
     x = np.asarray(samples, dtype=float)
@@ -126,7 +106,10 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
 
     for sample, alpha in zip(contexts, _alphas(model, contexts)):
         terms = sample.terms.terms
-        totals = _group_weights(alpha[:len(terms)].tolist(), terms, group_of)
+        # A context's weight for a group: its terms' weights in position order.
+        totals = defaultdict(int)
+        for a, term in zip(alpha[:len(terms)].tolist(), terms):
+            totals[group_of(term)] += a
         cls = label_class(sample.label)
         for group in REPORT_GROUPS:
             weights[group, cls].append(min(float(totals[group]), 1.0))

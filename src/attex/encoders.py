@@ -3,8 +3,10 @@ fixed vectors s, and attentive kinds also expose per-term weights.
 
 Samples are compiled once into integer arrays (`compile_sequences`); the
 embedder turns a Batch of B of them into x (B, n, row_width), zero past
-each context's real terms, and every encoder runs the whole batch as one
-chain of tape ops.
+each context's real terms, in one `embedding_lookup` op, and every
+encoder runs the whole batch as one short chain of tape ops: cnn and
+pcnn a convolution and a max pool, the LSTM kinds one `lstm_sequence`
+per BiLSTM, att-cnn pcnn's chain plus one `feature_attention` op.
 
 Kinds and output sizes:
     cnn             conv -> tanh -> max pool            z = filters
@@ -265,20 +267,17 @@ class Embedder(Module):
             self.position_table = None
 
     def embed(self, tape, batch):
-        """Batch -> x (B, n, row_width), zero on padding."""
-        mask = batch.mask
-        parts = [tg.embedding_lookup(tape, self.word_table, batch.word_ids, mask),
-                 tg.embedding_lookup(tape, self.polarity_table,
-                                     batch.polarity_ids, mask)]
+        """Batch -> x (B, n, row_width), zero on padding, as one op."""
+        tables = [self.word_table, self.polarity_table]
+        ids = [batch.word_ids, batch.polarity_ids]
         if self.use_position:
             steps = np.arange(batch.word_ids.shape[1])
             for anchor in (batch.subj_pos, batch.obj_pos):
                 distance = np.clip(steps - anchor[:, None], -self.max_distance,
                                    self.max_distance)
-                parts.append(tg.embedding_lookup(
-                    tape, self.position_table, distance + self.max_distance,
-                    mask))
-        return tg.concat(parts, axis=2)
+                tables.append(self.position_table)
+                ids.append(distance + self.max_distance)
+        return tg.embedding_lookup(tape, tables, ids, batch.mask)
 
 
 class EncoderOutput:
@@ -334,8 +333,7 @@ def _pcnn_segments(batch):
     second, and the rest of the real terms."""
     p1 = np.minimum(batch.subj_pos, batch.obj_pos) + 1
     p2 = np.maximum(batch.subj_pos, batch.obj_pos) + 1
-    return (np.stack([np.zeros_like(p1), p1, p2], axis=1),
-            np.stack([p1, p2, batch.lengths], axis=1))
+    return np.array((0 * p1, p1, p2)).T, np.array((p1, p2, batch.lengths)).T
 
 
 class CnnEncoder(Module):
@@ -451,18 +449,11 @@ class AttCnnEncoder(Module):
 
     def encode(self, tape, x, batch):
         pooled = self.pcnn.encode(tape, x, batch)
-        feats = tg.gather(x, batch.features)
-        scores = tg.pair_attention_scores(x, feats, self.w1, self.b1, self.w2)
-        alpha = tg.softmax(scores, batch.mask[:, None, :])  # (B, k, n)
-        # Each real feature's attended row, averaged over the features.
-        feature_weights = _mean_weights(batch.feature_mask)
-        summaries = tg.einsum("bkt,btm->bkm", alpha, x)
-        attended = tg.einsum("bk,bkm->bm", tape.constant(feature_weights),
-                             summaries)
-        s = tg.concat([pooled.s, attended], axis=1)
-        mean_alpha = np.einsum("bk,bkt->bt", feature_weights, alpha.data)
-        mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
-        return EncoderOutput(s, alpha=mean_alpha)
+        attended, alpha = tg.feature_attention(
+            x, batch.features, batch.feature_mask, batch.mask, self.w1,
+            self.b1, self.w2)
+        return EncoderOutput(tg.concat([pooled.s, attended], axis=1),
+                             alpha=alpha)
 
 
 class IanEncoder(Module):

@@ -40,7 +40,7 @@ class ClassifierHead(enc.Module):
 
     def forward(self, tape, s):
         """s (B, z) -> logits (B, 3)."""
-        return tg.add(tg.matmul(tg.tanh(s), self.w_r), self.b_r)
+        return tg.tanh_affine(s, self.w_r, self.b_r)
 
 
 def class_probabilities(logits):
@@ -181,11 +181,15 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         p, m, v = self.param, self.m, self.v
-        m[...] = b1 * m + (1 - b1) * p.grad
-        v[...] = b2 * v + (1 - b2) * p.grad ** 2
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
-        p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # In place, with the values of m = b1*m + (1-b1)*g, v likewise and
+        # p -= lr * m_hat / (sqrt(v_hat) + eps).
+        m *= b1
+        m += (1 - b1) * p.grad
+        v *= b2
+        v += (1 - b2) * np.square(p.grad)
+        step = m / (1 - b1 ** self.t) * self.learning_rate
+        step /= np.sqrt(v / (1 - b2 ** self.t)) + self.eps
+        p.data -= step
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}

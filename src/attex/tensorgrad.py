@@ -7,12 +7,21 @@ just walks the record list backwards.
 
 The encoders run a whole mini-batch through each op: sequences are
 (B, n, ·) arrays whose rows are right-padded with zeros, and the ops that
-must not read padding (LSTM, softmax, max pool, embedding) take the real
-lengths or a mask.
+must not read padding (LSTM, softmax, max pool, embedding, attention)
+take the real lengths or a mask.
+
+Where a chain of generic ops ran on every mini-batch, one fused op with
+a handwritten backward replaces it: `embedding_lookup` fills every table
+of a row at once, `tanh_affine` is the classifier head, `lstm_sequence`
+runs one or two LSTM directions, `feature_attention` is att-cnn's
+attention and `softmax_cross_entropy` the loss. Each one sums in the
+order of the chain it replaced, so values and gradients stay the same
+bit for bit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -405,6 +414,13 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
     return out
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of x, whose masked entries are -inf."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def softmax(v: Operand, mask=None) -> Tensor:
     """Stable softmax over the last axis (max subtraction before exp).
 
@@ -415,15 +431,12 @@ def softmax(v: Operand, mask=None) -> Tensor:
     x = _value(v)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("softmax expects a non-empty last axis")
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    else:
-        mask = np.broadcast_to(mask, x.shape)
-        if not mask.any(axis=-1).all():
+    if mask is not None:
+        # Any over the last axis commutes with broadcasting the mask.
+        if not np.any(mask, axis=-1).all():
             raise ValueError("softmax: a row has no unmasked entry")
-        top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(mask, x - top, -np.inf))
-    ov = e / e.sum(axis=-1, keepdims=True)
+        x = np.where(mask, x, -np.inf)
+    ov = _softmax_rows(x)
     out = Tensor(ov, tape)
 
     def backward(g):
@@ -493,19 +506,23 @@ def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
         raise ValueError(f"max_pool_over_time: segments {starts.shape} "
                          f"do not fit a {av.shape}")
     B, T, f = av.shape
-    steps = np.arange(T)
-    inside = (steps >= starts[:, :, None]) & (steps < ends[:, :, None])
-    filled = inside.any(axis=2)[:, :, None]  # (B, S, 1)
-    values = np.where(inside[:, :, :, None], av[:, None], -np.inf)
-    rows = values.argmax(axis=2)  # (B, S, f), first maximum
-    picked = np.take_along_axis(values, rows[:, :, None], axis=2)[:, :, 0]
-    out = Tensor(np.where(filled, picked, 0.0).reshape(B, -1), tape)
-    index = (np.arange(B)[:, None, None], rows, np.arange(f))
+    steps = np.arange(T)[:, None, None]
+    inside = (steps >= starts) & (steps < ends)  # (T, B, S)
+    filled = inside.any(axis=0)[:, :, None]  # (B, S, 1)
+    # (T, B, S, f): time first, so the max over time is T - 1 elementwise
+    # maxima of contiguous blocks, and the argmax only runs in backward.
+    values = np.where(inside[..., None], av.transpose(1, 0, 2)[:, :, None],
+                      -np.inf)
+    out = Tensor(np.where(filled, values.max(axis=0), 0.0).reshape(B, -1),
+                 tape)
 
     def backward(g):
-        z = np.zeros_like(av)
-        np.add.at(z, index, g.reshape(rows.shape) * filled)
-        _accumulate(a, z)
+        rows = values.argmax(axis=0)  # (B, S, f), first maximum
+        flat = (np.arange(0, B * T, T)[:, None, None] + rows) * f + np.arange(f)
+        # bincount adds in input order, as np.add.at would.
+        z = np.bincount(flat.reshape(-1), (g.reshape(rows.shape) * filled)
+                        .reshape(-1), minlength=B * T * f)
+        _accumulate(a, z.reshape(av.shape))
 
     tape._record(out, backward)
     return out
@@ -530,10 +547,12 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
     if n < 1:
         raise ValueError("conv1d: empty sequence")
     left = win // 2
-    padded = np.zeros((B, n + win - 1, m))
-    padded[:, left : left + n] = xv
-    ov = np.broadcast_to(bv, (B, n, f)).copy()
-    for d in range(win):
+    padded = xv
+    if win > 1:
+        padded = np.zeros((B, n + win - 1, m))
+        padded[:, left : left + n] = xv
+    ov = padded[:, :n] @ wv[0] + bv
+    for d in range(1, win):
         ov += padded[:, d : d + n] @ wv[d]
     out = Tensor(ov, tape)
 
@@ -552,73 +571,139 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
     return out
 
 
-def pair_attention_scores(
-    x: Operand, feats: Operand, w1: Operand, b1: Operand, w2: Operand
-) -> Tensor:
-    """Scores tanh([x_t ; f_j]·W1 + b1)·w2 of every step t against every
-    feature j, as one op.
+def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
+                      b1: Operand, w2: Operand) -> tuple[Tensor, np.ndarray]:
+    """att-cnn's attention of each feature row over the steps, as one op.
 
-    x is (B, T, m), feats (B, k, m), w1 (2m, h), b1 (h,), w2 (h,); the
-    result is (B, k, T).
+    x is (B, T, m); features (B, k) are positions in each row of x and
+    feature_mask (B, k) is True on the real ones; mask (B, T) is True on
+    the real steps; w1 (2m, h), b1 (h,), w2 (h,). Feature j scores step t
+    as tanh([x_t ; x_j]·W1 + b1)·w2, its weights are the softmax of the
+    scores over the real steps, and it attends to the weighted sum of the
+    rows. Returns the mean of the real features' attended rows (B, m)
+    and alpha (B, T), the mean of their weights scaled to sum to 1.
     """
-    tape = _tape_of(x, feats, w1, b1, w2)
-    xv, fv, w1v, b1v, w2v = (_value(o) for o in (x, feats, w1, b1, w2))
+    tape = _tape_of(x, w1, b1, w2)
+    xv, w1v, b1v, w2v = (_value(o) for o in (x, w1, b1, w2))
+    pos = np.asarray(features, dtype=np.intp)
+    feature_mask, mask = np.asarray(feature_mask), np.asarray(mask)
     m = xv.shape[-1] if xv.ndim == 3 else 0
-    if xv.ndim != 3 or fv.ndim != 3 or fv.shape[::2] != xv.shape[::2] \
+    if xv.ndim != 3 or pos.ndim != 2 or pos.shape[0] != xv.shape[0] \
+            or feature_mask.shape != pos.shape or mask.shape != xv.shape[:2] \
             or w1v.ndim != 2 or w1v.shape[0] != 2 * m \
             or b1v.shape != w1v.shape[1:] or w2v.shape != w1v.shape[1:]:
         raise ValueError(
-            f"pair_attention_scores expects x (B,T,m), feats (B,k,m), "
-            f"w1 (2m,h), b1 (h,), w2 (h,); got {xv.shape}, {fv.shape}, "
-            f"{w1v.shape}, {b1v.shape}, {w2v.shape}"
-        )
+            f"feature_attention expects x (B,T,m), features and feature_mask "
+            f"(B,k), mask (B,T), w1 (2m,h), b1 (h,), w2 (h,); got {xv.shape}, "
+            f"{pos.shape}, {feature_mask.shape}, {mask.shape}, "
+            f"{w1v.shape}, {b1v.shape}, {w2v.shape}")
+    B, T, _ = xv.shape
+    if pos.size and (pos.min() < 0 or pos.max() >= T):
+        raise IndexError(f"feature_attention: position out of range for "
+                         f"shape {xv.shape}")
+    if not mask.any(axis=1).all() or not feature_mask.any(axis=1).all():
+        raise ValueError("feature_attention: a row has no real step or feature")
+    index = (np.arange(B)[:, None], pos)
+    fv = xv[index]  # (B, k, m)
     wx, wf = w1v[:m], w1v[m:]
-    hidden = np.tanh((xv @ wx)[:, None] + (fv @ wf)[:, :, None] + b1v)
-    out = Tensor(hidden @ w2v, tape)
+    # tanh([x_t ; x_j]·W1 + b1) is summed in (B, k, h, T), where the
+    # broadcasts run along contiguous steps, and read as (B, k, T, h).
+    pre = np.ascontiguousarray((xv @ wx).transpose(0, 2, 1))[:, None] \
+        + (fv @ wf)[..., None]
+    pre += b1v[:, None]
+    hidden = np.ascontiguousarray(np.tanh(pre, out=pre).transpose(0, 1, 3, 2))
+    alpha = _softmax_rows(np.where(mask[:, None], hidden @ w2v, -np.inf))
+    weights = feature_mask / feature_mask.sum(axis=1, keepdims=True)
+    summaries = np.einsum("bkt,btm->bkm", alpha, xv)
+    out = Tensor(np.einsum("bk,bkm->bm", weights, summaries), tape)
+    mean_alpha = np.einsum("bk,bkt->bt", weights, alpha)
+    mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
 
     def backward(g):
-        dpre = g[..., None] * w2v * (1.0 - hidden * hidden)  # (B, k, T, h)
+        d_summaries = np.einsum("bm,bk->bkm", g, weights)
+        d_alpha = np.einsum("bkm,btm->bkt", d_summaries, xv)
+        dx = np.einsum("bkm,bkt->btm", d_summaries, alpha)
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1,
+                                                              keepdims=True))
+        dpre = d_scores[..., None] * w2v * (1.0 - hidden * hidden)  # (B,k,T,h)
         dx_w, df_w = dpre.sum(axis=1), dpre.sum(axis=2)
-        _accumulate(x, dx_w @ wx.T)
-        _accumulate(feats, df_w @ wf.T)
+        dx = dx + dx_w @ wx.T
+        # The feature rows' gradient is summed apart, in the order of
+        # np.add.at, and then added, as the gather of the chain did.
+        cells = (index[0] * T + pos)[..., None] * m + np.arange(m)
+        df = np.bincount(cells.reshape(-1), (df_w @ wf.T).reshape(-1),
+                         minlength=xv.size)
+        _accumulate(x, dx + df.reshape(xv.shape))
         _accumulate(w1, np.concatenate(
             (xv.reshape(-1, m).T @ dx_w.reshape(-1, wx.shape[1]),
              fv.reshape(-1, m).T @ df_w.reshape(-1, wf.shape[1]))))
         _accumulate(b1, dpre.sum(axis=(0, 1, 2)))
-        _accumulate(w2, np.einsum("bkt,bkth->h", g, hidden))
+        _accumulate(w2, np.einsum("bkt,bkth->h", d_scores, hidden))
+
+    tape._record(out, backward)
+    return out, mean_alpha
+
+
+def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
+                     mask=None) -> Tensor:
+    """Rows of several embedding tables side by side, as one op.
+
+    ids holds one id array per table, all of one shape S; the result is
+    S + (total table width,), table j's rows in its own columns. A table
+    may be listed more than once. Where the boolean mask (shape S) is
+    False the row is exactly 0 and takes no gradient. Backward
+    scatter-adds, so repeated ids add up.
+    """
+    values = [t.data for t in tables]
+    if not values or len(ids) != len(values) or any(v.ndim != 2 for v in values):
+        raise ValueError("embedding_lookup expects one id array per (V,m) table")
+    idx = [np.asarray(i, dtype=np.intp) for i in ids]
+    shape = idx[0].shape
+    if any(i.shape != shape for i in idx):
+        raise ValueError("embedding_lookup: id arrays differ in shape")
+    mask = np.ones(shape, dtype=bool) if mask is None else mask
+    live = [i[mask] for i in idx]
+    for tv, rows in zip(values, live):
+        if rows.size and (rows.min() < 0 or rows.max() >= tv.shape[0]):
+            bad = rows[(rows < 0) | (rows >= tv.shape[0])][0]
+            raise IndexError(f"embedding id {bad} out of range for table {tv.shape}")
+    widths = [v.shape[1] for v in values]
+    edges = [0, *accumulate(widths)]
+    ov = np.zeros(shape + (edges[-1],))
+    ov[mask] = np.concatenate([tv[rows] for tv, rows in zip(values, live)],
+                              axis=1)
+    out = Tensor(ov, tape)
+
+    def backward(g):
+        g = g[mask]
+        # Last table first: a table listed twice takes its later rows'
+        # gradient first, as separate lookups did on the reverse sweep.
+        # Each scatter-add runs over the flat grad, a view of it, in the
+        # order np.add.at over (row, column) pairs would take.
+        for j in reversed(range(len(tables))):
+            cells = (live[j][:, None] * widths[j] + np.arange(widths[j]))
+            np.add.at(tables[j].grad.reshape(-1), cells.reshape(-1),
+                      g[:, edges[j]:edges[j + 1]].reshape(-1))
 
     tape._record(out, backward)
     return out
 
 
-def embedding_lookup(tape: Tape, table: Operand, ids, mask=None) -> Tensor:
-    """Gather rows of an embedding table for an id array of any shape.
-
-    Where the boolean mask is False the row is exactly 0 and takes no
-    gradient. Backward scatter-adds.
-    """
-    tv = _value(table)
-    if tv.ndim != 2:
-        raise ValueError("embedding_lookup expects a (V,m) table")
-    idx = np.asarray(ids, dtype=np.intp)
-    live = idx if mask is None else idx[mask]
-    if live.size and (live.min() < 0 or live.max() >= tv.shape[0]):
-        bad = live[(live < 0) | (live >= tv.shape[0])][0]
-        raise IndexError(f"embedding id {bad} out of range for table {tv.shape}")
-    ov = tv[idx]
-    if mask is not None:
-        ov[~mask] = 0.0
-    out = Tensor(ov, tape)
+def tanh_affine(s: Operand, w: Operand, b: Operand) -> Tensor:
+    """tanh(s)·w + b of s (B, z), w (z, c), b (c,), as one op."""
+    tape = _tape_of(s, w, b)
+    sv, wv, bv = _value(s), _value(w), _value(b)
+    if sv.ndim != 2 or wv.ndim != 2 or sv.shape[1] != wv.shape[0] \
+            or bv.shape != wv.shape[1:]:
+        raise ValueError(f"tanh_affine expects s (B,z), w (z,c), b (c,); "
+                         f"got {sv.shape}, {wv.shape}, {bv.shape}")
+    t = np.tanh(sv)
+    out = Tensor(t @ wv + bv, tape)
 
     def backward(g):
-        if mask is not None:
-            g = g[mask]
-        if isinstance(table, Parameter):
-            np.add.at(table.grad, live, g)
-        elif table.tape is not None:
-            z = np.zeros_like(tv)
-            np.add.at(z, live, g)
-            _accumulate(table, z)
+        _accumulate(b, g.sum(axis=0))
+        _accumulate(w, t.T @ g)
+        _accumulate(s, (g @ wv.T) * (1.0 - t * t))
 
     tape._record(out, backward)
     return out
@@ -636,18 +721,21 @@ def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
     gold = np.asarray(gold, dtype=np.intp)
     if lv.ndim != 2 or gold.shape != lv.shape[:1] or len(gold) < 1:
         raise ValueError(f"softmax_cross_entropy: logits {lv.shape}, gold {gold.shape}")
-    if gold.min() < 0 or gold.max() >= lv.shape[1]:
-        raise IndexError(f"gold class out of range for {lv.shape[1]} classes")
-    rows = np.arange(len(gold))
+    B, C = lv.shape
+    if gold.min() < 0 or gold.max() >= C:
+        raise IndexError(f"gold class out of range for {C} classes")
+    rows = np.arange(B)
     shifted = lv - lv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1)
-    out = Tensor(np.mean(np.log(total) - shifted[rows, gold]), tape)
+    out = Tensor((np.log(total) - shifted[rows, gold]).sum() / B, tape)
 
     def backward(g):
-        d = e / total[:, None]
+        d = e  # the softmax, then its gradient, in place
+        d /= total[:, None]
         d[rows, gold] -= 1.0
-        _accumulate(logits, d * (float(g) / len(gold)))
+        d *= float(g) / B
+        _accumulate(logits, d)
 
     tape._record(out, backward)
     return out

@@ -15,7 +15,16 @@ the 2-d convolution and max pool) are defined here on top of
 The extraction and compilation that feed the model are kept here the
 same way: `extract_contexts` builds every context's terms from the
 tokens (`build_term_sequence`), and `compile_sequences` maps every term
-of every context to its ids one by one.
+of every context to its ids one by one. So is the analysis: a context's
+weight for one term group (`context_group_weight`).
+
+The batched chains that fused ops replaced are kept too, over whole
+batches: one `embedding_lookup` per table and a concat (`embed_batch`),
+the head as tanh, matmul and add (`head`), att-cnn's attention as a
+gather, `pair_attention_scores`, a masked softmax and two einsums
+(`feature_attention`), and the max pool that takes its argmax in
+forward (`max_pool_over_time`). tests/test_fused_ops.py checks that each
+fused op gives the same values and gradients, bit for bit.
 """
 
 from collections import defaultdict
@@ -182,6 +191,20 @@ class Context:
         self.frame_positions = tuple(frame_positions)
 
 
+def embedding_lookup(tape, table, ids, mask=None):
+    """Rows of one table for an id array of any shape; where the boolean
+    mask is False the row is 0 and takes no gradient."""
+    idx = np.asarray(ids, dtype=np.intp)
+    live = idx if mask is None else idx[mask]
+    ov = table.data[idx]
+    if mask is not None:
+        ov[~mask] = 0.0
+
+    def backward(g):
+        np.add.at(table.grad, live, g if mask is None else g[mask])
+    return _op(tape, ov, backward)
+
+
 def embed(tape, embedder, seq):
     """A TermSequence as a Context, looked up term by term."""
     n_real = len(seq.terms)
@@ -190,13 +213,13 @@ def embed(tape, embedder, seq):
     word_ids = [vocab.id_of_term(t) for t in seq.terms]
     polarity_ids = [lx.POLARITIES.index(t.polarity) if t.kind == tz.FRAME
                     else neutral for t in seq.terms]
-    parts = [tg.embedding_lookup(tape, embedder.word_table, word_ids),
-             tg.embedding_lookup(tape, embedder.polarity_table, polarity_ids)]
+    parts = [embedding_lookup(tape, embedder.word_table, word_ids),
+             embedding_lookup(tape, embedder.polarity_table, polarity_ids)]
     if embedder.use_position:
         md = embedder.max_distance
         for anchor in (seq.subj_pos, seq.obj_pos):
             ids = [max(-md, min(md, i - anchor)) + md for i in range(n_real)]
-            parts.append(tg.embedding_lookup(tape, embedder.position_table, ids))
+            parts.append(embedding_lookup(tape, embedder.position_table, ids))
     x = tg.concat(parts, axis=1)
     if n_real < embedder.n:
         pad = tape.constant(np.zeros((embedder.n - n_real, embedder.row_width)))
@@ -295,7 +318,7 @@ def forward(tape, model, seq):
     """(probabilities (3,), alpha over the real rows or None) of one context."""
     ctx = embed(tape, model.embedder, seq)
     s, alpha = encode(tape, model.encoder, ctx)
-    logits = tg.add(tg.matmul(tg.tanh(s), model.head.w_r), model.head.b_r)
+    logits = head(s, model.head.w_r, model.head.b_r)
     return softmax(logits), alpha
 
 
@@ -315,6 +338,98 @@ def lstm_sequence(tape, x, w, u, b, reverse=False):
     if reverse:
         return stack(lstm_run(tape, rows[::-1], w, u, b)[::-1])
     return stack(lstm_run(tape, rows, w, u, b))
+
+
+def embed_batch(tape, embedder, batch):
+    """Embedder.embed as one lookup per table, then a concat."""
+    mask = batch.mask
+    parts = [embedding_lookup(tape, embedder.word_table, batch.word_ids, mask),
+             embedding_lookup(tape, embedder.polarity_table,
+                              batch.polarity_ids, mask)]
+    if embedder.use_position:
+        steps = np.arange(batch.word_ids.shape[1])
+        for anchor in (batch.subj_pos, batch.obj_pos):
+            distance = np.clip(steps - anchor[:, None], -embedder.max_distance,
+                               embedder.max_distance)
+            parts.append(embedding_lookup(
+                tape, embedder.position_table,
+                distance + embedder.max_distance, mask))
+    return tg.concat(parts, axis=2)
+
+
+def head(s, w, b):
+    """ClassifierHead.forward as tanh, matmul and add."""
+    return tg.add(tg.matmul(tg.tanh(s), w), b)
+
+
+def max_pool_over_time(a, starts, ends):
+    """tg.max_pool_over_time with its argmax taken in forward over
+    (B, S, T, f) and its gradient scattered by np.add.at."""
+    av = a.data
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    B, T, f = av.shape
+    steps = np.arange(T)
+    inside = (steps >= starts[:, :, None]) & (steps < ends[:, :, None])
+    filled = inside.any(axis=2)[:, :, None]
+    values = np.where(inside[:, :, :, None], av[:, None], -np.inf)
+    rows = values.argmax(axis=2)  # (B, S, f), first maximum
+    picked = np.take_along_axis(values, rows[:, :, None], axis=2)[:, :, 0]
+    index = (np.arange(B)[:, None, None], rows, np.arange(f))
+
+    def backward(g):
+        z = np.zeros_like(av)
+        np.add.at(z, index, g.reshape(rows.shape) * filled)
+        _into(a, z)
+    return _op(a.tape, np.where(filled, picked, 0.0).reshape(B, -1), backward)
+
+
+def pair_attention_scores(x, feats, w1, b1, w2):
+    """Scores tanh([x_t ; f_j]·W1 + b1)·w2 (B, k, T) of every step of
+    x (B, T, m) against every feature row of feats (B, k, m)."""
+    xv, fv, w1v, b1v, w2v = x.data, feats.data, w1.data, b1.data, w2.data
+    m = xv.shape[-1]
+    wx, wf = w1v[:m], w1v[m:]
+    hidden = np.tanh((xv @ wx)[:, None] + (fv @ wf)[:, :, None] + b1v)
+
+    def backward(g):
+        dpre = g[..., None] * w2v * (1.0 - hidden * hidden)  # (B, k, T, h)
+        dx_w, df_w = dpre.sum(axis=1), dpre.sum(axis=2)
+        _into(x, dx_w @ wx.T)
+        _into(feats, df_w @ wf.T)
+        _into(w1, np.concatenate(
+            (xv.reshape(-1, m).T @ dx_w.reshape(-1, wx.shape[1]),
+             fv.reshape(-1, m).T @ df_w.reshape(-1, wf.shape[1]))))
+        _into(b1, dpre.sum(axis=(0, 1, 2)))
+        _into(w2, np.einsum("bkt,bkth->h", g, hidden))
+    return _op(x.tape, hidden @ w2v, backward)
+
+
+def feature_attention(tape, x, features, feature_mask, mask, w1, b1, w2):
+    """tg.feature_attention as gather, pair scores, softmax masked by the
+    real steps and two einsums: (attended (B, m), alpha (B, T))."""
+    feats = tg.gather(x, features)
+    scores = pair_attention_scores(x, feats, w1, b1, w2)
+    alpha = tg.softmax(scores, mask[:, None, :])  # (B, k, T)
+    weights = feature_mask / feature_mask.sum(axis=1, keepdims=True)
+    summaries = tg.einsum("bkt,btm->bkm", alpha, x)
+    attended = tg.einsum("bk,bkm->bm", tape.constant(weights), summaries)
+    mean_alpha = np.einsum("bk,bkt->bt", weights, alpha.data)
+    mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
+    return attended, mean_alpha
+
+
+def context_group_weight(alpha, terms, group, sentiment_lexicon=None,
+                         preposition_list=None):
+    """Sum of one context's weights, in position order, over the
+    positions whose term belongs to the group."""
+    if len(alpha) != len(terms):
+        raise ValueError("weight count %d does not match %d terms"
+                         % (len(alpha), len(terms)))
+    total = 0
+    for a, term in zip(alpha, terms):
+        if tz.group_of(term, sentiment_lexicon, preposition_list) == group:
+            total += a
+    return float(total)
 
 
 def random_contexts(rng, n, count, words=6):

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import per_context as pc
 import synth
 from attex import analysis as an
 from attex import corpus as cp
@@ -251,7 +252,7 @@ def test_attention_normalization_invariants():
         probs, alpha, seq, n, n_real = _random_attentive_pass(rng, kind)
         rho_worst = max(rho_worst, abs(float(probs.sum()) - 1.0))
         alpha_worst = max(alpha_worst, abs(float(alpha[:n_real].sum()) - 1.0))
-        groups = [an.context_group_weight(alpha[:n_real], seq.terms, group,
+        groups = [pc.context_group_weight(alpha[:n_real], seq.terms, group,
                                           sent, preps)
                   for group in tz.ANALYSIS_GROUPS]
         if (len(alpha) != n or (alpha[:n_real] < 0.0).any()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import per_context as pc
 from attex import analysis as an
 from attex import corpus as cp
 from attex import encoders as enc
@@ -80,26 +81,26 @@ class TestGroupWeight:
         sample = make_sample(["e", "хвалит", "x", "осудил"], 0, 2,
                              frames=(1, 3))
         alpha = [0.5, 0.3, 0.1, 0.2]
-        w = an.context_group_weight(alpha, sample.terms.terms,
+        w = pc.context_group_weight(alpha, sample.terms.terms,
                                     tz.GROUP_FRAMES, SENT_LEX, PREPS)
         assert w == pytest.approx(0.5)
 
     def test_no_member_is_zero(self):
         sample = make_sample(["e", "слово", "x"], 0, 2)
-        w = an.context_group_weight([0.4, 0.3, 0.3], sample.terms.terms,
+        w = pc.context_group_weight([0.4, 0.3, 0.3], sample.terms.terms,
                                     tz.GROUP_FRAMES, SENT_LEX, PREPS)
         assert w == 0.0
 
     def test_all_members_is_one(self):
         sample = make_sample(["e", "x"], 0, 1)
-        w = an.context_group_weight([0.6, 0.4], sample.terms.terms,
+        w = pc.context_group_weight([0.6, 0.4], sample.terms.terms,
                                     tz.GROUP_OTHER, SENT_LEX, PREPS)
         assert abs(w - 1.0) < 1e-9
 
     def test_length_mismatch_rejected(self):
         sample = make_sample(["e", "x"], 0, 1)
         with pytest.raises(ValueError):
-            an.context_group_weight([1.0], sample.terms.terms,
+            pc.context_group_weight([1.0], sample.terms.terms,
                                     tz.GROUP_OTHER, SENT_LEX, PREPS)
 
     def test_four_groups_partition_every_context(self):
@@ -108,7 +109,7 @@ class TestGroupWeight:
         for sample in samples:
             alpha = an.extract_alpha(model, sample)
             total = sum(
-                an.context_group_weight(alpha, sample.terms.terms, group,
+                pc.context_group_weight(alpha, sample.terms.terms, group,
                                         SENT_LEX, PREPS)
                 for group in tz.ANALYSIS_GROUPS)
             assert abs(total - 1.0) < 1e-9
@@ -196,7 +197,7 @@ class TestSummarize:
                     if an.label_class(sample.label) != cls:
                         continue
                     alpha = an.extract_alpha(model, sample)
-                    values.append(an.context_group_weight(
+                    values.append(pc.context_group_weight(
                         alpha, sample.terms.terms, summary.group,
                         SENT_LEX, PREPS))
                 assert got == pytest.approx(np.mean(values), abs=1e-12)
@@ -211,7 +212,7 @@ class TestSummarize:
             if an.label_class(sample.label) != an.CLASS_SENTIMENT:
                 continue
             alpha = an.extract_alpha(model, sample)
-            values.append(an.context_group_weight(
+            values.append(pc.context_group_weight(
                 alpha, sample.terms.terms, tz.GROUP_FRAMES, SENT_LEX, PREPS))
         assert np.array_equal(frames.kde_s, an.kde(values, frames.grid))
 
@@ -254,7 +255,7 @@ class TestSummarize:
                 sides = {an.CLASS_NEUTRAL: [], an.CLASS_SENTIMENT: []}
                 for sample, alpha in zip(samples, alphas):
                     terms = sample.terms.terms
-                    weight = an.context_group_weight(
+                    weight = pc.context_group_weight(
                         alpha[:len(terms)], terms, summary.group, SENT_LEX,
                         PREPS)
                     sides[an.label_class(sample.label)].append(

@@ -235,13 +235,13 @@ class TestConv1d:
 class TestEmbeddingLookup:
     def test_first_row(self):
         table = tg.Parameter(np.arange(6.0).reshape(3, 2), "t")
-        out = tg.embedding_lookup(tg.Tape(), table, [0])
+        out = tg.embedding_lookup(tg.Tape(), [table], [[0]])
         assert out.data.tolist() == [[0.0, 1.0]]
 
     def test_repeated_id_accumulates_twice(self):
         table = tg.Parameter(np.ones((3, 2)), "t")
         tape = tg.Tape()
-        rows = tg.embedding_lookup(tape, table, [1, 1])
+        rows = tg.embedding_lookup(tape, [table], [[1, 1]])
         total = tg.matmul(tg.matmul(tape.constant(np.ones(2)), rows), tape.constant(np.ones(2)))
         tape.backward(total)
         assert np.array_equal(table.grad[1], [2.0, 2.0])
@@ -250,14 +250,14 @@ class TestEmbeddingLookup:
     def test_out_of_range(self):
         table = tg.Parameter(np.zeros((3, 2)), "t")
         with pytest.raises(IndexError):
-            tg.embedding_lookup(tg.Tape(), table, [3])
+            tg.embedding_lookup(tg.Tape(), [table], [[3]])
 
     def test_masked_rows_are_zero_and_take_no_gradient(self):
         table = tg.Parameter(np.arange(6.0).reshape(3, 2) + 1.0, "t")
         tape = tg.Tape()
         ids = np.array([[1, 0], [2, 2]])
         mask = np.array([[True, False], [True, True]])
-        rows = tg.embedding_lookup(tape, table, ids, mask)
+        rows = tg.embedding_lookup(tape, [table], [ids], mask)
         assert rows.data.tolist() == [[[3.0, 4.0], [0.0, 0.0]],
                                       [[5.0, 6.0], [5.0, 6.0]]]
         ones = tape.constant(np.ones(2))
@@ -363,31 +363,31 @@ def test_every_op_passes_gradient_check(trial):
     lb = tg.Parameter(rng.uniform(-1, 1, 4), "lb")
     w1 = tg.Parameter(rng.uniform(-1, 1, (6, 2)), "w1")
     b1 = tg.Parameter(rng.uniform(-1, 1, 2), "b1")
-    table = tg.Parameter(rng.uniform(-1, 1, (5, 3)), "table")
+    table = tg.Parameter(rng.uniform(-1, 1, (5, 1)), "table")
+    ptable = tg.Parameter(rng.uniform(-1, 1, (4, 1)), "ptable")
     r = tg.Parameter(rng.uniform(-1, 1, (9, 3)), "r")
     rb = tg.Parameter(rng.uniform(-1, 1, 3), "rb")
-    ids = rng.integers(0, 5, (2, 4))
+    ids = [rng.integers(0, 5, (2, 4)), rng.integers(0, 4, (2, 4)),
+           rng.integers(0, 4, (2, 4))]
 
     def f(tape):
-        xm = tg.add(tg.embedding_lookup(tape, table, ids, mask), x)
+        rows = tg.embedding_lookup(tape, [table, ptable, ptable], ids, mask)
+        xm = tg.add(rows, x)
         h = tg.tanh(tg.matmul(xm, w))
         c = tg.conv1d(xm, cw, cb)
         states = tg.lstm_sequence(c, [(lw, lu, lb), (lw, lu, lb)], lengths)
         pooled = tg.max_pool_over_time(states, [[0, 2], [0, 1]],
                                        [[2, 4], [1, lengths[1]]])
-        feats = tg.gather(xm, [[1, 0], [0, 0]])
-        scores = tg.pair_attention_scores(xm, feats, w1, b1, v)
-        alpha = tg.softmax(scores, mask[:, None, :])
-        summaries = tg.einsum("bkt,btm->bkm", alpha, xm)
-        attended = tg.einsum("bk,bkm->bm", tape.constant([[0.5, 0.5], [1, 0]]),
-                             summaries)
+        attended, _ = tg.feature_attention(
+            xm, [[1, 0], [0, 0]], [[True, True], [True, False]], mask, w1,
+            b1, v)
         last = tg.gather(h, lengths - 1)
-        joined = tg.concat([tg.tanh(pooled), attended, last], axis=1)
-        logits = tg.add(tg.scale(tg.matmul(joined, r), 0.7), rb)
+        joined = tg.concat([pooled, attended, last], axis=1)
+        logits = tg.scale(tg.tanh_affine(joined, r, rb), 0.7)
         return tg.softmax_cross_entropy(logits, [0, 2])
 
     assert tg.gradient_check(
-        f, [x, w, cw, cb, v, lw, lu, lb, w1, b1, table, r, rb]) < 1e-4
+        f, [x, w, cw, cb, v, lw, lu, lb, w1, b1, table, ptable, r, rb]) < 1e-4
 
 
 def test_backward_linearity():
