@@ -2,10 +2,10 @@
 
 Settings come from a key=value config file; the command-line flags
 --encoder/--features/--mode/--seed/--out override file values.
-`prepare` writes the masked contexts to a cache that `train` and
-`analyze` read; `cv` and `eval` extract the contexts again. The cache's
-first line holds the sha256 of the inputs it was extracted from and the
-table of distinct terms, and `train` and `analyze` refuse a cache whose
+`prepare` writes the masked contexts to a cache that `train`, `eval`
+and `analyze` read; `cv` extracts them in memory. The cache's first line
+holds the sha256 of the inputs it was extracted from and the table of
+distinct terms, and `train`, `eval` and `analyze` refuse a cache whose
 inputs have changed since.
 Every input file is UTF-8 text whose blank lines are skipped. Every
 output file is written beside its target and moved onto it, so an
@@ -22,7 +22,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 
 from . import analysis as an
 from . import corpus as cp
@@ -283,17 +282,18 @@ def _echo(pairs):
 
 def cmd_prepare(cfg):
     corpus = cfg.load_corpus("prepare")
-    samples, opinions = md.extract_samples(corpus.documents, corpus,
-                                           cfg.frame_lexicon())
-    provenance = Counter(o.provenance for o in opinions.values())
+    samples = md.extract_samples(corpus.documents, corpus, cfg.frame_lexicon())
+    gold = md.opinion_gold(corpus.documents, corpus)
+    # Annotated opinions cannot be neutral and augmented ones always are.
+    augmented = sum(label == lx.NEUTRAL for label in gold.values())
     write_cache(samples, cfg.cache, _inputs_sha256(cfg, "prepare"))
     by_label = {label: 0 for label in md.LABELS}
     for sample in samples:
         by_label[sample.label] += 1
     _echo([("seed", cfg.seed),
            ("documents", len(corpus.documents)),
-           ("opinions_annotated", provenance[cp.ANNOTATED]),
-           ("opinions_augmented", provenance[cp.AUGMENTED]),
+           ("opinions_annotated", len(gold) - augmented),
+           ("opinions_augmented", augmented),
            ("contexts", len(samples))]
           + [("contexts_" + label, count)
              for label, count in by_label.items()]
@@ -311,11 +311,12 @@ def _manifest_split(cfg, corpus, required_by):
         raise DataError(str(exc), path=cfg.path("manifest"))
 
 
-def _cached_samples(cfg, n, required_by, doc_ids=None):
+def _cached_samples(cfg, n, required_by, doc_ids=None, allow_empty=False):
     """prepare's cache, cut to doc_ids when given and cropped to n terms.
 
     Returns (kept, dropped). A cache prepared from other inputs than the
-    configured ones, or with no usable context, is a data error.
+    configured ones is a data error, and so, unless allow_empty, is one
+    with no usable context.
     """
     sha256 = _inputs_sha256(cfg, required_by)
     if not os.path.exists(cfg.cache):
@@ -324,7 +325,7 @@ def _cached_samples(cfg, n, required_by, doc_ids=None):
     if doc_ids is not None:
         samples = [s for s in samples if s.doc_id in doc_ids]
     kept, dropped = md.prepare_samples(samples, n)
-    if not kept:
+    if not kept and not allow_empty:
         raise DataError("no usable contexts in cache", path=cfg.cache)
     return kept, dropped
 
@@ -392,11 +393,12 @@ def cmd_eval(cfg):
     corpus = cfg.load_corpus("eval")
     _, test_docs = _manifest_split(cfg, corpus, "eval")
     encoder_cfg = cfg.encoder_config("eval")
+    # A test side whose contexts are all cropped out scores F1 0.
+    test_samples, dropped = _cached_samples(
+        cfg, encoder_cfg.n, "eval", {doc.doc_id for doc in test_docs},
+        allow_empty=True)
     model = _restore_model(cfg, encoder_cfg)
-    gold = {}
-    test_samples, dropped = md.samples_for_docs(
-        test_docs, corpus, cfg.frame_lexicon(), encoder_cfg.n, tz.lemmatize,
-        gold)
+    gold = md.opinion_gold(test_docs, corpus)
     predictions = md.predict_opinions(model, test_samples)
     _echo([("seed", cfg.seed),
            ("test_documents", len(test_docs)),

@@ -9,6 +9,8 @@ it exceeds `stop_threshold` (strictly) or the epoch cap is reached.
 Evaluation averages per-context probabilities into one label per
 (document, source group, target group) and scores macro-F1 of the
 positive and negative classes, averaged per document by default.
+Cross-validation and the train/test protocol run one routine that
+extracts the corpus once and splits its contexts and gold by document.
 """
 
 from collections import defaultdict
@@ -293,10 +295,6 @@ def macro_f1(predicted, gold, scope=SCOPE_DOCUMENT):
     return sum(per_doc) / len(per_doc)
 
 
-def _sample_gold(samples):
-    return {s.opinion_key(): s.label for s in samples}
-
-
 # Contexts per inference forward pass; bounds the memory of inference.
 INFERENCE_CHUNK = 64
 
@@ -341,7 +339,7 @@ def train(model, samples, cfg, rng=None):
         samples = downsample_neutral(samples, cfg.neutral_ratio, rng)
     optimizer = OPTIMIZERS[cfg.optimizer](model.flat, cfg.learning_rate)
     history = RunHistory(cfg.eval_period)
-    gold = _sample_gold(samples)
+    gold = {s.opinion_key(): s.label for s in samples}
     labels = np.array([LABEL_INDEX[s.label] for s in samples])
     compiled = model.compile(samples)
 
@@ -375,33 +373,26 @@ def train(model, samples, cfg, rng=None):
     return history
 
 
+def opinion_gold(docs, corpus):
+    """{opinion key: label} of docs: each document's annotated opinions,
+    then its augmented neutral pairs; keyed like ContextSample.opinion_key().
+    """
+    return {(doc.doc_id,) + o.pair(): o.label for doc in docs
+            for o in cp.augment_neutral(doc, corpus.opinions(doc.doc_id))}
+
+
 def extract_samples(docs, corpus, frame_lexicon, lemmatizer=tz.lemmatize):
-    """Uncropped contexts of docs and the opinions behind them.
-
-    Each document's neutral pairs are augmented once. Returns (samples,
-    opinions), opinions keyed like ContextSample.opinion_key().
-    """
-    samples = []
-    opinions = {}
-    for doc in docs:
-        augmented = cp.augment_neutral(doc, corpus.opinions(doc.doc_id))
-        for opinion in augmented:
-            opinions[(doc.doc_id,) + opinion.pair()] = opinion
-        samples.extend(cp.extract_contexts(doc, augmented, frame_lexicon,
-                                           lemmatizer))
-    return samples, opinions
+    """Uncropped contexts of docs, in document order; each document's
+    neutral pairs are augmented once."""
+    return [sample for doc in docs for sample in cp.extract_contexts(
+        doc, cp.augment_neutral(doc, corpus.opinions(doc.doc_id)),
+        frame_lexicon, lemmatizer)]
 
 
-def samples_for_docs(docs, corpus, frame_lexicon, n, lemmatizer, gold=None):
-    """Contexts of docs cropped to n terms: (kept, dropped count).
-
-    A `gold` dict also receives the label of every opinion of docs.
-    """
-    samples, opinions = extract_samples(docs, corpus, frame_lexicon,
-                                        lemmatizer)
-    if gold is not None:
-        gold.update((key, o.label) for key, o in opinions.items())
-    return prepare_samples(samples, n)
+def samples_for_docs(docs, corpus, frame_lexicon, n, lemmatizer):
+    """Contexts of docs cropped to n terms: (kept, dropped count)."""
+    return prepare_samples(
+        extract_samples(docs, corpus, frame_lexicon, lemmatizer), n)
 
 
 class SplitResult:
@@ -430,26 +421,52 @@ def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
     return model, history
 
 
-def _run_split(train_samples, test_samples, gold, dropped, encoder_cfg,
-               train_cfg, embed_options, scope, split):
-    model, history = fit(train_samples, encoder_cfg, train_cfg, embed_options,
-                         split)
-    f1 = evaluate_on_samples(model, test_samples, gold, scope)
-    return SplitResult(f1, history, model, test_samples, dropped)
+def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
+                embed_options, scope):
+    """SplitResults of splits 0..k-1. The corpus is extracted once; split
+    i trains on the documents whose test_split.get(doc_id) is not i and
+    scores the others, each side in corpus order. Its `dropped` is the
+    corpus total, as its two sides cover it."""
+    samples, dropped = samples_for_docs(corpus.documents, corpus,
+                                        frame_lexicon, encoder_cfg.n,
+                                        tz.lemmatize)
+    gold = opinion_gold(corpus.documents, corpus)
+    results = []
+    for split in range(k):
+        train_samples = [s for s in samples
+                         if test_split.get(s.doc_id) != split]
+        test_samples = [s for s in samples
+                        if test_split.get(s.doc_id) == split]
+        model, history = fit(train_samples, encoder_cfg, train_cfg,
+                             embed_options, split)
+        f1 = evaluate_on_samples(
+            model, test_samples,
+            {key: label for key, label in gold.items()
+             if test_split.get(key[0]) == split}, scope)
+        results.append(SplitResult(f1, history, model, test_samples, dropped))
+    return results
 
 
 class CvResult:
-    __slots__ = ("per_fold", "histories", "folds", "splits")
+    """The SplitResult of each fold, and the fold assignment."""
 
-    def __init__(self, per_fold, histories, folds, splits=None):
-        self.per_fold = list(per_fold)
-        self.histories = list(histories)
+    __slots__ = ("splits", "folds")
+
+    def __init__(self, splits, folds):
+        self.splits = list(splits)
         self.folds = folds
-        self.splits = list(splits) if splits is not None else None
+
+    @property
+    def per_fold(self):
+        return [split.f1 for split in self.splits]
+
+    @property
+    def histories(self):
+        return [split.history for split in self.splits]
 
     @property
     def mean(self):
-        return sum(self.per_fold) / len(self.per_fold)
+        return sum(self.per_fold) / len(self.splits)
 
     def to_csv(self, path):
         write_lines(path, ["fold,f1"]
@@ -459,27 +476,11 @@ class CvResult:
 
 def run_cv(corpus, encoder_cfg, train_cfg, frame_lexicon=None,
            embed_options=None, k=3, scope=SCOPE_DOCUMENT):
-    """k-fold cross-validation over sentence-balanced document folds.
-
-    Contexts are extracted once and split by fold in corpus order; each
-    split's `dropped` is the corpus total, as its two sides cover it.
-    """
+    """k-fold cross-validation over sentence-balanced document folds."""
     folds = cp.split_folds(corpus.documents, k=k, seed=train_cfg.seed)
-    gold = {}
-    samples, dropped = samples_for_docs(corpus.documents, corpus, frame_lexicon,
-                                        encoder_cfg.n, tz.lemmatize, gold)
-    fold_of = folds.fold_of_doc
-    results = []
-    for fold in range(k):
-        train_samples = [s for s in samples if fold_of[s.doc_id] != fold]
-        test_samples = [s for s in samples if fold_of[s.doc_id] == fold]
-        test_gold = {key: label for key, label in gold.items()
-                     if fold_of[key[0]] == fold}
-        results.append(_run_split(train_samples, test_samples, test_gold,
-                                  dropped, encoder_cfg, train_cfg,
-                                  embed_options, scope, split=fold))
-    return CvResult([r.f1 for r in results], [r.history for r in results],
-                    folds, results)
+    return CvResult(_run_splits(corpus, folds.fold_of_doc, k, encoder_cfg,
+                                train_cfg, frame_lexicon, embed_options,
+                                scope), folds)
 
 
 def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
@@ -492,15 +493,10 @@ def run_train_test(corpus, manifest, encoder_cfg, train_cfg,
     memory: the attention-discrepancy acceptance test studies that model
     and its held-out contexts without files.
     """
-    train_docs, test_docs = cp.train_test_split(corpus.documents, manifest)
-    train_samples, dropped_train = samples_for_docs(
-        train_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize)
-    gold = {}
-    test_samples, dropped_test = samples_for_docs(
-        test_docs, corpus, frame_lexicon, encoder_cfg.n, tz.lemmatize, gold)
-    return _run_split(train_samples, test_samples, gold,
-                      dropped_train + dropped_test, encoder_cfg, train_cfg,
-                      embed_options, scope, split=0)
+    _, test_docs = cp.train_test_split(corpus.documents, manifest)
+    return _run_splits(corpus, {doc.doc_id: 0 for doc in test_docs}, 1,
+                       encoder_cfg, train_cfg, frame_lexicon, embed_options,
+                       scope)[0]
 
 
 def _suite_sample(rng, n_real, participants, row):

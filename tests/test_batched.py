@@ -203,3 +203,18 @@ def test_compile_maps_each_distinct_term_once(monkeypatch):
     enc.compile_sequences(seqs, vocab, 8)
     assert len(calls) == len(set(calls))
     assert len(calls) < sum(len(seq) for seq in seqs)
+
+
+@pytest.mark.parametrize("mode", enc.FEATURE_MODES)
+@pytest.mark.parametrize("index", [[5, 0, 5, 11], slice(2, 9)])
+def test_take_equals_compiling_the_taken_contexts(index, mode):
+    # take copies rows of every array, the masks included.
+    seqs = mixed_contexts(np.random.default_rng(9), 8, 12, 6)
+    vocab = pc.vocab_for(seqs)
+    got = enc.compile_sequences(seqs, vocab, 8, 4, mode).take(
+        np.array(index) if isinstance(index, list) else index)
+    taken = ([seqs[i] for i in index] if isinstance(index, list)
+             else seqs[index])
+    want = enc.compile_sequences(taken, vocab, 8, 4, mode)
+    for name in enc.Batch.__slots__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -397,6 +397,20 @@ class TestPrepare:
             assert cached_dropped == direct_dropped
 
 
+def append_far_document(tmp_path):
+    """Add to the fixture a fourth document whose participants stand 11
+    terms apart, more than n = 8 can hold: its pair and the reverse
+    neutral one drop."""
+    far = {"doc_id": "doc3",
+           "sentences": [["e1"] + ["слово"] * 10 + ["e2"]],
+           "groups": [["g1", "e1"], ["g2", "e2"]],
+           "mentions": [[0, 0, 1, "g1"], [0, 11, 12, "g2"]]}
+    with open(tmp_path / "documents.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(far, ensure_ascii=False) + "\n")
+    with open(tmp_path / "opinions.tsv", "a", encoding="utf-8") as fh:
+        fh.write("doc3\tg1\tg2\tpositive\n")
+
+
 def prepared(tmp_path, capsys):
     config, out = write_fixture(tmp_path)
     assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -472,12 +486,13 @@ class TestRunawayNesting:
 
 
 class TestStaleCache:
-    """train and analyze refuse a cache whose input files changed after
-    prepare; the cache's first line holds the inputs' sha256."""
+    """train, eval and analyze refuse a cache whose input files changed
+    after prepare; the cache's first line holds the inputs' sha256."""
 
     RUN = ["--mode", "traintest"]
 
-    def refused(self, capsys, config, out, commands=("train", "analyze")):
+    def refused(self, capsys, config, out,
+                commands=("train", "eval", "analyze")):
         for command in commands:
             capsys.readouterr()
             assert cli.main([command, "--config", str(config)]
@@ -500,7 +515,7 @@ class TestStaleCache:
                              .replace("@", "осудил"), encoding="utf-8")
         self.refused(capsys, config, out)
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        for command in ("train", "analyze"):
+        for command in ("train", "eval", "analyze"):
             assert cli.main([command, "--config", str(config)]
                             + self.RUN) == 0
 
@@ -733,6 +748,38 @@ class TestEval:
         assert cli.main(["eval", "--config", str(config),
                          "--mode", "traintest", "--encoder", "cnn"]) == 2
 
+    def test_eval_reads_the_cache(self, tmp_path, capsys, monkeypatch):
+        config, out = prepared(tmp_path, capsys)
+        run = ["--config", str(config), "--mode", "traintest"]
+        assert cli.main(["train"] + run) == 0
+        capsys.readouterr()
+        assert cli.main(["eval"] + run) == 0
+        expected = capsys.readouterr().out
+
+        def extract(*args):
+            raise AssertionError("eval extracted contexts")
+
+        monkeypatch.setattr(cp, "extract_contexts", extract)
+        assert cli.main(["eval"] + run) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_test_side_cropped_out(self, tmp_path, capsys):
+        # A test side without a context that fits n scores F1 0; it is no
+        # data error, unlike a cache that train or analyze cannot use.
+        config, out = write_fixture(tmp_path)
+        append_far_document(tmp_path)
+        (tmp_path / "manifest.tsv").write_text(
+            "doc0\ttrain\ndoc1\ttrain\ndoc2\ttrain\ndoc3\ttest\n",
+            encoding="utf-8")
+        run = ["--config", str(config), "--mode", "traintest"]
+        for command in ("prepare", "train", "eval"):
+            assert cli.main([command] + run) == 0
+        pairs = stdout_pairs(capsys)
+        assert pairs["test_documents"] == "1"
+        assert pairs["test_contexts"] == "0"
+        assert pairs["dropped"] == "2"
+        assert pairs["f1_per_document"] == "0.0"
+
 
 class TestCv:
     def test_folds_csv_and_determinism(self, tmp_path, capsys):
@@ -775,16 +822,7 @@ class TestCv:
     def test_dropped_counts_each_cropped_out_context_once(self, tmp_path,
                                                          capsys):
         config, _ = write_fixture(tmp_path)
-        # A fourth document whose participants stand 11 terms apart, more
-        # than n = 8 can hold: its pair and the reverse neutral one drop.
-        far = {"doc_id": "doc3",
-               "sentences": [["e1"] + ["слово"] * 10 + ["e2"]],
-               "groups": [["g1", "e1"], ["g2", "e2"]],
-               "mentions": [[0, 0, 1, "g1"], [0, 11, 12, "g2"]]}
-        with open(tmp_path / "documents.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(far, ensure_ascii=False) + "\n")
-        with open(tmp_path / "opinions.tsv", "a", encoding="utf-8") as fh:
-            fh.write("doc3\tg1\tg2\tpositive\n")
+        append_far_document(tmp_path)
         corpus = cp.load_corpus(str(tmp_path / "documents.jsonl"),
                                 str(tmp_path / "opinions.tsv"))
         _, dropped = md.samples_for_docs(

@@ -310,8 +310,8 @@ class TestExtractContexts:
     ])
     def test_synthetic_contexts_are_pinned(self, seed, digest):
         corpus = synth.build_corpus(seed)
-        samples, _ = md.extract_samples(corpus.documents, corpus,
-                                        synth.frame_lexicon())
+        samples = md.extract_samples(corpus.documents, corpus,
+                                     synth.frame_lexicon())
         assert contexts_digest(samples) == digest
 
 

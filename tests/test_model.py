@@ -585,41 +585,77 @@ class TestRunners:
                   embed_options=CHEAP_EMBED, k=3)
         assert sorted(calls) == sorted(d.doc_id for d in corpus.documents)
 
-    def test_run_cv_folds_match_per_fold_extraction(self, monkeypatch):
-        corpus = tiny_corpus(5)
+    @staticmethod
+    def recorded_splits(monkeypatch):
+        """Stub fit and evaluate_on_samples; returns the list that gets,
+        per split, its (train samples, test samples, gold)."""
         seen = []
 
-        def recorded(train_samples, test_samples, gold, dropped, *args,
-                     **kwargs):
-            seen.append((train_samples, test_samples, gold, dropped))
-            return md.SplitResult(0.0, md.RunHistory(10), None, test_samples,
-                                  dropped)
+        def fit(train_samples, *args, **kwargs):
+            seen.append([train_samples])
+            return None, md.RunHistory(10)
 
+        def evaluate(model, test_samples, gold, scope):
+            seen[-1] += [test_samples, gold]
+            return 0.0
+
+        monkeypatch.setattr(md, "fit", fit)
+        monkeypatch.setattr(md, "evaluate_on_samples", evaluate)
+        return seen
+
+    @staticmethod
+    def assert_sides_extracted_apart(corpus, sides, split):
+        """split's (train, test, gold, dropped) equal what each side of
+        the documents gives on its own."""
         def fields(samples):
             return [(s.doc_id, s.sentence_idx, s.label, s.source_group,
                      s.target_group, s.terms.terms, s.subj_pos, s.obj_pos)
                     for s in samples]
 
-        monkeypatch.setattr(md, "_run_split", recorded)
+        train, test, gold, dropped = split
+        want_train, train_dropped = md.samples_for_docs(
+            sides[0], corpus, None, CHEAP_ENCODER.n, tz.lemmatize)
+        want_test, test_dropped = md.samples_for_docs(
+            sides[1], corpus, None, CHEAP_ENCODER.n, tz.lemmatize)
+        want_gold = md.opinion_gold(sides[1], corpus)
+        assert test and fields(train) == fields(want_train)
+        assert fields(test) == fields(want_test)
+        assert list(gold.items()) == list(want_gold.items())
+        assert dropped == train_dropped + test_dropped
+
+    def test_run_cv_folds_match_per_fold_extraction(self, monkeypatch):
+        corpus = tiny_corpus(5)
+        seen = self.recorded_splits(monkeypatch)
         result = md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(), k=3)
         assert len(seen) == 3
-        for fold, (train, test, gold, dropped) in enumerate(seen):
+        for fold, (train, test, gold) in enumerate(seen):
+            assert result.splits[fold].test_samples is test
             sides = [[d for d in corpus.documents
                       if (result.folds.fold_of_doc[d.doc_id] == fold) == held]
                      for held in (False, True)]
-            want_gold = {}
-            want_train, train_dropped = md.samples_for_docs(
-                sides[0], corpus, None, CHEAP_ENCODER.n, tz.lemmatize)
-            want_test, test_dropped = md.samples_for_docs(
-                sides[1], corpus, None, CHEAP_ENCODER.n, tz.lemmatize,
-                want_gold)
-            assert test and fields(train) == fields(want_train)
-            assert fields(test) == fields(want_test)
-            assert list(gold.items()) == list(want_gold.items())
-            assert dropped == train_dropped + test_dropped
+            self.assert_sides_extracted_apart(
+                corpus, sides,
+                (train, test, gold, result.splits[fold].dropped))
+
+    def test_run_train_test_sides_match_per_side_extraction(
+            self, monkeypatch):
+        corpus = tiny_corpus(5)
+        manifest = {"doc0": "train", "doc1": "test", "doc2": "train",
+                    "doc3": "test", "doc4": "train"}
+        seen = self.recorded_splits(monkeypatch)
+        result = md.run_train_test(corpus, manifest, CHEAP_ENCODER,
+                                   cheap_train_cfg())
+        assert len(seen) == 1
+        train, test, gold = seen[0]
+        assert result.test_samples is test
+        sides = [[d for d in corpus.documents if manifest[d.doc_id] == side]
+                 for side in ("train", "test")]
+        self.assert_sides_extracted_apart(
+            corpus, sides, (train, test, gold, result.dropped))
 
     def test_cv_csv_format(self, tmp_path):
-        result = md.CvResult([0.5, 0.75, 1.0], [None] * 3, None)
+        result = md.CvResult([md.SplitResult(f1, None, None, None, 0)
+                              for f1 in (0.5, 0.75, 1.0)], None)
         path = tmp_path / "folds.csv"
         result.to_csv(path)
         lines = path.read_text().splitlines()
@@ -637,9 +673,7 @@ class TestRunners:
 
     def test_gold_includes_augmented_neutrals(self):
         corpus = tiny_corpus(1)
-        doc = corpus.documents[0]
-        gold = {}
-        md.samples_for_docs([doc], corpus, None, 8, tz.lemmatize, gold)
+        gold = md.opinion_gold(corpus.documents, corpus)
         assert gold[("doc0", "g1", "g2")] == lx.POSITIVE
         assert gold[("doc0", "g1", "g3")] == lx.NEGATIVE
         assert gold[("doc0", "g2", "g1")] == lx.NEUTRAL
