@@ -89,11 +89,9 @@ def kde(samples, grid, bandwidth=None):
 
 
 def summarize_distributions(model, contexts, sentiment_lexicon=None,
-                            preposition_list=None, grid=None):
+                            preposition_list=None):
     """One DistributionSummary per report group over the given contexts."""
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid()
     weights = {(group, cls): [] for group in REPORT_GROUPS
                for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
     groups = {}  # id(term) -> group: each distinct term is classified once

@@ -17,6 +17,7 @@ than 3 documents for `cv`), 3 numeric failure.
 """
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -38,22 +39,47 @@ CV_FOLDS = 3
 
 GRADCHECK_TOLERANCE = 1e-4
 
-_PATH_KEYS = ("documents", "opinions", "frames", "sentiment", "prepositions",
-              "embeddings", "manifest")
-_INT_KEYS = ("n", "h", "filters", "window", "k", "m", "polarity_dim",
-             "position_dim", "max_distance", "max_epochs", "eval_period",
-             "batch_size", "seed", "gradcheck_trials")
-_FLOAT_KEYS = ("stop_threshold", "learning_rate", "neutral_ratio")
-_BOOL_KEYS = ("use_position",)
-_STR_KEYS = ("encoder", "features", "mode", "optimizer", "scope", "out",
-             "cache")
-_ALL_KEYS = _PATH_KEYS + _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
 _CACHE_FORMAT = 2
 _JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class UsageError(Exception):
     pass
+
+
+def _boolean(text):
+    return {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}[text.lower()]
+
+
+# What a value that a parser rejects should have been.
+_NEEDS = {int: "an integer", float: "a number", _boolean: "true/false"}
+
+# A config key's parser and, when it sets an argument of an encoder,
+# embedder or training object, that object and the argument's name (the
+# key's own unless given).
+Setting = collections.namedtuple("Setting", "parse target argument",
+                                 defaults=(None, None))
+
+_PATH_KEYS = ("documents", "opinions", "frames", "sentiment", "prepositions",
+              "embeddings", "manifest")
+SETTINGS = {
+    **dict.fromkeys(_PATH_KEYS + ("mode", "scope", "out", "cache"),
+                    Setting(str)),
+    "gradcheck_trials": Setting(int),
+    "encoder": Setting(str, enc.EncoderConfig, "kind"),
+    "features": Setting(str, enc.EncoderConfig, "feature_mode"),
+    **dict.fromkeys(("n", "h", "filters", "window", "k"),
+                    Setting(int, enc.EncoderConfig)),
+    **dict.fromkeys(("m", "polarity_dim", "position_dim", "max_distance"),
+                    Setting(int, enc.Embedder)),
+    "use_position": Setting(_boolean, enc.Embedder),
+    **dict.fromkeys(("max_epochs", "eval_period", "batch_size", "seed"),
+                    Setting(int, md.TrainConfig)),
+    **dict.fromkeys(("stop_threshold", "learning_rate", "neutral_ratio"),
+                    Setting(float, md.TrainConfig)),
+    "optimizer": Setting(str, md.TrainConfig),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,33 +101,12 @@ def load_config_file(path):
         if "=" not in line:
             raise UsageError("%s:%d: expected key=value" % (path, lineno))
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in SETTINGS:
             raise UsageError("%s:%d: unknown key %r" % (path, lineno, key))
         if key in values:
             raise UsageError("%s:%d: duplicate key %r" % (path, lineno, key))
         values[key] = value
     return values
-
-
-def _parse_value(key, value):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError("key %r needs an integer, got %r" % (key, value))
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise UsageError("key %r needs a number, got %r" % (key, value))
-    if key in _BOOL_KEYS:
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise UsageError("key %r needs true/false, got %r" % (key, value))
-    return value
 
 
 class ExperimentConfig:
@@ -110,10 +115,14 @@ class ExperimentConfig:
     def __init__(self, values):
         self.values = {}
         for key, raw in values.items():
-            if key not in _ALL_KEYS:
+            if key not in SETTINGS:
                 raise UsageError("unknown setting %r" % (key,))
-            self.values[key] = (raw if not isinstance(raw, str)
-                                else _parse_value(key, raw))
+            parse = SETTINGS[key].parse
+            try:
+                self.values[key] = parse(raw) if isinstance(raw, str) else raw
+            except (KeyError, ValueError):
+                raise UsageError("key %r needs %s, got %r"
+                                 % (key, _NEEDS[parse], raw))
         self.seed = self.values.get("seed", 0)
         self.mode = self.values.get("mode", "cv3")
         if self.mode not in MODES:
@@ -129,60 +138,41 @@ class ExperimentConfig:
             if path is not None and not os.path.exists(path):
                 raise DataError("missing %s file" % key, path=path)
 
-    def path(self, key, required_by=None):
+    def get(self, key, required_by=None):
         value = self.values.get(key)
         if value is None and required_by:
             raise UsageError("%s requires the %r setting" % (required_by, key))
         return value
 
+    def _arguments(self, target):
+        """The set keys' values that are arguments of `target`, by name."""
+        return {setting.argument or key: self.values[key]
+                for key, setting in SETTINGS.items()
+                if setting.target is target and key in self.values}
+
     def encoder_config(self, required_by):
-        kind = self.values.get("encoder")
-        if kind is None:
-            raise UsageError("%s requires the 'encoder' setting" % required_by)
-        kwargs = {}
-        for key in ("n", "h", "filters", "window", "k"):
-            if key in self.values:
-                kwargs[key] = self.values[key]
-        if "features" in self.values:
-            kwargs["feature_mode"] = self.values["features"]
-        return enc.EncoderConfig(kind, **kwargs)
+        self.get("encoder", required_by)
+        return enc.EncoderConfig(**self._arguments(enc.EncoderConfig))
 
     def embed_options(self, pretrained=True):
         """Embedder settings; `pretrained` adds the embeddings file's rows."""
-        options = {}
-        for key in ("m", "polarity_dim", "use_position", "position_dim",
-                    "max_distance"):
-            if key in self.values:
-                options[key] = self.values[key]
+        options = self._arguments(enc.Embedder)
         path = self.values.get("embeddings")
         if pretrained and path is not None:
-            m = options.get("m", 50)
-            options["pretrained"] = enc.load_word_vectors(path, m)
+            options["pretrained"] = enc.load_word_vectors(
+                path, options.get("m", enc.WORD_DIM))
         return options
 
     def train_config(self):
-        kwargs = {"seed": self.seed}
-        for key in ("max_epochs", "eval_period", "stop_threshold",
-                    "learning_rate", "optimizer", "batch_size",
-                    "neutral_ratio"):
-            if key in self.values:
-                kwargs[key] = self.values[key]
-        return md.TrainConfig(**kwargs)
+        return md.TrainConfig(**self._arguments(md.TrainConfig))
 
-    def frame_lexicon(self):
-        path = self.values.get("frames")
-        return None if path is None else lx.load_frame_lexicon(path)
-
-    def sentiment_lexicon(self):
-        path = self.values.get("sentiment")
-        return None if path is None else lx.load_sentiment_lexicon(path)
-
-    def preposition_list(self):
-        path = self.values.get("prepositions")
-        return None if path is None else lx.load_preposition_list(path)
+    def load(self, key, loader):
+        """What `loader` reads from the key's file, or None when unset."""
+        path = self.values.get(key)
+        return None if path is None else loader(path)
 
     def load_corpus(self, required_by):
-        documents = self.path("documents", required_by)
+        documents = self.get("documents", required_by)
         return cp.load_corpus(documents, self.values.get("opinions"))
 
 
@@ -197,8 +187,10 @@ def _sample_row(sample, index_of):
 
 def _row_sample(row, table):
     doc_id, sentence, label, source, target, subj_pos, obj_pos, ids = row
-    if not isinstance(doc_id, str):
-        raise ValueError("doc_id must be a string")
+    if not all(isinstance(v, str) for v in (doc_id, source, target)):
+        raise ValueError("doc_id, source and target must be strings")
+    if type(sentence) is not int:
+        raise ValueError("sentence_idx must be an integer")
     if not all(type(i) is int and 0 <= i < len(table) for i in ids):
         raise ValueError("term ids must be integers below %d" % len(table))
     seq = tz.TermSequence([table[i] for i in ids], subj_pos, obj_pos)
@@ -210,8 +202,8 @@ def _inputs_sha256(cfg, required_by):
     the documents and opinions files that load_corpus reads, then the
     frames file. Each counts as the list of lines that read_lines yields,
     or null when absent; documents must be set."""
-    paths = cp.corpus_paths(cfg.path("documents", required_by),
-                            cfg.path("opinions")) + (cfg.path("frames"),)
+    paths = cp.corpus_paths(cfg.get("documents", required_by),
+                            cfg.get("opinions")) + (cfg.get("frames"),)
     digest = hashlib.sha256()
     for path in paths:
         lines = None if path is None else [line for _, line in read_lines(path)]
@@ -282,7 +274,8 @@ def _echo(pairs):
 
 def cmd_prepare(cfg):
     corpus = cfg.load_corpus("prepare")
-    samples = md.extract_samples(corpus.documents, corpus, cfg.frame_lexicon())
+    samples = md.extract_samples(corpus.documents, corpus,
+                                 cfg.load("frames", lx.load_frame_lexicon))
     gold = md.opinion_gold(corpus.documents, corpus)
     # Annotated opinions cannot be neutral and augmented ones always are.
     augmented = sum(label == lx.NEUTRAL for label in gold.values())
@@ -304,11 +297,11 @@ def cmd_prepare(cfg):
 def _manifest_split(cfg, corpus, required_by):
     """(train, test) documents of the manifest; a manifest that does not
     list exactly the corpus documents is a data error."""
-    manifest = cp.load_split_manifest(cfg.path("manifest", required_by))
+    manifest = cp.load_split_manifest(cfg.get("manifest", required_by))
     try:
         return cp.train_test_split(corpus.documents, manifest)
     except ValueError as exc:
-        raise DataError(str(exc), path=cfg.path("manifest"))
+        raise DataError(str(exc), path=cfg.get("manifest"))
 
 
 def _cached_samples(cfg, n, required_by, doc_ids=None, allow_empty=False):
@@ -356,10 +349,10 @@ def cmd_cv(cfg):
     if len(corpus.documents) < CV_FOLDS:
         raise DataError("cv needs at least %d documents, got %d"
                         % (CV_FOLDS, len(corpus.documents)),
-                        path=cfg.path("documents"))
+                        path=cfg.get("documents"))
     encoder_cfg = cfg.encoder_config("cv")
     result = md.run_cv(corpus, encoder_cfg, cfg.train_config(),
-                       frame_lexicon=cfg.frame_lexicon(),
+                       frame_lexicon=cfg.load("frames", lx.load_frame_lexicon),
                        embed_options=cfg.embed_options(), k=CV_FOLDS,
                        scope=cfg.scope)
     result.to_csv(os.path.join(cfg.out, "folds.csv"))
@@ -415,8 +408,8 @@ def cmd_analyze(cfg):
     encoder_cfg = cfg.encoder_config("analyze")
     kept, dropped = _cached_samples(cfg, encoder_cfg.n, "analyze")
     model = _restore_model(cfg, encoder_cfg)
-    sentiment = cfg.sentiment_lexicon()
-    prepositions = cfg.preposition_list()
+    sentiment = cfg.load("sentiment", lx.load_lemma_set)
+    prepositions = cfg.load("prepositions", lx.load_lemma_set)
     summaries = an.summarize_distributions(model, kept, sentiment,
                                            prepositions)
     an.write_distribution_csv(summaries,
@@ -476,9 +469,8 @@ def merge_settings(args):
     values = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-    for key in ("encoder", "features", "mode", "seed", "out"):
-        flag = getattr(args, key)
-        if flag is not None:
+    for key, flag in vars(args).items():
+        if key in SETTINGS and flag is not None:
             values[key] = flag
     return values
 

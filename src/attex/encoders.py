@@ -39,6 +39,7 @@ URL_TOKEN = "<url>"
 SPECIALS = (PAD, UNK, SUBJ, OBJ, OTHER, PUNCT, NUM, URL_TOKEN)
 
 FEATURE_MODES = ("att-ends", "att-ef")
+WORD_DIM = 50  # the default width m of a word-table row
 
 _TOKEN_KIND_SYMBOL = {tz.PUNCTUATION: PUNCT, tz.NUMBER: NUM, tz.URL: URL_TOKEN}
 _POLARITY_INDEX = {p: i for i, p in enumerate(lx.POLARITIES)}
@@ -234,7 +235,7 @@ class Embedder(Module):
     """Trainable word/polarity/position tables; rows are concatenated
     per term and the sequence is right-padded with zero rows."""
 
-    def __init__(self, vocab, n, m=50, polarity_dim=5, use_position=False,
+    def __init__(self, vocab, n, m=WORD_DIM, polarity_dim=5, use_position=False,
                  position_dim=5, max_distance=None, rng=None, pretrained=None):
         if rng is None:
             rng = np.random.default_rng(0)

@@ -63,8 +63,8 @@ class FrameLexicon:
         return [FrameEntry(k, v) for k, v in sorted(self._polarity.items())]
 
 
-class _LemmaSet:
-    """Case-folded lemma membership set."""
+class LemmaSet:
+    """Case-folded lemma membership set: a sentiment or preposition list."""
 
     def __init__(self, lemmas=()):
         self.lemmas = frozenset(l.casefold() for l in lemmas)
@@ -74,14 +74,6 @@ class _LemmaSet:
 
     def __len__(self):
         return len(self.lemmas)
-
-
-class SentimentLexicon(_LemmaSet):
-    pass
-
-
-class PrepositionList(_LemmaSet):
-    pass
 
 
 def load_frame_lexicon(path):
@@ -107,18 +99,9 @@ def load_frame_lexicon(path):
     return FrameLexicon(entries)
 
 
-def _load_lemma_lines(path):
-    return {line.strip() for _, line in read_lines(path)}
-
-
-def load_sentiment_lexicon(path):
-    """Read a one-lemma-per-line sentiment word list."""
-    return SentimentLexicon(_load_lemma_lines(path))
-
-
-def load_preposition_list(path):
-    """Read a one-lemma-per-line preposition list."""
-    return PrepositionList(_load_lemma_lines(path))
+def load_lemma_set(path):
+    """Read a one-lemma-per-line word list into a LemmaSet."""
+    return LemmaSet({line.strip() for _, line in read_lines(path)})
 
 
 def match_frames(lemmas, lex):
@@ -156,12 +139,3 @@ def apply_negation(polarity, preceding_lemma, particle=NEGATION_PARTICLE):
         return POSITIVE
     return polarity
 
-
-def in_sentiment_lexicon(lemma, lex):
-    """Membership test; a None lexicon holds nothing."""
-    return lex is not None and lemma in lex
-
-
-def is_preposition(lemma, preposition_list):
-    """Membership test; a None list holds nothing."""
-    return preposition_list is not None and lemma in preposition_list

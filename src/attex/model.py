@@ -114,8 +114,8 @@ class TrainConfig:
             raise ValueError("unknown optimizer: %r" % (optimizer,))
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if neutral_ratio is not None and neutral_ratio <= 0:
-            raise ValueError("neutral_ratio must be positive when set")
+        if neutral_ratio is not None and not 0 < neutral_ratio < np.inf:
+            raise ValueError("neutral_ratio must be positive and finite")
         self.max_epochs = max_epochs
         self.eval_period = eval_period
         self.stop_threshold = stop_threshold
@@ -169,19 +169,16 @@ class Sgd:
 class Adam:
     """Adam on one parameter, the model's flat buffer."""
 
-    def __init__(self, param, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, param, learning_rate):
         self.param = param
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(param.data)
         self.v = np.zeros_like(param.data)
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         p, m, v = self.param, self.m, self.v
         # In place, with the values of m = b1*m + (1-b1)*g, v likewise and
         # p -= lr * m_hat / (sqrt(v_hat) + eps).
@@ -190,7 +187,7 @@ class Adam:
         v *= b2
         v += (1 - b2) * np.square(p.grad)
         step = m / (1 - b1 ** self.t) * self.learning_rate
-        step /= np.sqrt(v / (1 - b2 ** self.t)) + self.eps
+        step /= np.sqrt(v / (1 - b2 ** self.t)) + eps
         p.data -= step
 
 
@@ -514,7 +511,7 @@ def _suite_sample(rng, n_real, participants, row):
                             lx.NEUTRAL, "a", "b")
 
 
-def gradient_suite(trials=20, seed=0, n_max=10, h_max=8, filters_max=6):
+def gradient_suite(trials=20, seed=0):
     """Gradient-check every encoder kind composed with the head and loss.
 
     Each trial checks one mini-batch of three contexts of mixed lengths:
@@ -530,10 +527,10 @@ def gradient_suite(trials=20, seed=0, n_max=10, h_max=8, filters_max=6):
         rng = np.random.default_rng([seed, kind_idx])
         kind_worst = 0.0
         for _ in range(trials):
-            n = int(rng.integers(4, min(n_max, 6) + 1))
+            n = int(rng.integers(4, 7))
             cfg = enc.EncoderConfig(
-                kind, n=n, h=int(rng.integers(2, min(h_max, 3) + 1)),
-                filters=int(rng.integers(2, min(filters_max, 3) + 1)),
+                kind, n=n, h=int(rng.integers(2, 4)),
+                filters=int(rng.integers(2, 4)),
                 window=int(rng.integers(1, 4)), k=3,
                 feature_mode=str(rng.choice(enc.FEATURE_MODES)))
             short = int(rng.integers(2, n))

@@ -741,15 +741,15 @@ def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
     return out
 
 
-def gradient_check(
-    f: Callable[[Tape], Tensor], params: Sequence[Parameter], eps: float = 1e-5
-) -> float:
+def gradient_check(f: Callable[[Tape], Tensor],
+                   params: Sequence[Parameter]) -> float:
     """Compare tape gradients of a scalar function against central differences.
 
     Returns the max over all parameter coordinates of
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     `f` must be deterministic and must not mutate the parameters.
     """
+    eps = 1e-5  # the central-difference step
     for p in params:
         p.zero_grad()
     tape = Tape()

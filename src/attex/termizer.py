@@ -255,12 +255,12 @@ def crop_to_window(seq, n):
 
 
 def group_of(term, sentiment_lexicon, preposition_list):
-    """Analysis group with precedence FRAMES > SENTIMENT > PREP."""
+    """Analysis group, FRAMES > SENTIMENT > PREP; a None list holds nothing."""
     if term.kind == FRAME:
         return GROUP_FRAMES
     if term.kind == WORD:
-        if lx.in_sentiment_lexicon(term.lemma, sentiment_lexicon):
+        if sentiment_lexicon is not None and term.lemma in sentiment_lexicon:
             return GROUP_SENTIMENT
-        if lx.is_preposition(term.lemma, preposition_list):
+        if preposition_list is not None and term.lemma in preposition_list:
             return GROUP_PREP
     return GROUP_OTHER

@@ -38,11 +38,11 @@ def frame_lexicon():
 
 
 def preposition_list():
-    return lx.PrepositionList(PREPOSITIONS)
+    return lx.LemmaSet(PREPOSITIONS)
 
 
 def sentiment_lexicon():
-    return lx.SentimentLexicon(SENTIMENT_WORDS)
+    return lx.LemmaSet(SENTIMENT_WORDS)
 
 
 def _filler(rng):

@@ -48,8 +48,7 @@ def _corpus_vocab_size(corpus):
 
 def test_gradient_suite_all_encoders():
     t0 = time.time()
-    worst = md.gradient_suite(trials=20, seed=0, n_max=10, h_max=8,
-                              filters_max=6)
+    worst = md.gradient_suite(trials=20, seed=0)
     elapsed = time.time() - t0
     peak = max(worst.values())
     ok = (sorted(worst) == sorted(en.ENCODER_KINDS)
@@ -240,8 +239,8 @@ def _random_attentive_pass(rng, kind):
 
 
 def test_attention_normalization_invariants():
-    sent = lx.SentimentLexicon(["good", "bad"])
-    preps = lx.PrepositionList(["in", "on"])
+    sent = lx.LemmaSet(["good", "bad"])
+    preps = lx.LemmaSet(["in", "on"])
     rng = np.random.default_rng(23)
     passes = 1000
     alpha_worst = 0.0

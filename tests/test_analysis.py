@@ -11,8 +11,8 @@ from attex import lexicons as lx
 from attex import model as md
 from attex import termizer as tz
 
-SENT_LEX = lx.SentimentLexicon(["ужасно", "прекрасно"])
-PREPS = lx.PrepositionList(["в", "на"])
+SENT_LEX = lx.LemmaSet(["ужасно", "прекрасно"])
+PREPS = lx.LemmaSet(["в", "на"])
 
 
 def make_sample(words, subj, obj, label=lx.NEUTRAL, frames=(), doc_id="d",

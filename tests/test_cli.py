@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import itertools
 import json
 import os
 
@@ -180,6 +181,64 @@ class TestConfigParsing:
             cli.ExperimentConfig({"documents": str(tmp_path / "absent.jsonl")})
 
 
+class TestSettingRoutes:
+    # A value other than the default for every setting but the paths.
+    VALUES = {
+        "encoder": "att-cnn", "features": "att-ef", "n": 9, "h": 4,
+        "filters": 5, "window": 2, "k": 4,
+        "m": 6, "polarity_dim": 3, "use_position": "true", "position_dim": 2,
+        "max_distance": 7,
+        "max_epochs": 40, "eval_period": 20, "stop_threshold": 0.5,
+        "learning_rate": 0.25, "optimizer": "sgd", "batch_size": 7,
+        "neutral_ratio": 1.5, "seed": 11,
+        "mode": "traintest", "scope": "collection", "out": "o",
+        "cache": "c.jsonl", "gradcheck_trials": 2,
+    }
+
+    def test_every_setting_reaches_its_target(self, tmp_path, monkeypatch):
+        values = dict(self.VALUES)
+        for key in cli._PATH_KEYS:
+            values[key] = str(tmp_path / key)
+            (tmp_path / key).write_text("x\n")
+        assert sorted(values) == sorted(cli.SETTINGS)
+        config = tmp_path / "c.conf"
+        config.write_text("".join("%s = %s\n" % kv for kv in values.items()))
+        cfg = cli.ExperimentConfig(cli.load_config_file(str(config)))
+
+        ecfg = cfg.encoder_config("test")
+        assert {s: getattr(ecfg, s) for s in ecfg.__slots__} == {
+            "kind": "att-cnn", "feature_mode": "att-ef", "n": 9, "h": 4,
+            "filters": 5, "window": 2, "k": 4}
+        assert cfg.embed_options(pretrained=False) == {
+            "m": 6, "polarity_dim": 3, "use_position": True,
+            "position_dim": 2, "max_distance": 7}
+        tcfg = cfg.train_config()
+        assert {s: getattr(tcfg, s) for s in tcfg.__slots__} == {
+            "max_epochs": 40, "eval_period": 20, "stop_threshold": 0.5,
+            "learning_rate": 0.25, "optimizer": "sgd", "batch_size": 7,
+            "neutral_ratio": 1.5, "seed": 11}
+        assert (cfg.seed, cfg.mode, cfg.scope, cfg.out, cfg.cache) == (
+            11, "traintest", "collection", "o", "c.jsonl")
+        for key in cli._PATH_KEYS:
+            assert cfg.get(key) == str(tmp_path / key)
+        calls = []
+        monkeypatch.setattr(cli.md, "gradient_suite",
+                            lambda trials, seed: calls.append(trials) or {})
+        assert cli.cmd_gradcheck(cfg) == 0
+        assert calls == [2]
+
+    def test_readme_table_names_every_setting(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        start = lines.index("| key | type | default | sets |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("| `"),
+                                   lines[start:])
+        keys = [row.split("`")[1] for row in rows]
+        assert sorted(keys) == sorted(cli.SETTINGS)
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert cli.main([]) == 1
@@ -301,7 +360,8 @@ class TestPrepare:
     @pytest.mark.parametrize("case", [
         "id-out-of-range", "id-negative", "id-true", "id-float", "id-string",
         "ids-not-array", "short-record", "long-record", "object-record",
-        "doc-id-array",
+        "doc-id-array", "source-array", "target-object", "sentence-true",
+        "sentence-string",
     ])
     def test_bad_cached_record_is_data_error(self, tmp_path, capsys, case):
         config, out = prepared(tmp_path, capsys)
@@ -323,6 +383,12 @@ class TestPrepare:
             row.append(0)
         elif case == "doc-id-array":
             row[0] = [row[0]]
+        elif case == "source-array":
+            row[3] = [row[3]]
+        elif case == "target-object":
+            row[4] = {row[4]: 1}
+        elif case.startswith("sentence-"):
+            row[1] = True if case == "sentence-true" else str(row[1])
         else:
             row = dict(zip("abcdefgh", row))
         lines[-1] = json.dumps(row, ensure_ascii=False)

@@ -174,21 +174,17 @@ class TestWordLists:
     def test_membership(self, tmp_path):
         path = tmp_path / "prep.txt"
         path.write_text("в\nна\nПри\n", encoding="utf-8")
-        preps = lx.load_preposition_list(path)
+        preps = lx.load_lemma_set(path)
         assert len(preps) == 3
-        assert lx.is_preposition("в", preps)
-        assert lx.is_preposition("при", preps)
-        assert lx.is_preposition("При", preps)
-        assert not lx.is_preposition("у", preps)
+        assert "в" in preps
+        assert "при" in preps
+        assert "При" in preps
+        assert "у" not in preps
 
     def test_sentiment_lexicon(self, tmp_path):
         path = tmp_path / "sent.txt"
         path.write_text("Хорошо\nплохо\n", encoding="utf-8")
-        sent = lx.load_sentiment_lexicon(path)
-        assert lx.in_sentiment_lexicon("хорошо", sent)
-        assert lx.in_sentiment_lexicon("плохо", sent)
-        assert not lx.in_sentiment_lexicon("никак", sent)
-
-    def test_absent_lists_hold_nothing(self):
-        assert not lx.is_preposition("в", None)
-        assert not lx.in_sentiment_lexicon("хорошо", None)
+        sent = lx.load_lemma_set(path)
+        assert "хорошо" in sent
+        assert "плохо" in sent
+        assert "никак" not in sent

@@ -172,6 +172,8 @@ class TestTrainConfig:
         dict(optimizer="rmsprop"),
         dict(batch_size=0),
         dict(neutral_ratio=0.0),
+        dict(neutral_ratio=float("inf")),
+        dict(neutral_ratio=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

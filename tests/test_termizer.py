@@ -276,8 +276,8 @@ class TestCropToWindow:
 
 class TestGroupOf:
     def setup_method(self):
-        self.sent = lx.SentimentLexicon(["хорошо", "в"])
-        self.prep = lx.PrepositionList(["в", "на"])
+        self.sent = lx.LemmaSet(["хорошо", "в"])
+        self.prep = lx.LemmaSet(["в", "на"])
 
     def test_frame_group(self):
         term = tz.Term.frame("одобрить", "positive")
