@@ -83,8 +83,13 @@ def kde(samples, grid, bandwidth=None):
         raise ValueError("kde needs at least one sample")
     bw = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
     grid = np.asarray(grid, dtype=float)
-    u = (grid[:, None] - x[None, :]) / bw
-    phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    # In place: a CV run's study holds one (grid, samples) array at a time.
+    phi = grid[:, None] - x[None, :]
+    phi /= bw
+    phi *= phi
+    phi *= -0.5
+    np.exp(phi, out=phi)
+    phi /= np.sqrt(2.0 * np.pi)
     return phi.sum(axis=1) / (x.size * bw)
 
 

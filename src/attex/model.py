@@ -10,9 +10,14 @@ Evaluation averages per-context probabilities into one label per
 (document, source group, target group) and scores macro-F1 of the
 positive and negative classes, averaged per document by default.
 Cross-validation and the train/test protocol run one routine that
-extracts the corpus once and splits its contexts and gold by document.
+extracts the corpus once and splits its contexts and gold by document;
+it trains the splits at once, in up to one forked process per usable CPU.
 """
 
+import os
+import pickle
+import signal
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -403,6 +408,13 @@ class SplitResult:
         self.dropped = dropped
 
 
+def _split_model(train_samples, encoder_cfg, train_cfg, embed_options, split):
+    """The untrained model of one split, as `fit` documents it."""
+    seed = train_cfg.seed
+    return build_model(enc.build_vocab(train_samples), encoder_cfg,
+                       embed_options, rng=np.random.default_rng([seed, split]))
+
+
 def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
     """Vocabulary, model and training of one split: (model, history).
 
@@ -410,12 +422,86 @@ def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
     default_rng([seed, split, 1]), seed being train_cfg.seed; the CV fold
     index or 0 for a train/test manifest is the split.
     """
-    vocab = enc.build_vocab(train_samples)
-    model = build_model(vocab, encoder_cfg, embed_options,
-                        rng=np.random.default_rng([train_cfg.seed, split]))
+    model = _split_model(train_samples, encoder_cfg, train_cfg,
+                         embed_options, split)
     history = train(model, train_samples, train_cfg,
                     rng=np.random.default_rng([train_cfg.seed, split, 1]))
     return model, history
+
+
+def _split_sides(samples, gold, test_split, k):
+    """(train samples, test samples, test gold) of each split 0..k-1."""
+    return [([s for s in samples if test_split.get(s.doc_id) != split],
+             [s for s in samples if test_split.get(s.doc_id) == split],
+             {key: label for key, label in gold.items()
+              if test_split.get(key[0]) == split}) for split in range(k)]
+
+
+def _until_failure(run, splits):
+    """run(split) of each split in turn; an error ends the list."""
+    outcomes = []
+    try:
+        for split in splits:
+            outcomes.append(run(split))
+    except Exception as exc:
+        outcomes.append(exc)
+    return outcomes
+
+
+def _in_processes(run, k):
+    """[run(split) for split in range(k)]. Split i runs in process i mod
+    P, P = min(k, usable CPUs), 0 being this one; the first failed split
+    raises its error, as in one process."""
+    count = (min(k, len(os.sched_getaffinity(0)))
+             if hasattr(os, "sched_getaffinity") else 1)
+    workers = {}  # first split: (pid, read end of its pipe), until reaped
+    try:
+        for split in range(1, count):
+            workers[split] = _forked(run, range(split, k, count))
+        sent = [_until_failure(run, range(0, k, count))]
+        for split in range(1, count):
+            pid, pipe = workers[split]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[split]
+            sent.append(pickle.loads(data) if data else [RuntimeError(
+                "the process of split %d exited with code %d"
+                % (split, code))])
+        outcomes = []
+        for split in range(k):
+            outcomes.append(sent[split % count][split // count])
+            if isinstance(outcomes[-1], Exception):
+                raise outcomes[-1]
+        return outcomes
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _forked(run, splits):
+    """Fork a process that runs the splits, writes their pickled outcome
+    list to a pipe and exits: (its pid, the pipe's read end)."""
+    read, write = os.pipe()
+    sys.stderr.flush()  # the forked process flushes it if it fails
+    pid = os.fork()
+    if pid == 0:  # never returns: the caller's stack is not this process's
+        code = 1
+        try:
+            os.close(read)
+            sent = pickle.dumps(_until_failure(run, splits))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(sent)
+            code = 0
+        except BaseException:  # say why, as no other process can
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
 
 def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
@@ -428,20 +514,22 @@ def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
                                         frame_lexicon, encoder_cfg.n,
                                         tz.lemmatize)
     gold = opinion_gold(corpus.documents, corpus)
-    results = []
-    for split in range(k):
-        train_samples = [s for s in samples
-                         if test_split.get(s.doc_id) != split]
-        test_samples = [s for s in samples
-                        if test_split.get(s.doc_id) == split]
-        model, history = fit(train_samples, encoder_cfg, train_cfg,
-                             embed_options, split)
-        f1 = evaluate_on_samples(
-            model, test_samples,
-            {key: label for key, label in gold.items()
-             if test_split.get(key[0]) == split}, scope)
-        results.append(SplitResult(f1, history, model, test_samples, dropped))
-    return results
+    sides = _split_sides(samples, gold, test_split, k)
+    models = {}
+
+    def run(split):
+        models[split], history = fit(sides[split][0], encoder_cfg, train_cfg,
+                                     embed_options, split)
+        return models[split].flat.data, history, evaluate_on_samples(
+            models[split], *sides[split][1:], scope)
+
+    outcomes = _in_processes(run, k)
+    for split in set(range(k)) - set(models):  # trained in a forked process
+        models[split] = _split_model(sides[split][0], encoder_cfg, train_cfg,
+                                     embed_options, split)
+        models[split].flat.data[...] = outcomes[split][0]
+    return [SplitResult(f1, history, models[split], sides[split][1], dropped)
+            for split, (_, history, f1) in enumerate(outcomes)]
 
 
 class CvResult:

@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -898,6 +900,57 @@ class TestCv:
         assert dropped > 0
         assert cli.main(["cv", "--config", str(config)]) == 0
         assert stdout_pairs(capsys)["dropped"] == str(dropped)
+
+
+def cv_in_subprocess(config, cpus):
+    """`attex cv --config config` in a new interpreter that sees `cpus`
+    usable CPUs, its stdout a pipe: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(%d))"
+            "; from attex import cli; sys.exit(cli.main(sys.argv[1:]))" % cpus)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout, a pipe, is buffered
+    done = subprocess.run(
+        [sys.executable, "-c", code, "cv", "--config", str(config)],
+        capture_output=True, text=True, timeout=300, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestCvProcesses:
+    """`attex cv` gives the same files and stdout at any CPU count."""
+
+    def test_outputs_identical(self, tmp_path):
+        config, out = write_fixture(tmp_path)
+        runs = []
+        for cpus in (1, 3):
+            code, stdout, _ = cv_in_subprocess(config, cpus)
+            assert code == 0
+            keys = [line.split("\t")[0] for line in stdout.splitlines()]
+            assert keys == ["seed", "dropped", "fold0_f1", "fold1_f1",
+                            "fold2_f1", "mean_f1"]
+            runs.append((stdout, {path.name: path.read_bytes()
+                                  for path in sorted(out.iterdir())}))
+        assert runs[0] == runs[1]
+        assert sorted(runs[0][1]) == ["folds.csv", "history_fold0.csv",
+                                      "history_fold1.csv",
+                                      "history_fold2.csv"]
+
+    def test_numeric_failure_exits_3_once(self, tmp_path):
+        config, out = write_fixture(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "learning_rate = 0.02", "learning_rate = inf")
+            + "optimizer = sgd\n", encoding="utf-8")
+        failures = []
+        for cpus in (1, 3):
+            code, stdout, stderr = cv_in_subprocess(config, cpus)
+            assert code == 3
+            assert stdout == ""
+            lines = [line for line in stderr.splitlines()
+                     if line.startswith("numeric failure: ")]
+            assert len(lines) == 1 and stderr.endswith(lines[0] + "\n")
+            failures.append(lines[0])
+        assert failures[0] == failures[1]
+        assert not out.exists()
 
 
 class TestPretrainedVectors:

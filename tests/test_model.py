@@ -1,5 +1,12 @@
 """Tests for the classifier head, training protocol, and evaluation."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -589,20 +596,18 @@ class TestRunners:
 
     @staticmethod
     def recorded_splits(monkeypatch):
-        """Stub fit and evaluate_on_samples; returns the list that gets,
-        per split, its (train samples, test samples, gold)."""
+        """Record what md._split_sides gives; returns the list that gets,
+        per split, its (train samples, test samples, gold). The sides are
+        built in the calling process, before any split is trained."""
         seen = []
+        split_sides = md._split_sides
 
-        def fit(train_samples, *args, **kwargs):
-            seen.append([train_samples])
-            return None, md.RunHistory(10)
+        def recorded(*args):
+            sides = split_sides(*args)
+            seen.extend(sides)
+            return sides
 
-        def evaluate(model, test_samples, gold, scope):
-            seen[-1] += [test_samples, gold]
-            return 0.0
-
-        monkeypatch.setattr(md, "fit", fit)
-        monkeypatch.setattr(md, "evaluate_on_samples", evaluate)
+        monkeypatch.setattr(md, "_split_sides", recorded)
         return seen
 
     @staticmethod
@@ -680,6 +685,220 @@ class TestRunners:
         assert gold[("doc0", "g1", "g3")] == lx.NEGATIVE
         assert gold[("doc0", "g2", "g1")] == lx.NEUTRAL
         assert gold[("doc0", "g3", "g1")] == lx.NEUTRAL
+
+
+def usable_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def counted_forks(monkeypatch):
+    """Count os.fork calls made by this process; returns the count list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitProcesses:
+    """Splits run in min(k, usable CPUs) processes with the outcomes of
+    one process."""
+
+    @pytest.mark.parametrize("kind", ["att-blstm", "pcnn"])
+    def test_same_results_at_any_process_count(self, monkeypatch, kind):
+        corpus = tiny_corpus(5)
+        encoder = enc.EncoderConfig(kind, n=8, h=4, filters=4, window=1, k=3)
+        forks = counted_forks(monkeypatch)
+        extract = md.samples_for_docs
+        runs = []
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            extracted = []
+            monkeypatch.setattr(md, "samples_for_docs", lambda *args: (
+                extracted.append(extract(*args)) or extracted[-1]))
+            result = md.run_cv(corpus, encoder, cheap_train_cfg(),
+                               embed_options=CHEAP_EMBED, k=3)
+            kept = {id(s) for s in extracted[0][0]}
+            for split in result.splits:
+                assert split.test_samples
+                assert all(id(s) in kept for s in split.test_samples)
+            runs.append(result)
+            assert len(forks) == (0 if cpus == 1 else 2)
+        fold_of_doc = runs[1].folds.fold_of_doc
+        for split, (one, three) in enumerate(zip(runs[0].splits,
+                                                 runs[1].splits)):
+            assert one.model.flat.data.tobytes() == \
+                three.model.flat.data.tobytes()
+            assert one.history.rows == three.history.rows
+            assert repr(one.f1) == repr(three.f1)
+            # The rebuilt model's parameters are views into its buffer,
+            # and it scores its held-out contexts as the trained one did.
+            assert all(np.shares_memory(p.data, three.model.flat.data)
+                       for p in three.model.parameters())
+            assert md.infer(one.model, one.test_samples)[0].tobytes() == \
+                md.infer(three.model, three.test_samples)[0].tobytes()
+            gold = md.opinion_gold([d for d in corpus.documents
+                                    if fold_of_doc[d.doc_id] == split], corpus)
+            assert md.evaluate_on_samples(three.model, three.test_samples,
+                                          gold) == three.f1
+        assert_no_child_left()
+
+    def test_run_train_test_never_forks(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        forks = counted_forks(monkeypatch)
+        manifest = {"doc0": "train", "doc1": "train", "doc2": "test"}
+        result = md.run_train_test(tiny_corpus(), manifest, CHEAP_ENCODER,
+                                   cheap_train_cfg(),
+                                   embed_options=CHEAP_EMBED)
+        assert result.history.rows
+        assert forks == []
+
+    def test_numeric_failure_is_the_one_process_error(self, monkeypatch):
+        corpus = tiny_corpus(5)
+        cfg = md.TrainConfig(max_epochs=20, eval_period=10,
+                             learning_rate=float("inf"), optimizer="sgd",
+                             batch_size=4, seed=9)
+        messages = []
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(NumericError) as failure:
+                md.run_cv(corpus, CHEAP_ENCODER, cfg,
+                          embed_options=CHEAP_EMBED, k=3)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+        assert "not finite" in messages[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failed_split_raises(self, monkeypatch, cpus):
+        """Splits 1 and 2 fail; split 1 runs in a worker in both the 2-
+        and the 3-process run, split 2 in this process in the 2-process
+        run. Each run raises split 1's error, as one process does."""
+        fit = md.fit
+
+        def failing(train_samples, encoder_cfg, train_cfg, embed_options,
+                    split):
+            if split:
+                raise NumericError("split %d failed" % split)
+            return fit(train_samples, encoder_cfg, train_cfg,
+                       embed_options, split)
+
+        monkeypatch.setattr(md, "fit", failing)
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericError, match="^split 1 failed$"):
+            md.run_cv(tiny_corpus(5), CHEAP_ENCODER, cheap_train_cfg(),
+                      embed_options=CHEAP_EMBED, k=3)
+        assert_no_child_left()
+
+    @staticmethod
+    def failing_in_process(monkeypatch, split, failure):
+        """Patch fit so that `split`, run in a forked process, calls
+        failure(); every other split trains."""
+        caller, fit = os.getpid(), md.fit
+
+        def failing(train_samples, encoder_cfg, train_cfg, embed_options,
+                    at):
+            if at == split and os.getpid() != caller:
+                failure()
+            return fit(train_samples, encoder_cfg, train_cfg,
+                       embed_options, at)
+
+        monkeypatch.setattr(md, "fit", failing)
+
+    def test_killed_process_names_its_split(self, monkeypatch):
+        self.failing_in_process(
+            monkeypatch, 1, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="^the process of split 1 "
+                           "exited with code -9$"):
+            md.run_cv(tiny_corpus(5), CHEAP_ENCODER, cheap_train_cfg(),
+                      embed_options=CHEAP_EMBED, k=3)
+        assert_no_child_left()
+
+    def test_unpicklable_error_names_its_split(self, monkeypatch):
+        class Local(Exception):  # pickle cannot find a local class
+            pass
+
+        def failure():
+            raise Local("split 2")
+
+        self.failing_in_process(monkeypatch, 2, failure)
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="^the process of split 2 "
+                           "exited with code 1$"):
+            md.run_cv(tiny_corpus(5), CHEAP_ENCODER, cheap_train_cfg(),
+                      embed_options=CHEAP_EMBED, k=3)
+        assert_no_child_left()
+
+    def test_interrupted_caller_ends_every_process(self, monkeypatch):
+        """The caller's own split is interrupted while another process
+        still trains: that process is ended and reaped at once."""
+        caller = os.getpid()
+
+        def slow(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(20)
+
+        monkeypatch.setattr(md, "fit", slow)
+        usable_cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            md.run_cv(tiny_corpus(5), CHEAP_ENCODER, cheap_train_cfg(),
+                      embed_options=CHEAP_EMBED, k=3)
+        assert time.perf_counter() - start < 10
+        assert_no_child_left()
+
+    def test_buffered_output_is_written_once(self):
+        """What the caller has buffered for its stdout before the fork is
+        written by the caller alone."""
+        code = ("import os; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+                "from attex import model as md; print('before'); "
+                "print(md._in_processes(lambda split: split, 3))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(md.__file__))))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout, a pipe, is buffered
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "before\n[0, 1, 2]\n")
+
+    def test_daemonic_caller_runs_in_processes(self, monkeypatch):
+        """A daemonic multiprocessing process, which multiprocessing lets
+        start no process of its own, still runs the splits in processes."""
+        usable_cpus(monkeypatch, 3)
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def caller():
+            try:
+                send.send((md._in_processes(lambda split: (split, os.getpid()),
+                                            3), os.getpid()))
+            except Exception as exc:
+                send.send(repr(exc))
+
+        process = multiprocessing.get_context("fork").Process(
+            target=caller, daemon=True)
+        process.start()
+        send.close()
+        sent = receive.recv()
+        assert not isinstance(sent, str), sent
+        results, pid = sent
+        assert [split for split, _ in results] == [0, 1, 2]
+        assert [ran == pid for _, ran in results] == [True, False, False]
+        process.join()
+        receive.close()
+        assert_no_child_left()
 
 
 class TestGradientSuite:
