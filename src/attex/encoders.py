@@ -6,7 +6,7 @@ embedder turns a Batch of B of them into x (B, n, row_width), zero past
 each context's real terms, in one `embedding_lookup` op, and every
 encoder runs the whole batch as one short chain of tape ops: cnn and
 pcnn a convolution and a max pool, the LSTM kinds one `lstm_sequence`
-per BiLSTM, att-cnn pcnn's chain plus one `feature_attention` op.
+per `Lstm`, att-cnn pcnn's chain plus one `feature_attention` op.
 
 Kinds and output sizes:
     cnn             conv -> tanh -> max pool            z = filters
@@ -299,30 +299,28 @@ def _glorot(rng, shape, name):
     return tg.Parameter(rng.uniform(-limit, limit, shape), name)
 
 
-class LstmCell(Module):
-    """Gates packed [input, forget, output, candidate]; forget bias 1."""
+class Lstm(Module):
+    """`directions` LSTMs over one input (2 for a BiLSTM), their w, u and
+    b stored in the layout `tg.lstm_sequence` reads; forget bias 1."""
 
-    def __init__(self, input_dim, h, rng, name):
-        self.w = _glorot(rng, (input_dim, 4 * h), name + ".w")
-        self.u = _glorot(rng, (h, 4 * h), name + ".u")
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0
-        self.b = tg.Parameter(bias, name + ".b")
-
-    def run(self, x, lengths):
-        """Hidden states (B, T, h) of x (B, T, m), 0 past each row's length."""
-        return tg.lstm_sequence(x, [self.parameters()], lengths)
-
-
-class BiLstm(Module):
-    def __init__(self, input_dim, h, rng, name):
-        self.fwd = LstmCell(input_dim, h, rng, name + ".fwd")
-        self.bwd = LstmCell(input_dim, h, rng, name + ".bwd")
+    def __init__(self, input_dim, h, directions, rng, name):
+        # Direction by direction, w then u: the draw order the pinned
+        # initial values (tests/test_lstm_sequence.py) were made with.
+        ws, us = zip(*[(_glorot(rng, (input_dim, 4 * h), name + ".w").data,
+                        _glorot(rng, (h, 4 * h), name + ".u").data)
+                       for _ in range(directions)])
+        self.w = tg.Parameter(
+            np.stack([w.reshape(input_dim, 4, h) for w in ws], axis=2)
+            .reshape(input_dim, -1), name + ".w")
+        self.u = tg.Parameter(np.stack(us), name + ".u")
+        bias = np.zeros((4, directions, h))
+        bias[1] = 1.0
+        self.b = tg.Parameter(bias.reshape(-1), name + ".b")
 
     def states(self, x, lengths):
-        """(B, T, 2h): step t joins both directions' states at step t."""
-        return tg.lstm_sequence(
-            x, [self.fwd.parameters(), self.bwd.parameters()], lengths)
+        """(B, T, D*h) of x (B, T, m): step t joins every direction's state
+        at step t, 0 past each row's length."""
+        return tg.lstm_sequence(x, self.w, self.u, self.b, lengths)
 
 
 def _mean_weights(mask):
@@ -373,29 +371,21 @@ class PcnnEncoder(Module):
 class LstmEncoder(Module):
     kind = "lstm"
     attentive = False
+    directions = 1
 
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
-        self.z = cfg.h
-        self.cell = LstmCell(row_width, cfg.h, rng, "lstm")
+        self.z = self.directions * cfg.h
+        self.lstm = Lstm(row_width, cfg.h, self.directions, rng, self.kind)
 
     def encode(self, tape, x, batch):
-        states = self.cell.run(x, batch.lengths)
+        states = self.lstm.states(x, batch.lengths)
         return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
 
-class BiLstmEncoder(Module):
+class BiLstmEncoder(LstmEncoder):
     kind = "bilstm"
-    attentive = False
-
-    def __init__(self, cfg, row_width, rng):
-        self.cfg = cfg
-        self.z = 2 * cfg.h
-        self.bilstm = BiLstm(row_width, cfg.h, rng, "bilstm")
-
-    def encode(self, tape, x, batch):
-        states = self.bilstm.states(x, batch.lengths)
-        return EncoderOutput(tg.gather(states, batch.lengths - 1))
+    directions = 2
 
 
 class AttBLstmEncoder(Module):
@@ -405,7 +395,7 @@ class AttBLstmEncoder(Module):
     def __init__(self, cfg, row_width, rng):
         self.cfg = cfg
         self.z = 2 * cfg.h
-        self.bilstm = BiLstm(row_width, cfg.h, rng, "attblstm")
+        self.bilstm = Lstm(row_width, cfg.h, 2, rng, "attblstm")
         self.w = _glorot(rng, (2 * cfg.h,), "attblstm.att.w")
 
     def encode(self, tape, x, batch):
@@ -424,7 +414,7 @@ class AttBLstmZYangEncoder(Module):
         self.cfg = cfg
         h2 = 2 * cfg.h
         self.z = h2
-        self.bilstm = BiLstm(row_width, cfg.h, rng, "zyang")
+        self.bilstm = Lstm(row_width, cfg.h, 2, rng, "zyang")
         self.w_a = _glorot(rng, (h2, h2), "zyang.att.w_a")
         self.b_a = tg.Parameter(np.zeros(h2), "zyang.att.b_a")
         self.u_w = _glorot(rng, (h2,), "zyang.att.u_w")
@@ -466,8 +456,8 @@ class IanEncoder(Module):
         self.cfg = cfg
         self.z = 4 * cfg.h
         h2 = 2 * cfg.h
-        self.context_lstm = BiLstm(row_width, cfg.h, rng, "ian.ctx")
-        self.feature_lstm = BiLstm(row_width, cfg.h, rng, "ian.feat")
+        self.context_lstm = Lstm(row_width, cfg.h, 2, rng, "ian.ctx")
+        self.feature_lstm = Lstm(row_width, cfg.h, 2, rng, "ian.feat")
         self.w_c = _glorot(rng, (h2, h2), "ian.att.w_c")
         self.b_c = tg.Parameter(np.zeros(1), "ian.att.b_c")
         self.w_t = _glorot(rng, (h2, h2), "ian.att.w_t")

@@ -357,7 +357,10 @@ def train(model, samples, cfg, rng=None):
                 raise NumericError(
                     "non-finite loss %r at epoch %d" % (float(loss.data), epoch))
             tape.backward(loss)
-            optimizer.step()
+            # A step that overflows is reported by the check below, once,
+            # not also as a numpy warning on stderr.
+            with np.errstate(invalid="ignore", over="ignore"):
+                optimizer.step()
             if not np.isfinite(model.flat.data).all():
                 bad = next(p for p in model.parameters()
                            if not np.isfinite(p.data).all())

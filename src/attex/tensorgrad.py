@@ -267,16 +267,18 @@ def tanh(a: Operand) -> Tensor:
     return out
 
 
-def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
+def lstm_sequence(x: Operand, w: Operand, u: Operand, b: Operand,
                   lengths) -> Tensor:
     """States (B, T, D*h) of D = 1 or 2 LSTM directions over each row of x,
     as one tape op; direction d fills columns d*h:(d+1)*h.
 
-    x is (B, T, m); each cell is w (m, 4h), u (h, 4h), b (4h,), gates packed
-    [input, forget, output, candidate]; states start at zero. Row i reads
-    its first lengths[i] steps: the first cell forward, a second backward
-    from the row's own last real step. Step t of the result is the state
-    after step t; past a row's length it is exactly 0.
+    x is (B, T, m). The D*h units are stored as the step loop reads them:
+    w (m, 4Dh) and b (4Dh,) are gate-major [input, forget, output,
+    candidate], each gate holding direction 0's h units, then direction
+    1's; u (D, h, 4h) is one block per direction. States start at zero.
+    Row i reads its first lengths[i] steps: direction 0 forward, direction
+    1 backward from the row's own last real step. Step t of the result is
+    the state after step t; past a row's length it is exactly 0.
 
     Both directions run as one step loop over H = D*h units. The forward
     loop and the handwritten BPTT loop both run transposed and gate-major:
@@ -285,31 +287,26 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
     a memory layout for which OpenBLAS sums every dot product as it does
     for the batch-major h·U, so values match a batch-major loop bit for bit.
     """
-    if len(cells) not in (1, 2):
-        raise ValueError(f"lstm_sequence takes one or two cells, got {len(cells)}")
-    tape = _tape_of(x, *(p for cell in cells for p in cell))
-    xv = _value(x)
-    ws, us, bs = ([_value(cell[i]) for cell in cells] for i in range(3))
+    tape = _tape_of(x, w, u, b)
+    xv, wv, ud, bv = (_value(a) for a in (x, w, u, b))
     lengths = np.asarray(lengths, dtype=np.intp)
-    h = us[0].shape[0] if us[0].ndim == 2 else 0
+    D, h = ud.shape[:2] if ud.ndim == 3 else (0, 0)
+    H = D * h
     m = xv.shape[2] if xv.ndim == 3 else 0
-    shapes = {(w.shape, u.shape, b.shape) for w, u, b in zip(ws, us, bs)}
-    if xv.ndim != 3 or min(xv.shape[:2]) < 1 or h < 1 \
-            or shapes != {((m, 4 * h), (h, 4 * h), (4 * h,))}:
-        raise ValueError(f"lstm_sequence expects x (B,T,m) and cells w (m,4h), "
-                         f"u (h,4h), b (4h,); got {xv.shape}, {sorted(shapes)}")
+    if xv.ndim != 3 or min(xv.shape[:2]) < 1 or D not in (1, 2) or h < 1 \
+            or (wv.shape, ud.shape, bv.shape) != ((m, 4 * H), (D, h, 4 * h),
+                                                  (4 * H,)):
+        raise ValueError(f"lstm_sequence expects x (B,T,m), w (m,4Dh), "
+                         f"u (D,h,4h), b (4Dh,), D 1 or 2; got {xv.shape}, "
+                         f"{wv.shape}, {ud.shape}, {bv.shape}")
     B, T, _ = xv.shape
     if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
         raise ValueError(f"lstm_sequence: lengths {lengths} do not fit x {xv.shape}")
-    # Both directions run as one LSTM of H = D*h units: each gate's columns
-    # hold direction 0's h units, then direction 1's, and U is block diagonal.
-    D = len(cells)
-    H = D * h
-    wv = np.stack([w.reshape(m, 4, h) for w in ws], axis=2).reshape(m, 4 * H)
-    bv = np.stack([b.reshape(4, h) for b in bs], axis=1).reshape(4 * H)
+    # Both directions run as one LSTM of H units with a block-diagonal U,
+    # whose (D, h, 4, D, h) view holds direction d's u at block[d].
+    block = (np.arange(D), slice(None), slice(None), np.arange(D))
     uv = np.zeros((D, h, 4, D, h))
-    for d, u in enumerate(us):
-        uv[d, :, :, d] = u.reshape(h, 4, h)
+    uv[block] = ud.reshape(D, h, 4, h)
     uv = uv.reshape(H, 4 * H)
     # Steps past the longest row are all padding; they are never run.
     L = int(lengths.max())
@@ -399,16 +396,13 @@ def lstm_sequence(x: Operand, cells: Sequence[Sequence[Operand]],
         # Off-diagonal blocks of dU belong to no parameter and are dropped.
         du = (h_prev.reshape(L * B, H).T @ dflat.reshape(L * B, 4 * H)) \
             .reshape(D, h, 4, D, h)
+        _accumulate(u, du[block].reshape(D, h, 4 * h))
         flat = flip(dpre).reshape(L * B, 4 * H)
         dx = np.zeros_like(xv)
         dx[:, :L] = (flat @ wv.T).reshape(L, B, m).transpose(1, 0, 2)
         _accumulate(x, dx)
-        dw = (xs.reshape(L * B, m).T @ flat).reshape(m, 4, D, h)
-        db = flat.sum(axis=0).reshape(4, D, h)
-        for d, (w, u, b) in enumerate(cells):
-            _accumulate(w, dw[:, :, d].reshape(m, 4 * h))
-            _accumulate(u, du[d, :, :, d].reshape(h, 4 * h))
-            _accumulate(b, db[:, d].reshape(4 * h))
+        _accumulate(w, xs.reshape(L * B, m).T @ flat)
+        _accumulate(b, flat.sum(axis=0))
 
     tape._record(out, backward)
     return out

@@ -173,11 +173,38 @@ def lstm_run(tape, rows, w, u, b):
     return states
 
 
-def bilstm_run(tape, bilstm, rows):
-    f, r = bilstm.fwd, bilstm.bwd
-    forward = lstm_run(tape, rows, f.w, f.u, f.b)
-    backward = lstm_run(tape, rows[::-1], r.w, r.u, r.b)[::-1]
-    return [tg.concat([a, z], axis=0) for a, z in zip(forward, backward)]
+def cell_views(w, u, b, d):
+    """Direction d's w (m, 4, h), u (h, 4h) and b (4, h): views of the
+    gate-major arrays that `tg.lstm_sequence` reads."""
+    D, h, _ = u.shape
+    return w.reshape(-1, 4, D, h)[:, :, d], u[d], b.reshape(4, D, h)[:, d]
+
+
+def lstm_direction(tape, w, u, b, d):
+    """Direction d's cell w (m, 4h), u (h, 4h), b (4h,) as tape tensors
+    read from `cell_views`; their gradients land in the same views of
+    the parameters' grads."""
+    h = u.shape[1]
+    shapes = ((w.shape[0], 4 * h), (h, 4 * h), (4 * h,))
+    cell = []
+    for data, grad, shape in zip(cell_views(w.data, u.data, b.data, d),
+                                 cell_views(w.grad, u.grad, b.grad, d),
+                                 shapes):
+        def backward(g, grad=grad):
+            grad += g.reshape(grad.shape)
+        cell.append(_op(tape, data.reshape(shape), backward))
+    return cell
+
+
+def lstm_states(tape, lstm, rows):
+    """An enc.Lstm's states after each row: direction 0 forward, then
+    direction 1 backward, joined per row."""
+    cells = [lstm_direction(tape, lstm.w, lstm.u, lstm.b, d)
+             for d in range(lstm.u.shape[0])]
+    runs = [lstm_run(tape, rows, *cells[0])]
+    if len(cells) == 2:
+        runs.append(lstm_run(tape, rows[::-1], *cells[1])[::-1])
+    return [tg.concat(list(parts), axis=0) for parts in zip(*runs)]
 
 
 class Context:
@@ -270,13 +297,10 @@ def encode(tape, encoder, ctx):
         return max_pool(narrow(conv, 0, 0, ctx.n_real)), None
     if kind == "pcnn":
         return _pcnn(encoder, ctx), None
-    if kind == "lstm":
-        cell = encoder.cell
-        return lstm_run(tape, rows, cell.w, cell.u, cell.b)[-1], None
-    if kind == "bilstm":
-        return bilstm_run(tape, encoder.bilstm, rows)[-1], None
+    if kind in ("lstm", "bilstm"):
+        return lstm_states(tape, encoder.lstm, rows)[-1], None
     if kind in ("att-blstm", "att-blstm-zyang"):
-        h_mat = stack(bilstm_run(tape, encoder.bilstm, rows))
+        h_mat = stack(lstm_states(tape, encoder.bilstm, rows))
         if kind == "att-blstm":
             alpha = softmax(tg.matmul(tg.tanh(h_mat), encoder.w))
             return tg.tanh(tg.matmul(alpha, h_mat)), alpha.data
@@ -285,8 +309,8 @@ def encode(tape, encoder, ctx):
         return tg.matmul(alpha, h_mat), alpha.data
     feats = features(ctx, encoder.cfg.feature_mode, encoder.cfg.k)
     if kind == "ian":
-        c_states = bilstm_run(tape, encoder.context_lstm, rows)
-        t_states = bilstm_run(tape, encoder.feature_lstm, feats)
+        c_states = lstm_states(tape, encoder.context_lstm, rows)
+        t_states = lstm_states(tape, encoder.feature_lstm, feats)
         attended_c, gamma = _ian_attend(c_states, _mean(tape, t_states),
                                         encoder.w_c, encoder.b_c)
         attended_t, _ = _ian_attend(t_states, _mean(tape, c_states),

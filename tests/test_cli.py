@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import per_context as pc
 import synth
 from attex import cli
 from attex import corpus as cp
@@ -945,12 +946,36 @@ class TestCvProcesses:
             code, stdout, stderr = cv_in_subprocess(config, cpus)
             assert code == 3
             assert stdout == ""
-            lines = [line for line in stderr.splitlines()
-                     if line.startswith("numeric failure: ")]
-            assert len(lines) == 1 and stderr.endswith(lines[0] + "\n")
-            failures.append(lines[0])
+            # One line, with no numpy warning before it.
+            assert stderr.startswith("numeric failure: ")
+            assert stderr.count("\n") == 1 and stderr.endswith("\n")
+            failures.append(stderr)
         assert failures[0] == failures[1]
         assert not out.exists()
+
+
+class TestPerDirectionCheckpoint:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_refused(self, tmp_path, capsys, command):
+        # A checkpoint that stores one (w, u, b) cell per LSTM direction,
+        # as attex did before `enc.Lstm`, no longer loads.
+        config, out = prepared(tmp_path, capsys)
+        run = ["--config", str(config), "--mode", "traintest"]
+        assert cli.main(["train"] + run) == 0
+        capsys.readouterr()
+        arrays = tg.load_checkpoint(str(out / "model.ckpt"))
+        lstm = [arrays.pop("attblstm." + k) for k in "wub"]
+        params = [tg.Parameter(a, name) for name, a in arrays.items()]
+        for d, side in enumerate(("fwd", "bwd")):
+            w, u, b = pc.cell_views(*lstm, d)
+            name = "attblstm.%s." % side
+            params += [tg.Parameter(w.reshape(len(w), -1), name + "w"),
+                       tg.Parameter(u, name + "u"),
+                       tg.Parameter(b.reshape(-1), name + "b")]
+        tg.save_checkpoint(str(out / "model.ckpt"), params)
+        assert cli.main([command] + run) == 2
+        assert capsys.readouterr() == (
+            "", "data error: checkpoint is missing parameter 'attblstm.w'\n")
 
 
 class TestPretrainedVectors:

@@ -4,6 +4,7 @@ plus embedding, feature selection, and gradient behavior."""
 import numpy as np
 import pytest
 
+import per_context as pc
 from attex import encoders as enc
 from attex import tensorgrad as tg
 from attex import termizer as tz
@@ -31,12 +32,14 @@ def ref_conv1d(x, w, b):
 
 
 def ref_lstm_states(rows, w, u, b):
+    """States of one cell: w (m, 4, h) or (m, 4h), u (h, 4h), b (4, h) or
+    (4h,)."""
     h = u.shape[0]
     h_t = np.zeros(h)
     c_t = np.zeros(h)
     states = []
     for x in rows:
-        pre = x @ w + h_t @ u + b
+        pre = x @ w.reshape(len(w), 4 * h) + h_t @ u + b.reshape(4 * h)
         gi = sigmoid(pre[:h])
         gf = sigmoid(pre[h:2 * h])
         go = sigmoid(pre[2 * h:3 * h])
@@ -47,11 +50,14 @@ def ref_lstm_states(rows, w, u, b):
     return states
 
 
+def cell(lstm, d):
+    """Direction d's (w, u, b) as views of an enc.Lstm's arrays."""
+    return pc.cell_views(lstm.w.data, lstm.u.data, lstm.b.data, d)
+
+
 def ref_bilstm_states(rows, bilstm):
-    fwd = ref_lstm_states(rows, bilstm.fwd.w.data, bilstm.fwd.u.data,
-                          bilstm.fwd.b.data)
-    bwd = ref_lstm_states(rows[::-1], bilstm.bwd.w.data, bilstm.bwd.u.data,
-                          bilstm.bwd.b.data)[::-1]
+    fwd = ref_lstm_states(rows, *cell(bilstm, 0))
+    bwd = ref_lstm_states(rows[::-1], *cell(bilstm, 1))[::-1]
     return [np.concatenate([f, b]) for f, b in zip(fwd, bwd)]
 
 
@@ -315,13 +321,13 @@ class TestPcnn:
 class TestLstm:
     def test_hand_unrolled_two_steps(self):
         encoder = build("lstm", h=2, row_width=2)
-        cell = encoder.cell
-        cell.w.data[...] = np.arange(16).reshape(2, 8) * 0.05
-        cell.u.data[...] = np.arange(16).reshape(2, 8)[::-1] * 0.03
-        cell.b.data[...] = np.linspace(-0.2, 0.4, 8)
+        lstm = encoder.lstm
+        lstm.w.data[...] = np.arange(16).reshape(2, 8) * 0.05
+        lstm.u.data[0] = np.arange(16).reshape(2, 8)[::-1] * 0.03
+        lstm.b.data[...] = np.linspace(-0.2, 0.4, 8)
         rows = np.array([[0.5, -1.0], [0.25, 0.75]])
         s, _ = encode_one(encoder, rows, subj=0, obj=1, n=4)
-        want = ref_lstm_states(rows, cell.w.data, cell.u.data, cell.b.data)[-1]
+        want = ref_lstm_states(rows, *cell(lstm, 0))[-1]
         assert np.allclose(s, want)
 
     def test_pads_never_consumed(self):
@@ -332,8 +338,11 @@ class TestLstm:
         assert np.array_equal(a, b)
 
     def test_forget_bias_initialized(self):
-        encoder = build("lstm", h=3)
-        assert np.array_equal(encoder.cell.b.data[3:6], np.ones(3))
+        for kind in ("lstm", "bilstm"):
+            lstm = build(kind, h=3).lstm
+            for d in range(lstm.u.shape[0]):
+                _, _, b = cell(lstm, d)
+                assert np.array_equal(b, [[0] * 3, [1] * 3, [0] * 3, [0] * 3])
 
 
 class TestBiLstm:
@@ -341,10 +350,8 @@ class TestBiLstm:
         encoder = build("bilstm", h=2)
         rows = np.random.default_rng(6).uniform(-1, 1, (1, 5))
         s, _ = encode_one(encoder, rows, subj=0, obj=0, n=4)
-        fwd = ref_lstm_states(rows, encoder.bilstm.fwd.w.data,
-                              encoder.bilstm.fwd.u.data, encoder.bilstm.fwd.b.data)
-        bwd = ref_lstm_states(rows, encoder.bilstm.bwd.w.data,
-                              encoder.bilstm.bwd.u.data, encoder.bilstm.bwd.b.data)
+        fwd = ref_lstm_states(rows, *cell(encoder.lstm, 0))
+        bwd = ref_lstm_states(rows, *cell(encoder.lstm, 1))
         assert np.allclose(s, np.concatenate([fwd[0], bwd[0]]))
 
     def test_matches_reference(self):
@@ -352,7 +359,7 @@ class TestBiLstm:
         rng = np.random.default_rng(7)
         rows = rng.uniform(-1, 1, (4, 5))
         s, _ = encode_one(encoder, rows, subj=0, obj=3, n=6)
-        want = ref_bilstm_states(rows, encoder.bilstm)[-1]
+        want = ref_bilstm_states(rows, encoder.lstm)[-1]
         assert np.allclose(s, want)
         assert encoder.z == 6
 

@@ -30,20 +30,18 @@ def _weighted_sum(tape, mat, weights):
     return tg.matmul(prod, tape.constant(np.ones(prod.shape[0])))
 
 
-def _lstm_params(rng, m, h):
+def _lstm_params(rng, m, h, directions=1):
+    """Random w (m, 4Dh), u (D, h, 4h) and b (4Dh,) of D directions."""
+    D = directions
     return [tg.Parameter(rng.uniform(-1, 1, shape), name)
-            for shape, name in (((m, 4 * h), "w"), ((h, 4 * h), "u"),
-                                ((4 * h,), "b"))]
+            for shape, name in (((m, 4 * D * h), "w"), ((D, h, 4 * h), "u"),
+                                ((4 * D * h,), "b"))]
 
 
-def _cells(rng, m, h, count):
-    return [_lstm_params(rng, m, h) for _ in range(count)]
-
-
-@pytest.mark.parametrize("two_cells", [False, True])
+@pytest.mark.parametrize("two_directions", [False, True])
 @pytest.mark.parametrize("trial", range(20))
-def test_matches_per_step_oracle(trial, two_cells):
-    # One cell reads forward; a second reads backward, in columns h:2h.
+def test_matches_per_step_oracle(trial, two_directions):
+    # Direction 0 reads forward; a second reads backward, in columns h:2h.
     rng = np.random.default_rng(7000 + trial)
     B, T, h, m = (int(rng.integers(1, 4)), int(rng.integers(1, 11)),
                   int(rng.integers(1, 5)), int(rng.integers(1, 6)))
@@ -53,27 +51,28 @@ def test_matches_per_step_oracle(trial, two_cells):
     lengths = rng.integers(1, T + 1, size=B)
     if trial >= 2:
         lengths[trial % B] = 1
-    cells = _cells(rng, m, h, 2 if two_cells else 1)
-    params = [p for cell in cells for p in cell]
+    directions = 2 if two_directions else 1
+    params = _lstm_params(rng, m, h, directions)
     x_data = rng.uniform(-2, 2, (B, T, m))
-    readout = rng.uniform(-1, 1, (B, T, len(cells) * h))
+    readout = rng.uniform(-1, 1, (B, T, directions * h))
 
     for p in params:
         p.zero_grad()
     tape = tg.Tape()
     x = tape.constant(x_data)
-    states = tg.lstm_sequence(x, cells, lengths)
+    states = tg.lstm_sequence(x, *params, lengths)
     tape.backward(_weighted_sum(tape, states, readout))
     got_x, got_params = x.grad, [p.grad.copy() for p in params]
-    assert states.data.shape == (B, T, len(cells) * h)
+    assert states.data.shape == (B, T, directions * h)
 
     for p in params:
         p.zero_grad()
     for row, n in enumerate(lengths):
         tape = tg.Tape()
         xr = tape.constant(x_data[row, :n])
-        want = tg.concat([pc.lstm_sequence(tape, xr, *cell, reverse=d == 1)
-                          for d, cell in enumerate(cells)], axis=1)
+        want = tg.concat([pc.lstm_sequence(
+            tape, xr, *pc.lstm_direction(tape, *params, d), reverse=d == 1)
+            for d in range(directions)], axis=1)
         tape.backward(_weighted_sum(tape, want, readout[row, :n]))
         assert np.allclose(states.data[row, :n], want.data, rtol=0, atol=TOL)
         assert np.all(states.data[row, n:] == 0.0)
@@ -91,61 +90,69 @@ def test_single_step_single_unit_closed_form():
     pre = x[0, 0] @ w.data + b.data
     sig = 1.0 / (1.0 + np.exp(-pre))
     want = sig[2] * np.tanh(sig[0] * np.tanh(pre[3]))
-    for count in (1, 2):
-        out = tg.lstm_sequence(tg.Tape().constant(x), [(w, u, b)] * count, [1])
-        assert out.data.shape == (1, 1, count)
+    for D in (1, 2):
+        # Every direction gets this cell: at h = 1, w and b repeat each
+        # gate's column D times and u its one block.
+        params = [tg.Parameter(a, "p") for a in (
+            np.repeat(w.data, D, axis=1), np.repeat(u.data, D, axis=0),
+            np.repeat(b.data, D))]
+        out = tg.lstm_sequence(tg.Tape().constant(x), *params, [1])
+        assert out.data.shape == (1, 1, D)
         assert np.allclose(out.data[0, 0], want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("T,h", [(1, 1), (1, 3), (4, 1)])
 def test_gradient_check_edge_sizes(T, h):
     rng = np.random.default_rng(10 * T + h)
-    cells = _cells(rng, 2, h, 2)
+    params = _lstm_params(rng, 2, h, 2)
     x = tg.Parameter(rng.uniform(-1, 1, (2, T, 2)), "x")
     lengths = [T, max(1, T - 2)]
     readout = rng.uniform(-1, 1, (2, T, 2 * h))
 
     def f(tape):
         xm = tg.add(tape.constant(np.zeros((2, T, 2))), x)
-        both = tg.lstm_sequence(xm, cells, lengths)
+        both = tg.lstm_sequence(xm, *params, lengths)
         return _weighted_sum(tape, both, readout)
 
-    assert tg.gradient_check(f, [x] + cells[0] + cells[1]) < 1e-6
+    assert tg.gradient_check(f, [x] + params) < 1e-6
+
+
+def _zeros(*shapes):
+    return [tg.Parameter(np.zeros(shape), "p") for shape in shapes]
 
 
 @pytest.mark.parametrize("x_shape,w_shape,u_shape,b_shape", [
-    ((4, 3), (3, 8), (2, 8), (8,)),          # x not (B, T, m)
-    ((), (3, 8), (2, 8), (8,)),              # x a scalar
-    ((1, 0, 3), (3, 8), (2, 8), (8,)),       # no steps
-    ((1, 4, 3), (2, 8), (2, 8), (8,)),       # w rows != m
-    ((1, 4, 3), (3, 6), (2, 8), (8,)),       # w columns != 4h
-    ((1, 4, 3), (3, 8), (2, 6), (8,)),       # u not (h, 4h)
-    ((1, 4, 3), (3, 8), (2, 8, 1), (8,)),    # u not a matrix
-    ((1, 4, 3), (3, 8), (2, 8), (6,)),       # b not (4h,)
-    ((1, 4, 3), (3, 8), (2, 8), (1, 8)),     # b not a vector
-    ((1, 4, 3), (3, 0), (0, 0), (0,)),       # h = 0
+    ((4, 3), (3, 8), (1, 2, 8), (8,)),       # x not (B, T, m)
+    ((), (3, 8), (1, 2, 8), (8,)),           # x a scalar
+    ((1, 0, 3), (3, 8), (1, 2, 8), (8,)),    # no steps
+    ((1, 4, 3), (2, 8), (1, 2, 8), (8,)),    # w rows != m
+    ((1, 4, 3), (3, 6), (1, 2, 8), (8,)),    # w columns != 4h
+    ((1, 4, 3), (3, 8), (1, 2, 6), (8,)),    # u not (D, h, 4h)
+    ((1, 4, 3), (3, 8), (2, 8), (8,)),       # u one cell's (h, 4h)
+    ((1, 4, 3), (3, 8), (1, 2, 8), (6,)),    # b not (4h,)
+    ((1, 4, 3), (3, 8), (1, 2, 8), (1, 8)),  # b not a vector
+    ((1, 4, 3), (3, 0), (1, 0, 0), (0,)),    # h = 0
 ])
 def test_bad_shapes_rejected(x_shape, w_shape, u_shape, b_shape):
     tape = tg.Tape()
     with pytest.raises(ValueError):
         tg.lstm_sequence(tape.constant(np.zeros(x_shape)),
-                         [(tg.Parameter(np.zeros(w_shape), "w"),
-                           tg.Parameter(np.zeros(u_shape), "u"),
-                           tg.Parameter(np.zeros(b_shape), "b"))], [1])
+                         *_zeros(w_shape, u_shape, b_shape), [1])
 
 
 @pytest.mark.parametrize("cells", [
-    [(3, 2), (3, 3)],          # the two directions' h differ
-    [(3, 2), (4, 2)],          # the reverse cell's w has other rows
-    [],                        # no cell
-    [(3, 2), (3, 2), (3, 2)],  # three cells
+    (2, 1, 2),  # w and b hold two directions, u one
+    (1, 2, 1),  # u holds two directions, w and b one
+    (0, 0, 0),  # no direction
+    (3, 3, 3),  # three directions
 ])
 def test_bad_cells_rejected(cells):
-    rng = np.random.default_rng(5)
+    # The directions each of w, u and b is sized for, at m = 3 and h = 2.
+    dw, du, db = cells
     tape = tg.Tape()
     with pytest.raises(ValueError):
         tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
-                         [_lstm_params(rng, m, h) for m, h in cells], [4, 2])
+                         *_zeros((3, 8 * dw), (du, 2, 8), (8 * db,)), [4, 2])
 
 
 @pytest.mark.parametrize("lengths", [[0, 2], [2, 5], [2], [[2, 2]]])
@@ -154,16 +161,17 @@ def test_bad_lengths_rejected(lengths):
     tape = tg.Tape()
     with pytest.raises(ValueError):
         tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
-                         [_lstm_params(rng, 3, 2)], lengths)
+                         *_lstm_params(rng, 3, 2), lengths)
 
 
 def test_one_tape_record_per_call():
     rng = np.random.default_rng(4)
     tape = tg.Tape()
     x = tape.constant(rng.uniform(-1, 1, (5, 9, 3)))
-    for count in (1, 2):
+    for directions in (1, 2):
         before = len(tape._records)
-        tg.lstm_sequence(x, _cells(rng, 3, 2, count), [9, 1, 4, 9, 2])
+        tg.lstm_sequence(x, *_lstm_params(rng, 3, 2, directions),
+                         [9, 1, 4, 9, 2])
         assert len(tape._records) == before + 1
 
 
@@ -172,27 +180,25 @@ def test_bilstm_adds_one_tape_record():
     tape = tg.Tape()
     x = tape.constant(rng.uniform(-1, 1, (4, 7, 3)))
     before = len(tape._records)
-    states = enc.BiLstm(3, 2, rng, "bi").states(x, [7, 2, 1, 5])
+    states = enc.Lstm(3, 2, 2, rng, "bi").states(x, [7, 2, 1, 5])
     assert states.shape == (4, 7, 4)
     assert len(tape._records) == before + 1
 
 
-def _cell(name):
-    """Names and shapes of one cell at row width 5 and h = 3."""
-    return [(name + ".w", (5, 12)), (name + ".u", (3, 12)),
-            (name + ".b", (12,))]
+def _lstm(name, D):
+    """Names and shapes of a D-direction Lstm at row width 5 and h = 3."""
+    return [(name + ".w", (5, 12 * D)), (name + ".u", (D, 3, 12)),
+            (name + ".b", (12 * D,))]
 
 
 @pytest.mark.parametrize("kind,want", [
-    ("lstm", _cell("lstm")),
-    ("bilstm", _cell("bilstm.fwd") + _cell("bilstm.bwd")),
-    ("att-blstm", _cell("attblstm.fwd") + _cell("attblstm.bwd")
-     + [("attblstm.att.w", (6,))]),
-    ("att-blstm-zyang", _cell("zyang.fwd") + _cell("zyang.bwd")
+    ("lstm", _lstm("lstm", 1)),
+    ("bilstm", _lstm("bilstm", 2)),
+    ("att-blstm", _lstm("attblstm", 2) + [("attblstm.att.w", (6,))]),
+    ("att-blstm-zyang", _lstm("zyang", 2)
      + [("zyang.att.w_a", (6, 6)), ("zyang.att.b_a", (6,)),
         ("zyang.att.u_w", (6,))]),
-    ("ian", _cell("ian.ctx.fwd") + _cell("ian.ctx.bwd")
-     + _cell("ian.feat.fwd") + _cell("ian.feat.bwd")
+    ("ian", _lstm("ian.ctx", 2) + _lstm("ian.feat", 2)
      + [("ian.att.w_c", (6, 6)), ("ian.att.b_c", (1,)),
         ("ian.att.w_t", (6, 6)), ("ian.att.b_t", (1,))]),
     ("cnn", [("cnn.w", (3, 5, 32)), ("cnn.b", (32,))]),
@@ -226,8 +232,25 @@ def test_whole_model_names_and_shapes_pinned():
         ("head.w_r", (19, 3)), ("head.b_r", (3,))]
 
 
-# sha256 of a fresh model's parameter bytes in order: initial values and
-# the draw order of the generator stay as they were.
+def _cell_arrays(module):
+    """A model part's parameter arrays in checkpoint order, each enc.Lstm's
+    read as its directions' (w, u, b) views, direction 0 first."""
+    if isinstance(module, enc.Lstm):
+        values = [p.data for p in module.parameters()]
+        return [a for d in range(module.u.shape[0])
+                for a in pc.cell_views(*values, d)]
+    arrays = []
+    for value in vars(module).values():
+        if isinstance(value, tg.Parameter):
+            arrays.append(value.data)
+        elif isinstance(value, enc.Module):
+            arrays.extend(_cell_arrays(value))
+    return arrays
+
+
+# sha256 of a fresh model's parameter bytes in order, each LSTM direction
+# read as its own (w, u, b) cell: initial values and the draw order of the
+# generator stay as they were when every direction was stored that way.
 INITIAL_SHA256 = {  # kind: (use_position off, use_position on)
     "cnn": (
         "27adbee4c4bf48b19d0e6043e06b32faecbcf142d0c9feabbf2c5429712bf8ad",
@@ -259,9 +282,11 @@ INITIAL_SHA256 = {  # kind: (use_position off, use_position on)
 @pytest.mark.parametrize("use_position", [False, True])
 @pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
 def test_initial_values_pinned(kind, use_position):
+    model = fresh_model(kind, use_position)
     digest = hashlib.sha256()
-    for p in fresh_model(kind, use_position).parameters():
-        digest.update(p.data.tobytes())
+    for part in (model.embedder, model.encoder, model.head):
+        for a in _cell_arrays(part):
+            digest.update(a.tobytes())
     assert digest.hexdigest() == INITIAL_SHA256[kind][use_position]
 
 

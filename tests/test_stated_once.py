@@ -1,5 +1,6 @@
 """Source guards: a model part's parameters come from its attributes, its
-sizes are attributes, and every Glorot limit comes from `_glorot`."""
+sizes are attributes, every Glorot limit comes from `_glorot`, and only
+`Lstm` calls the LSTM op."""
 
 import ast
 import pathlib
@@ -43,12 +44,27 @@ def test_sizes_are_attributes():
             if short_name(name) in ("z", "row_width")] == []
 
 
+def texts():
+    return {source.name: source.read_text(encoding="utf-8")
+            for source in sorted(PACKAGE.glob("*.py"))}
+
+
+def segment_of(qualified):
+    """Source text and def node of one function, by qualified name."""
+    node = next(node for name, node in functions() if name == qualified)
+    return ast.get_source_segment(texts()[qualified.split(":")[0]], node), node
+
+
 def test_glorot_limit_only_in_glorot():
-    texts = {source.name: source.read_text(encoding="utf-8")
-             for source in sorted(PACKAGE.glob("*.py"))}
-    glorot = next(node for name, node in functions()
-                  if name == "encoders.py:_glorot")
-    segment = ast.get_source_segment(texts["encoders.py"], glorot)
+    segment, glorot = segment_of("encoders.py:_glorot")
     assert segment.count("sqrt(6") == 1
-    assert sum(text.count("sqrt(6") for text in texts.values()) == 1
+    assert sum(text.count("sqrt(6") for text in texts().values()) == 1
     assert [arg.arg for arg in glorot.args.args] == ["rng", "shape", "name"]
+
+
+def test_lstm_sequence_called_only_by_lstm_states():
+    # One LSTM module owns the op's parameter layout.
+    segment, _ = segment_of("encoders.py:Lstm.states")
+    assert segment.count("lstm_sequence(") == 1
+    # The op's own def, then that one call.
+    assert sum(text.count("lstm_sequence(") for text in texts().values()) == 2

@@ -358,9 +358,9 @@ def test_every_op_passes_gradient_check(trial):
     cw = tg.Parameter(rng.uniform(-1, 1, (3, 3, 2)), "cw")
     cb = tg.Parameter(rng.uniform(-1, 1, 2), "cb")
     v = tg.Parameter(rng.uniform(-1, 1, 2), "v")
-    lw = tg.Parameter(rng.uniform(-1, 1, (2, 4)), "lw")
-    lu = tg.Parameter(rng.uniform(-1, 1, (1, 4)), "lu")
-    lb = tg.Parameter(rng.uniform(-1, 1, 4), "lb")
+    lw = tg.Parameter(rng.uniform(-1, 1, (2, 8)), "lw")
+    lu = tg.Parameter(rng.uniform(-1, 1, (2, 1, 4)), "lu")
+    lb = tg.Parameter(rng.uniform(-1, 1, 8), "lb")
     w1 = tg.Parameter(rng.uniform(-1, 1, (6, 2)), "w1")
     b1 = tg.Parameter(rng.uniform(-1, 1, 2), "b1")
     table = tg.Parameter(rng.uniform(-1, 1, (5, 1)), "table")
@@ -375,7 +375,7 @@ def test_every_op_passes_gradient_check(trial):
         xm = tg.add(rows, x)
         h = tg.tanh(tg.matmul(xm, w))
         c = tg.conv1d(xm, cw, cb)
-        states = tg.lstm_sequence(c, [(lw, lu, lb), (lw, lu, lb)], lengths)
+        states = tg.lstm_sequence(c, lw, lu, lb, lengths)
         pooled = tg.max_pool_over_time(states, [[0, 2], [0, 1]],
                                        [[2, 4], [1, lengths[1]]])
         attended, _ = tg.feature_attention(
