@@ -99,13 +99,13 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
     grid = default_grid()
     weights = {(group, cls): [] for group in REPORT_GROUPS
                for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT)}
-    groups = {}  # id(term) -> group: each distinct term is classified once
+    groups = {}  # term -> group: each distinct term is classified once
 
     def group_of(term):
-        if id(term) not in groups:
-            groups[id(term)] = tz.group_of(term, sentiment_lexicon,
-                                           preposition_list)
-        return groups[id(term)]
+        if term not in groups:
+            groups[term] = tz.group_of(term, sentiment_lexicon,
+                                       preposition_list)
+        return groups[term]
 
     for sample, alpha in zip(contexts, _alphas(model, contexts)):
         terms = sample.terms.terms

@@ -182,7 +182,7 @@ def _sample_row(sample, index_of):
     return _JSON.encode([sample.doc_id, sample.sentence_idx, sample.label,
                          sample.source_group, sample.target_group,
                          seq.subj_pos, seq.obj_pos,
-                         [index_of[id(t)] for t in seq.terms]])
+                         [index_of[t] for t in seq.terms]])
 
 
 def _row_sample(row, table):
@@ -213,14 +213,14 @@ def _inputs_sha256(cfg, required_by):
 
 def write_cache(samples, path, sha256):
     """A header line holding the inputs' sha256, the format and the table
-    of distinct terms (told apart by identity, as they are shared) in
-    first-seen order; then one line per sample with its terms' table ids.
+    of distinct terms in first-seen order; then one line per sample with
+    its terms' table ids.
     """
-    distinct = {id(t): t for sample in samples for t in sample.terms.terms}
-    index_of = {key: i for i, key in enumerate(distinct)}
+    index_of = {t: i for i, t in enumerate(dict.fromkeys(
+        t for sample in samples for t in sample.terms.terms))}
     header = {"inputs_sha256": sha256, "format": _CACHE_FORMAT,
               "terms": [[t.kind, t.lemma, t.polarity, t.token_kind]
-                        for t in distinct.values()]}
+                        for t in index_of]}
     write_lines(path, itertools.chain(
         [_JSON.encode(header)],
         (_sample_row(sample, index_of) for sample in samples)))
@@ -243,7 +243,7 @@ def read_cache(path, sha256=None):
         entries = header["terms"]
         if not all(isinstance(e, list) and len(e) == 4 for e in entries):
             raise ValueError("a term is not [kind, lemma, polarity, token]")
-        table = [tz.Term.shared(*entry) for entry in entries]
+        table = [tz.Term(*entry) for entry in entries]
         for lineno, row in records:
             samples.append(_row_sample(row, table))
     except (KeyError, TypeError, ValueError) as exc:
@@ -277,10 +277,10 @@ def cmd_prepare(cfg):
     samples = md.extract_samples(corpus.documents, corpus,
                                  cfg.load("frames", lx.load_frame_lexicon))
     gold = md.opinion_gold(corpus.documents, corpus)
-    # Annotated opinions cannot be neutral and augmented ones always are.
+    # A neutral opinion is an augmented pair.
     augmented = sum(label == lx.NEUTRAL for label in gold.values())
     write_cache(samples, cfg.cache, _inputs_sha256(cfg, "prepare"))
-    by_label = {label: 0 for label in md.LABELS}
+    by_label = {label: 0 for label in lx.POLARITIES}
     for sample in samples:
         by_label[sample.label] += 1
     _echo([("seed", cfg.seed),

@@ -18,10 +18,6 @@ from . import lexicons as lx
 from . import termizer as tz
 from .errors import DataError, read_json_lines, read_lines
 
-LABELS = lx.POLARITIES
-ANNOTATED = "annotated"
-AUGMENTED = "augmented"
-
 DOCUMENTS_FILENAME = "documents.jsonl"
 OPINIONS_FILENAME = "opinions.tsv"
 
@@ -101,29 +97,25 @@ class Document:
 
 
 class Opinion:
-    """Directed attitude between two synonym groups."""
+    """Directed attitude between two synonym groups. A neutral one is an
+    augmented pair: annotated opinions are positive or negative."""
 
-    __slots__ = ("source_group", "target_group", "label", "provenance")
+    __slots__ = ("source_group", "target_group", "label")
 
-    def __init__(self, source_group, target_group, label, provenance=ANNOTATED):
+    def __init__(self, source_group, target_group, label):
         if source_group == target_group:
             raise ValueError("opinion source equals target: %r" % (source_group,))
-        if label not in LABELS:
+        if label not in lx.POLARITIES:
             raise ValueError("unknown label: %r" % (label,))
-        if provenance not in (ANNOTATED, AUGMENTED):
-            raise ValueError("unknown provenance: %r" % (provenance,))
-        if provenance == ANNOTATED and label == lx.NEUTRAL:
-            raise ValueError("annotated opinions cannot be neutral")
         self.source_group = source_group
         self.target_group = target_group
         self.label = label
-        self.provenance = provenance
 
     def pair(self):
         return (self.source_group, self.target_group)
 
     def _key(self):
-        return (self.source_group, self.target_group, self.label, self.provenance)
+        return (self.source_group, self.target_group, self.label)
 
     def __eq__(self, other):
         return isinstance(other, Opinion) and self._key() == other._key()
@@ -132,7 +124,7 @@ class Opinion:
         return hash(self._key())
 
     def __repr__(self):
-        return "Opinion(%r, %r, %r, %r)" % self._key()
+        return "Opinion(%r, %r, %r)" % self._key()
 
 
 class ContextSample:
@@ -143,7 +135,7 @@ class ContextSample:
 
     def __init__(self, doc_id, sentence_idx, terms, label,
                  source_group, target_group):
-        if label not in LABELS:
+        if label not in lx.POLARITIES:
             raise ValueError("unknown label: %r" % (label,))
         self.doc_id = doc_id
         self.sentence_idx = sentence_idx
@@ -151,14 +143,6 @@ class ContextSample:
         self.label = label
         self.source_group = source_group
         self.target_group = target_group
-
-    @property
-    def subj_pos(self):
-        return self.terms.subj_pos
-
-    @property
-    def obj_pos(self):
-        return self.terms.obj_pos
 
     def opinion_key(self):
         return (self.doc_id, self.source_group, self.target_group)
@@ -265,9 +249,12 @@ def load_opinions(path, documents):
             raise DataError("opinion references unknown group",
                             path=path, line=lineno)
         try:
-            opinion = Opinion(source, target, label, ANNOTATED)
+            opinion = Opinion(source, target, label)
         except ValueError as exc:
             raise DataError(str(exc), path=path, line=lineno)
+        if label == lx.NEUTRAL:
+            raise DataError("annotated opinions cannot be neutral",
+                            path=path, line=lineno)
         if opinion.pair() in pairs_by_doc[doc_id]:
             raise DataError("duplicate opinion pair", path=path, line=lineno)
         pairs_by_doc[doc_id].add(opinion.pair())
@@ -327,7 +314,7 @@ def augment_neutral(doc, annotated):
                 if g1 != g2:
                     cooccurring.add((g1, g2))
     present = {op.pair() for op in annotated}
-    added = [Opinion(g1, g2, lx.NEUTRAL, AUGMENTED)
+    added = [Opinion(g1, g2, lx.NEUTRAL)
              for (g1, g2) in sorted(cooccurring - present)]
     return list(annotated) + added
 

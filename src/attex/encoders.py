@@ -42,7 +42,6 @@ FEATURE_MODES = ("att-ends", "att-ef")
 WORD_DIM = 50  # the default width m of a word-table row
 
 _TOKEN_KIND_SYMBOL = {tz.PUNCTUATION: PUNCT, tz.NUMBER: NUM, tz.URL: URL_TOKEN}
-_POLARITY_INDEX = {p: i for i, p in enumerate(lx.POLARITIES)}
 
 
 class EncoderConfig:
@@ -178,9 +177,7 @@ class Batch:
 def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
     """TermSequences -> Batch; att-ef adds up to k-2 frame positions.
 
-    Each distinct term is mapped to its word and polarity ids once. Terms
-    are shared instances (tz.Term.shared), so they are told apart by
-    identity; an equal term that is not shared just gets its own row.
+    Each distinct term is mapped to its word and polarity ids once.
     """
     if feature_mode not in FEATURE_MODES:
         raise ValueError("unknown feature mode: %r" % (feature_mode,))
@@ -202,14 +199,13 @@ def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
         features[i, :len(feats)] = feats
         feature_lengths[i] = len(feats)
     terms = [t for seq in seqs for t in seq.terms]
-    distinct = {id(t): t for t in terms}
-    row_of = {key: row for row, key in enumerate(distinct)}
-    neutral = _POLARITY_INDEX[lx.NEUTRAL]
-    table = np.array([(vocab.id_of_term(t), _POLARITY_INDEX[t.polarity]
+    row_of = {t: row for row, t in enumerate(dict.fromkeys(terms))}
+    neutral = lx.POLARITY_INDEX[lx.NEUTRAL]
+    table = np.array([(vocab.id_of_term(t), lx.POLARITY_INDEX[t.polarity]
                        if t.kind == tz.FRAME else neutral)
-                      for t in distinct.values()], dtype=np.intp).reshape(-1, 2)
+                      for t in row_of], dtype=np.intp).reshape(-1, 2)
     real = np.arange(n) < lengths[:, None]
-    word_ids[real], polarity_ids[real] = table[[row_of[id(t)] for t in terms]].T
+    word_ids[real], polarity_ids[real] = table[[row_of[t] for t in terms]].T
     subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
     obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
     return Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos, features,

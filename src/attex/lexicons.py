@@ -12,6 +12,7 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 NEUTRAL = "neutral"
 POLARITIES = (POSITIVE, NEGATIVE, NEUTRAL)
+POLARITY_INDEX = {p: i for i, p in enumerate(POLARITIES)}
 
 NEGATION_PARTICLE = "не"
 

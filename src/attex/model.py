@@ -29,9 +29,6 @@ from . import tensorgrad as tg
 from . import termizer as tz
 from .errors import NumericError, write_lines
 
-LABELS = lx.POLARITIES
-LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
-
 SCOPE_DOCUMENT = "per-document-averaged"
 SCOPE_COLLECTION = "collection"
 SCOPES = (SCOPE_DOCUMENT, SCOPE_COLLECTION)
@@ -41,8 +38,8 @@ class ClassifierHead(enc.Module):
     """Linear readout over tanh(s) to 3 class logits per row."""
 
     def __init__(self, z, rng):
-        self.w_r = enc._glorot(rng, (z, len(LABELS)), "head.w_r")
-        self.b_r = tg.Parameter(np.zeros(len(LABELS)), "head.b_r")
+        self.w_r = enc._glorot(rng, (z, len(lx.POLARITIES)), "head.w_r")
+        self.b_r = tg.Parameter(np.zeros(len(lx.POLARITIES)), "head.b_r")
         self.z = z
 
     def forward(self, tape, s):
@@ -241,13 +238,13 @@ def opinion_labels(keys, probabilities):
     index = {}
     rows = np.array([index.setdefault(key, len(index)) for key in keys],
                     dtype=np.intp)
-    sums = np.zeros((len(index), len(LABELS)))
+    sums = np.zeros((len(index), len(lx.POLARITIES)))
     np.add.at(sums, rows, probabilities)
     means = sums / np.bincount(rows, minlength=len(index))[:, None]
     winners = means == means.max(axis=1, keepdims=True)
     best = np.where(winners.sum(axis=1) == 1, means.argmax(axis=1),
-                    LABEL_INDEX[lx.NEUTRAL])
-    return {key: LABELS[i] for key, i in zip(index, best.tolist())}
+                    lx.POLARITY_INDEX[lx.NEUTRAL])
+    return {key: lx.POLARITIES[i] for key, i in zip(index, best.tolist())}
 
 
 def _confusion_f1(labels, cls):
@@ -309,7 +306,7 @@ def infer(model, samples, compiled=None):
     """
     if compiled is None:
         compiled = model.compile(samples)
-    probabilities = [np.zeros((0, len(LABELS)))]
+    probabilities = [np.zeros((0, len(lx.POLARITIES)))]
     alphas = [np.zeros((0, model.embedder.n))]
     for start in range(0, len(compiled), INFERENCE_CHUNK):
         chunk = compiled.take(slice(start, start + INFERENCE_CHUNK))
@@ -339,10 +336,13 @@ def train(model, samples, cfg, rng=None):
         rng = np.random.default_rng(cfg.seed)
     if cfg.neutral_ratio is not None:
         samples = downsample_neutral(samples, cfg.neutral_ratio, rng)
+        if not samples:
+            raise ValueError("neutral_ratio keeps no training samples: "
+                             "none is positive or negative")
     optimizer = OPTIMIZERS[cfg.optimizer](model.flat, cfg.learning_rate)
     history = RunHistory(cfg.eval_period)
     gold = {s.opinion_key(): s.label for s in samples}
-    labels = np.array([LABEL_INDEX[s.label] for s in samples])
+    labels = np.array([lx.POLARITY_INDEX[s.label] for s in samples])
     compiled = model.compile(samples)
 
     for epoch in range(1, cfg.max_epochs + 1):

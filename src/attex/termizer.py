@@ -41,14 +41,19 @@ class ContextDropped(Exception):
 class Term:
     """One element of a masked context sequence; never changed once made.
 
-    `Term.shared` and the named constructors (word, frame, ...) built on
-    it return one shared instance per distinct term, so the contexts of a
+    There is one instance per term value: `Term(...)` and the named
+    constructors (word, frame, ...) return the instance first made with
+    those fields, so a term equals only itself and the contexts of a
     corpus hold references to their terms, not copies of them.
     """
 
     __slots__ = ("kind", "lemma", "polarity", "token_kind")
 
-    def __init__(self, kind, lemma=None, polarity=None, token_kind=None):
+    def __new__(cls, kind, lemma=None, polarity=None, token_kind=None):
+        key = (kind, lemma, polarity, token_kind)
+        term = _TERMS.get(key)
+        if term is not None:
+            return term
         if kind not in _KINDS:
             raise ValueError("unknown term kind: %r" % (kind,))
         if kind == WORD and not isinstance(lemma, str):
@@ -60,42 +65,38 @@ class Term:
                 raise ValueError("unknown polarity: %r" % (polarity,))
         if kind == TOKEN and token_kind not in TOKEN_KINDS:
             raise ValueError("unknown token kind: %r" % (token_kind,))
-        self.kind = kind
-        self.lemma = lemma
-        self.polarity = polarity
-        self.token_kind = token_kind
-
-    @classmethod
-    def shared(cls, kind, lemma=None, polarity=None, token_kind=None):
-        key = (kind, lemma, polarity, token_kind)
-        term = _SHARED_TERMS.get(key)
-        if term is None:
-            term = _SHARED_TERMS[key] = cls(kind, lemma, polarity, token_kind)
+        term = _TERMS[key] = object.__new__(cls)
+        term.kind = kind
+        term.lemma = lemma
+        term.polarity = polarity
+        term.token_kind = token_kind
         return term
 
+    # The named constructors call __new__ directly: extraction makes a
+    # term per token, and `cls(...)` would add the type-call hop to each.
     @classmethod
     def word(cls, lemma):
-        return cls.shared(WORD, lemma=lemma)
+        return cls.__new__(cls, WORD, lemma)
 
     @classmethod
     def entity_subj(cls):
-        return cls.shared(ENTITY_SUBJ)
+        return cls.__new__(cls, ENTITY_SUBJ)
 
     @classmethod
     def entity_obj(cls):
-        return cls.shared(ENTITY_OBJ)
+        return cls.__new__(cls, ENTITY_OBJ)
 
     @classmethod
     def entity_other(cls):
-        return cls.shared(ENTITY_OTHER)
+        return cls.__new__(cls, ENTITY_OTHER)
 
     @classmethod
     def frame(cls, lemma, polarity):
-        return cls.shared(FRAME, lemma=lemma, polarity=polarity)
+        return cls.__new__(cls, FRAME, lemma, polarity)
 
     @classmethod
     def token(cls, token_kind):
-        return cls.shared(TOKEN, token_kind=token_kind)
+        return cls.__new__(cls, TOKEN, None, None, token_kind)
 
     def display(self):
         """Surface text for exports: lemma, token kind, or mask name."""
@@ -104,15 +105,6 @@ class Term:
         if self.kind == TOKEN:
             return self.token_kind
         return self.lemma
-
-    def _key(self):
-        return (self.kind, self.lemma, self.polarity, self.token_kind)
-
-    def __eq__(self, other):
-        return isinstance(other, Term) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         if self.kind == WORD:
@@ -124,7 +116,7 @@ class Term:
         return "Term(%r)" % (self.kind,)
 
 
-_SHARED_TERMS = {}
+_TERMS = {}  # (kind, lemma, polarity, token_kind) -> the one such Term
 
 
 class TermSequence:

@@ -244,7 +244,7 @@ class TestSummarize:
             frames = [p for p in range(n_real) if rng.random() < 0.3]
             samples.append(make_sample(
                 list(rng.choice(words, n_real)), subj, obj,
-                label=md.LABELS[int(rng.integers(0, 3))], frames=frames,
+                label=lx.POLARITIES[int(rng.integers(0, 3))], frames=frames,
                 doc_id="d%d" % i))
         for kind in ("att-blstm", "att-cnn"):
             model = attentive_model(samples, kind=kind, seed=12)

@@ -32,9 +32,7 @@ def terms(draw):
             draw(POLARITIES) if kind == tz.FRAME else None,
             draw(st.sampled_from(tz.TOKEN_KINDS)) if kind == tz.TOKEN
             else None)
-    # An equal term that is not the shared instance gets its own table
-    # entry and reads back as the shared one.
-    return tz.Term.shared(*args) if draw(st.booleans()) else tz.Term(*args)
+    return tz.Term(*args)
 
 
 @st.composite
@@ -55,12 +53,11 @@ def samples(draw):
 def fields(sample):
     return (sample.doc_id, sample.sentence_idx, sample.label,
             sample.source_group, sample.target_group, sample.terms.terms,
-            sample.subj_pos, sample.obj_pos)
+            sample.terms.subj_pos, sample.terms.obj_pos)
 
 
 def shared(term):
-    return tz.Term.shared(term.kind, term.lemma, term.polarity,
-                          term.token_kind)
+    return tz.Term(term.kind, term.lemma, term.polarity, term.token_kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +83,7 @@ def test_header_holds_each_distinct_term_once(tmp_path, capsys):
     table = [tuple(entry) for entry in header["terms"]]
     samples = cli.read_cache(path)
     assert len(table) == len(set(table))
-    assert ({tz.Term.shared(*entry) for entry in table}
+    assert ({tz.Term(*entry) for entry in table}
             == {t for s in samples for t in s.terms.terms})
     ids = [i for row in rows for i in row[-1]]
     assert len(ids) == sum(len(s.terms) for s in samples) > len(table)
@@ -99,13 +96,13 @@ def test_read_builds_each_table_entry_once(tmp_path, capsys, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         table = json.loads(fh.readline())["terms"]
     calls = []
-    make = tz.Term.shared
+    make = tz.Term.__new__
 
-    def counted(cls, *args, **kwargs):
+    def counted(cls, *args):
         calls.append(args)
-        return make(*args, **kwargs)
+        return make(cls, *args)
 
-    monkeypatch.setattr(tz.Term, "shared", classmethod(counted))
+    monkeypatch.setattr(tz.Term, "__new__", counted)
     samples = cli.read_cache(path)
     assert calls == [tuple(entry) for entry in table]
     assert len(calls) < sum(len(s.terms) for s in samples)

@@ -287,6 +287,18 @@ class TestPrepare:
             for doc in corpus.documents)
         assert len(samples) == expected
 
+    def test_neutral_annotation_is_data_error(self, tmp_path, capsys):
+        # A neutral opinion is an augmented pair, never an annotated one.
+        config, out = write_fixture(tmp_path)
+        opinions = tmp_path / "opinions.tsv"
+        opinions.write_text("doc0\tg1\tg2\tpositive\n"
+                            "doc0\tg1\tg3\tneutral\n", encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: %s:2: annotated opinions cannot be neutral\n"
+            % opinions)
+        assert not (out / "contexts.jsonl").exists()
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
         assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -315,7 +327,7 @@ class TestPrepare:
         assert len(praised) >= 2
         assert all(t is tz.Term.frame("хвалит", lx.POSITIVE)
                    for t in praised)
-        subjects = [s.terms.terms[s.subj_pos] for s in samples]
+        subjects = [s.terms.terms[s.terms.subj_pos] for s in samples]
         assert all(t is tz.Term.entity_subj() for t in subjects)
 
     # The header's term table: [kind, lemma, polarity, token_kind].
@@ -453,7 +465,8 @@ class TestPrepare:
 
         def fields(samples):
             return [(s.doc_id, s.sentence_idx, s.label, s.source_group,
-                     s.target_group, s.terms.terms, s.subj_pos, s.obj_pos)
+                     s.target_group, s.terms.terms, s.terms.subj_pos,
+                     s.terms.obj_pos)
                     for s in samples]
 
         # n=2 drops every context, n=3 crops the longer sentence.
@@ -628,8 +641,9 @@ class TestStaleCache:
                 {"doc_id": sample.doc_id,
                  "sentence_idx": sample.sentence_idx,
                  "label": sample.label, "source": sample.source_group,
-                 "target": sample.target_group, "subj_pos": sample.subj_pos,
-                 "obj_pos": sample.obj_pos, "terms": terms},
+                 "target": sample.target_group,
+                 "subj_pos": sample.terms.subj_pos,
+                 "obj_pos": sample.terms.obj_pos, "terms": terms},
                 ensure_ascii=False, sort_keys=True, separators=(",", ":")))
         cache.write_text("".join(line + "\n" for line in lines),
                          encoding="utf-8")
@@ -711,6 +725,22 @@ class TestTrain:
         assert lines[0] == "epoch,train_f1,loss"
         epochs = [int(l.split(",")[0]) for l in lines[1:]]
         assert epochs == [10 * (i + 1) for i in range(len(epochs))]
+
+    def test_neutral_ratio_that_keeps_nothing_fails(self, tmp_path, capsys):
+        # No annotated opinion: every context is a neutral pair, and a
+        # neutral cap of twice the sentiment count, 0, drops them all.
+        config, out = write_fixture(tmp_path)
+        (tmp_path / "opinions.tsv").write_text("", encoding="utf-8")
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("neutral_ratio = 2.0\n")
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert stdout_pairs(capsys)["contexts_neutral"] == "12"
+        assert cli.main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: neutral_ratio ")
+        assert err.count("\n") == 1
+        assert not (out / "model.ckpt").exists()
+        assert not (out / "history.csv").exists()
 
     def test_train_without_cache_fails(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)

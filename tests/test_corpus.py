@@ -95,7 +95,6 @@ class TestLoadCorpus:
         corpus = cp.load_corpus(tmp_path)
         assert len(corpus.opinions("d1")) == 1
         assert corpus.opinions("d1")[0].label == "negative"
-        assert corpus.opinions("d1")[0].provenance == cp.ANNOTATED
 
     def test_opinion_unknown_doc(self, tmp_path):
         docs_path = write_documents(tmp_path, [FIXTURE_DOC])
@@ -174,7 +173,7 @@ class TestAugmentNeutral:
         annotated = [cp.Opinion("A", "B", "positive")]
         out = cp.augment_neutral(doc, annotated)
         assert out[0] is annotated[0]
-        assert out[1:] == [cp.Opinion("B", "A", "neutral", cp.AUGMENTED)]
+        assert out[1:] == [cp.Opinion("B", "A", "neutral")]
 
     def test_all_ordered_pairs(self):
         doc = doc_with_mentions([{0: "A", 3: "B", 5: "C"}])
@@ -210,7 +209,7 @@ class TestExtractContexts:
         assert len(samples) == 1
         sample = samples[0]
         assert sample.label == "positive"
-        assert sample.terms.terms[sample.subj_pos].kind == tz.ENTITY_SUBJ
+        assert sample.terms.terms[sample.terms.subj_pos].kind == tz.ENTITY_SUBJ
         assert (sample.source_group, sample.target_group) == ("A", "B")
 
     def test_no_shared_sentence(self):
@@ -226,8 +225,8 @@ class TestExtractContexts:
              cp.EntityMention(0, (5, 6), "B")],
             [cp.SynonymGroup("A", ["a"]), cp.SynonymGroup("B", ["b"])])
         sample = cp.extract_contexts(doc, [cp.Opinion("A", "B", "positive")])[0]
-        assert sample.subj_pos == 2
-        assert sample.obj_pos == 5
+        assert sample.terms.subj_pos == 2
+        assert sample.terms.obj_pos == 5
         assert sample.terms.terms[9].kind == tz.ENTITY_OTHER
 
     def test_tie_prefers_leftmost_subject(self):
@@ -238,7 +237,7 @@ class TestExtractContexts:
              cp.EntityMention(0, (5, 6), "B")],
             [cp.SynonymGroup("A", ["a"]), cp.SynonymGroup("B", ["b"])])
         sample = cp.extract_contexts(doc, [cp.Opinion("A", "B", "positive")])[0]
-        assert sample.subj_pos == 2
+        assert sample.terms.subj_pos == 2
 
     def test_frames_matched_in_context(self):
         doc = cp.Document(
@@ -323,7 +322,7 @@ def contexts_digest(samples):
                   s.target_group,
                   [[t.kind, t.lemma, t.polarity, t.token_kind]
                    for t in s.terms.terms],
-                  s.subj_pos, s.obj_pos]
+                  s.terms.subj_pos, s.terms.obj_pos]
         digest.update(json.dumps(record, ensure_ascii=False).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
@@ -381,7 +380,8 @@ def test_extraction_equals_the_per_context_oracle(case, frames):
                                     w.source_group, w.target_group)
         assert len(g.terms) == len(w.terms)
         assert all(a is b for a, b in zip(g.terms.terms, w.terms.terms))
-        assert (g.subj_pos, g.obj_pos) == (w.subj_pos, w.obj_pos)
+        assert ((g.terms.subj_pos, g.terms.obj_pos)
+                == (w.terms.subj_pos, w.terms.obj_pos))
 
 
 def _docs_with_counts(counts):

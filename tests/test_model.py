@@ -262,14 +262,14 @@ class TestAggregate:
                 mean = np.mean([r for k, r in zip(keys, rows) if k == key],
                                axis=0)
                 winners = np.flatnonzero(mean == mean.max())
-                want = (md.LABELS[winners[0]] if len(winners) == 1
+                want = (lx.POLARITIES[winners[0]] if len(winners) == 1
                         else lx.NEUTRAL)
                 assert got[key] == want
 
 
 def brute_force_class_macro(keys, predicted, gold):
     """Independent macro-F1 from an explicit 3x3 confusion matrix."""
-    index = {lab: i for i, lab in enumerate(md.LABELS)}
+    index = {lab: i for i, lab in enumerate(lx.POLARITIES)}
     counts = np.zeros((3, 3), dtype=int)
     for key in keys:
         g = gold.get(key, lx.NEUTRAL)
@@ -294,9 +294,9 @@ def random_label_sets(rng, n_docs=4, max_keys=6):
     for d in range(n_docs):
         for k in range(int(rng.integers(1, max_keys + 1))):
             key = ("doc%d" % d, "s%d" % k, "t%d" % k)
-            gold[key] = md.LABELS[rng.integers(0, 3)]
+            gold[key] = lx.POLARITIES[rng.integers(0, 3)]
             if rng.random() < 0.9:
-                predicted[key] = md.LABELS[rng.integers(0, 3)]
+                predicted[key] = lx.POLARITIES[rng.integers(0, 3)]
     return predicted, gold
 
 
@@ -435,6 +435,17 @@ class TestTrain:
         model = toy_model(samples)
         with pytest.raises(ValueError):
             md.train(model, [], md.TrainConfig())
+
+    def test_neutral_ratio_that_keeps_nothing_rejected(self):
+        # With no sentiment sample the neutral cap is 0, so downsampling
+        # leaves no batch to train on.
+        samples = [s for s in toy_samples(2) if s.label == lx.NEUTRAL]
+        model = toy_model(samples)
+        before = snapshot(model)
+        with pytest.raises(ValueError, match="neutral_ratio"):
+            md.train(model, samples, md.TrainConfig(neutral_ratio=2.0))
+        after = snapshot(model)
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_separable_toy_stops_early(self):
         samples = toy_samples()
@@ -616,7 +627,8 @@ class TestRunners:
         the documents gives on its own."""
         def fields(samples):
             return [(s.doc_id, s.sentence_idx, s.label, s.source_group,
-                     s.target_group, s.terms.terms, s.subj_pos, s.obj_pos)
+                     s.target_group, s.terms.terms, s.terms.subj_pos,
+                     s.terms.obj_pos)
                     for s in samples]
 
         train, test, gold, dropped = split
