@@ -76,12 +76,13 @@ def silverman_bandwidth(samples):
     return max(1.06 * sigma * len(x) ** -0.2, 1e-3)
 
 
-def kde(samples, grid, bandwidth=None):
-    """Gaussian kernel density of the samples on the grid."""
+def kde(samples, grid):
+    """Gaussian kernel density of the samples on the grid, at the
+    Silverman bandwidth."""
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("kde needs at least one sample")
-    bw = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
+    bw = silverman_bandwidth(x)
     grid = np.asarray(grid, dtype=float)
     # In place: a CV run's study holds one (grid, samples) array at a time.
     phi = grid[:, None] - x[None, :]

@@ -114,17 +114,9 @@ class Opinion:
     def pair(self):
         return (self.source_group, self.target_group)
 
-    def _key(self):
-        return (self.source_group, self.target_group, self.label)
-
-    def __eq__(self, other):
-        return isinstance(other, Opinion) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
-        return "Opinion(%r, %r, %r)" % self._key()
+        return "Opinion(%r, %r, %r)" % (
+            self.source_group, self.target_group, self.label)
 
 
 class ContextSample:
@@ -190,26 +182,21 @@ def _parse_document(obj, path, lineno):
         if any(not t.strip() or "\n" in t or "\r" in t for t in s):
             fail("token must hold a non-space character and no line break")
         sentences.append(Sentence(s))
-    groups = []
-    for g in obj.get("groups", []):
-        if (not isinstance(g, list) or len(g) < 2
-                or not all(isinstance(x, str) for x in g)):
-            fail("group must be [group_id, variant, ...]")
-        try:
-            groups.append(SynonymGroup(g[0], g[1:]))
-        except ValueError as exc:
-            fail(str(exc))
-    mentions = []
-    for m in obj.get("mentions", []):
-        if (not isinstance(m, list) or len(m) != 4
-                or not all(isinstance(x, int) for x in m[:3])
-                or not isinstance(m[3], str)):
-            fail("mention must be [sentence_idx, start, end, group_id]")
-        try:
-            mentions.append(EntityMention(m[0], (m[1], m[2]), m[3]))
-        except ValueError as exc:
-            fail(str(exc))
+    # The classes check the values: their ValueError is this record's.
     try:
+        groups = []
+        for g in obj.get("groups", []):
+            if (not isinstance(g, list) or len(g) < 2
+                    or not all(isinstance(x, str) for x in g)):
+                fail("group must be [group_id, variant, ...]")
+            groups.append(SynonymGroup(g[0], g[1:]))
+        mentions = []
+        for m in obj.get("mentions", []):
+            if (not isinstance(m, list) or len(m) != 4
+                    or not all(isinstance(x, int) for x in m[:3])
+                    or not isinstance(m[3], str)):
+                fail("mention must be [sentence_idx, start, end, group_id]")
+            mentions.append(EntityMention(m[0], (m[1], m[2]), m[3]))
         return Document(doc_id, sentences, mentions, groups)
     except ValueError as exc:
         fail(str(exc))

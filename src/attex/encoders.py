@@ -128,9 +128,12 @@ def load_word_vectors(path, m):
             raise DataError("expected %d values, got %d" % (m, len(parts) - 1),
                             path=path, line=lineno)
         try:
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+            row = np.array([float(v) for v in parts[1:]])
         except ValueError:
             raise DataError("non-numeric embedding value", path=path, line=lineno)
+        if not np.isfinite(row).all():
+            raise DataError("non-finite embedding value", path=path, line=lineno)
+        vectors[parts[0]] = row
     return vectors
 
 

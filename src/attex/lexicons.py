@@ -52,9 +52,6 @@ class FrameLexicon:
     def __len__(self):
         return len(self._polarity)
 
-    def __contains__(self, lemmas):
-        return tuple(lemmas) in self._polarity
-
     def polarity_of(self, lemmas):
         """Polarity of the exact lemma sequence, or None."""
         return self._polarity.get(tuple(lemmas))
@@ -130,9 +127,9 @@ def match_frames(lemmas, lex):
     return matches
 
 
-def apply_negation(polarity, preceding_lemma, particle=NEGATION_PARTICLE):
-    """Invert polarity when the immediately preceding lemma negates it."""
-    if preceding_lemma != particle:
+def apply_negation(polarity, preceding_lemma):
+    """Invert polarity when the preceding lemma is NEGATION_PARTICLE."""
+    if preceding_lemma != NEGATION_PARTICLE:
         return polarity
     if polarity == POSITIVE:
         return NEGATIVE

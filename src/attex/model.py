@@ -613,6 +613,9 @@ def gradient_suite(trials=20, seed=0):
 
     Returns {kind: max relative error over trials}.
     """
+    if trials < 1:
+        raise ValueError("the gradient check needs at least 1 trial, got %d"
+                         % trials)
     worst = {}
     for kind_idx, kind in enumerate(enc.ENCODER_KINDS):
         rng = np.random.default_rng([seed, kind_idx])

@@ -120,15 +120,15 @@ class Tape:
         """Tape-bound leaf; gradients may flow into it but go nowhere."""
         return Tensor(data, self)
 
-    def backward(self, loss: Tensor, seed: float = 1.0) -> None:
-        """Reverse sweep from a scalar loss, seeding d(loss)/d(loss)=seed."""
+    def backward(self, loss: Tensor) -> None:
+        """Reverse sweep from a scalar loss, seeding d(loss)/d(loss)=1."""
         if loss.tape is not self:
             raise ValueError("loss was not computed on this tape")
         if loss.data.ndim != 0:
             raise ValueError("backward expects a scalar loss")
         if not self.recording:
             raise ValueError("backward on a tape that does not record")
-        loss.grad = np.asarray(float(seed))
+        loss.grad = np.asarray(1.0)
         # Tensors point at their tape, so the records form reference
         # cycles; dropping them lets the arrays go without the cycle GC.
         records, self._records = self._records, []
@@ -415,7 +415,7 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax(v: Operand, mask=None) -> Tensor:
+def softmax(v: Operand, mask) -> Tensor:
     """Stable softmax over the last axis (max subtraction before exp).
 
     Where the boolean mask (broadcast to v's shape) is False the weight is
@@ -425,12 +425,10 @@ def softmax(v: Operand, mask=None) -> Tensor:
     x = _value(v)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("softmax expects a non-empty last axis")
-    if mask is not None:
-        # Any over the last axis commutes with broadcasting the mask.
-        if not np.any(mask, axis=-1).all():
-            raise ValueError("softmax: a row has no unmasked entry")
-        x = np.where(mask, x, -np.inf)
-    ov = _softmax_rows(x)
+    # Any over the last axis commutes with broadcasting the mask.
+    if not np.any(mask, axis=-1).all():
+        raise ValueError("softmax: a row has no unmasked entry")
+    ov = _softmax_rows(np.where(mask, x, -np.inf))
     out = Tensor(ov, tape)
 
     def backward(g):
@@ -639,7 +637,7 @@ def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
 
 
 def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
-                     mask=None) -> Tensor:
+                     mask) -> Tensor:
     """Rows of several embedding tables side by side, as one op.
 
     ids holds one id array per table, all of one shape S; the result is
@@ -655,7 +653,6 @@ def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
     shape = idx[0].shape
     if any(i.shape != shape for i in idx):
         raise ValueError("embedding_lookup: id arrays differ in shape")
-    mask = np.ones(shape, dtype=bool) if mask is None else mask
     live = [i[mask] for i in idx]
     for tv, rows in zip(values, live):
         if rows.size and (rows.min() < 0 or rows.max() >= tv.shape[0]):

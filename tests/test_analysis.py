@@ -150,8 +150,8 @@ class TestKde:
     def test_explicit_bandwidth_and_formula(self):
         grid = np.array([0.0, 0.1, 0.2])
         x = [0.05, 0.15]
-        bw = 0.07
-        curve = an.kde(x, grid, bandwidth=bw)
+        bw = an.silverman_bandwidth(x)
+        curve = an.kde(x, grid)
         manual = np.zeros(3)
         for i, g in enumerate(grid):
             for xi in x:

@@ -1032,6 +1032,19 @@ class TestPretrainedVectors:
             assert cli.main([command] + run) == 0
             assert capsys.readouterr().out == expected[command]
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_non_finite_value_is_data_error(self, tmp_path, capsys, command,
+                                            value):
+        config, out = prepared(tmp_path, capsys)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("хвалит 0.5 %s 0.25 1\n" % value, encoding="utf-8")
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("embeddings = %s\n" % vectors)
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: %s:1: non-finite embedding value\n" % vectors)
+
 
 class TestAnalyze:
     def test_artifacts(self, tmp_path, capsys):
@@ -1075,6 +1088,16 @@ class TestGradcheck:
         from attex import encoders as enc
         for kind in enc.ENCODER_KINDS:
             assert float(pairs[kind]) < 1e-4
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, trials):
+        config = tmp_path / "g.conf"
+        config.write_text("gradcheck_trials = %d\n" % trials)
+        assert cli.main(["gradcheck", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
 
     def test_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.md, "gradient_suite",

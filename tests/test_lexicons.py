@@ -160,9 +160,6 @@ class TestApplyNegation:
     def test_neutral_unchanged(self):
         assert lx.apply_negation("neutral", "не") == "neutral"
 
-    def test_custom_particle(self):
-        assert lx.apply_negation("positive", "not", particle="not") == "negative"
-
     @given(st.sampled_from(lx.POLARITIES),
            st.sampled_from(["не", "the", "", "народ"]))
     def test_involution(self, polarity, lemma):

@@ -1,15 +1,19 @@
 """Source guards: a model part's parameters come from its attributes, its
 sizes are attributes, every Glorot limit comes from `_glorot`, only
-`Lstm` calls the LSTM op, a term equals only itself, and the polarity
-order is stated once."""
+`Lstm` calls the LSTM op, a term and an opinion state no equality of
+their own, the polarity order is stated once, and every definition in
+the package is used somewhere."""
 
 import ast
 import pathlib
+import re
 
 import attex
+from attex import corpus as cp
 from attex import termizer as tz
 
 PACKAGE = pathlib.Path(attex.__file__).parent
+ROOT = PACKAGE.parent.parent
 
 
 def _functions(node, prefix):
@@ -83,6 +87,43 @@ def test_a_term_equals_only_itself():
             if name in vars(tz.Term)] == []
     fields = (tz.FRAME, "lemma", "positive", None)
     assert tz.Term(*fields) is tz.Term(*fields)
+
+
+def test_an_opinion_states_no_equality():
+    # Loading and augmentation compare opinion.pair() tuples.
+    assert [name for name in ("_key", "__eq__", "__hash__")
+            if name in vars(cp.Opinion)] == []
+
+
+def _library_use():
+    """README's "Library use" section, up to the next heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_definition_is_named_elsewhere():
+    # A function, method or class of the package that only its own def
+    # line names is dead: the package, the benchmark harness, the
+    # synthetic corpus and the documented library use name all others.
+    lines = [(source, number, line)
+             for source in [*sorted(PACKAGE.glob("*.py")),
+                            *sorted((ROOT / "perfbench").glob("*.py")),
+                            ROOT / "tests" / "synth.py"]
+             for number, line in enumerate(
+                 source.read_text(encoding="utf-8").splitlines(), start=1)]
+    lines += [(ROOT / "README.md", 0, line)
+              for line in _library_use().splitlines()]
+    unnamed = []
+    for name, tree in trees().items():
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or re.fullmatch(r"__\w+__", node.name)):
+                continue
+            word = re.compile(r"\b%s\b" % re.escape(node.name))
+            if not any(word.search(line) for source, number, line in lines
+                       if (source, number) != (PACKAGE / name, node.lineno)):
+                unnamed.append("%s:%d %s" % (name, node.lineno, node.name))
+    assert unnamed == []
 
 
 def test_terms_are_not_told_apart_by_id():

@@ -6,6 +6,11 @@ import pytest
 from attex import tensorgrad as tg
 
 
+def everywhere(shape):
+    """An all-True mask: every entry is real."""
+    return np.ones(shape, dtype=bool)
+
+
 def _naive_matmul(a, b):
     # triple-loop oracle, independent of numpy's matmul
     p, q = len(a), len(a[0])
@@ -86,7 +91,7 @@ class TestElementwise:
 class TestSoftmax:
     def test_uniform_by_symmetry(self):
         tape = tg.Tape()
-        out = tg.softmax(tape.constant([0.0, 0.0, 0.0])).data
+        out = tg.softmax(tape.constant([0.0, 0.0, 0.0]), everywhere(3)).data
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_direct_evaluation(self):
@@ -96,12 +101,12 @@ class TestSoftmax:
         expected = [math.exp(x) / denom for x in v]
         assert expected == pytest.approx([0.09003057317038046, 0.24472847105479767, 0.6652409557748219])
         tape = tg.Tape()
-        out = tg.softmax(tape.constant(v)).data
+        out = tg.softmax(tape.constant(v), everywhere(3)).data
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_large_values_stable(self):
         tape = tg.Tape()
-        out = tg.softmax(tape.constant([1000.0, 0.0, 0.0])).data
+        out = tg.softmax(tape.constant([1000.0, 0.0, 0.0]), everywhere(3)).data
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
         assert abs(out.sum() - 1.0) < 1e-12
@@ -110,7 +115,7 @@ class TestSoftmax:
         rng = np.random.default_rng(1)
         for _ in range(200):
             v = rng.uniform(-30, 30, rng.integers(1, 9))
-            out = tg.softmax(tg.Tape().constant(v)).data
+            out = tg.softmax(tg.Tape().constant(v), everywhere(len(v))).data
             assert np.all(out >= 0)
             assert abs(out.sum() - 1.0) < 1e-12
 
@@ -123,7 +128,7 @@ class TestSoftmax:
         x = tape.constant(v)
         out = tg.softmax(x, mask)
         for row, n in enumerate(lengths):
-            want = tg.softmax(tg.Tape().constant(v[row, :n])).data
+            want = tg.softmax(tg.Tape().constant(v[row, :n]), everywhere(n)).data
             assert np.allclose(out.data[row, :n], want, rtol=0, atol=1e-15)
             assert np.all(out.data[row, n:] == 0.0)
         readout = tape.constant(rng.uniform(-1, 1, 6))
@@ -235,13 +240,13 @@ class TestConv1d:
 class TestEmbeddingLookup:
     def test_first_row(self):
         table = tg.Parameter(np.arange(6.0).reshape(3, 2), "t")
-        out = tg.embedding_lookup(tg.Tape(), [table], [[0]])
+        out = tg.embedding_lookup(tg.Tape(), [table], [[0]], everywhere(1))
         assert out.data.tolist() == [[0.0, 1.0]]
 
     def test_repeated_id_accumulates_twice(self):
         table = tg.Parameter(np.ones((3, 2)), "t")
         tape = tg.Tape()
-        rows = tg.embedding_lookup(tape, [table], [[1, 1]])
+        rows = tg.embedding_lookup(tape, [table], [[1, 1]], everywhere(2))
         total = tg.matmul(tg.matmul(tape.constant(np.ones(2)), rows), tape.constant(np.ones(2)))
         tape.backward(total)
         assert np.array_equal(table.grad[1], [2.0, 2.0])
@@ -250,7 +255,7 @@ class TestEmbeddingLookup:
     def test_out_of_range(self):
         table = tg.Parameter(np.zeros((3, 2)), "t")
         with pytest.raises(IndexError):
-            tg.embedding_lookup(tg.Tape(), [table], [[3]])
+            tg.embedding_lookup(tg.Tape(), [table], [[3]], everywhere(1))
 
     def test_masked_rows_are_zero_and_take_no_gradient(self):
         table = tg.Parameter(np.arange(6.0).reshape(3, 2) + 1.0, "t")
