@@ -191,6 +191,8 @@ def _row_sample(row, table):
         raise ValueError("doc_id, source and target must be strings")
     if type(sentence) is not int:
         raise ValueError("sentence_idx must be an integer")
+    if type(subj_pos) is not int or type(obj_pos) is not int:
+        raise ValueError("subj_pos and obj_pos must be integers")
     if not all(type(i) is int and 0 <= i < len(table) for i in ids):
         raise ValueError("term ids must be integers below %d" % len(table))
     seq = tz.TermSequence([table[i] for i in ids], subj_pos, obj_pos)

@@ -193,7 +193,7 @@ def _parse_document(obj, path, lineno):
         mentions = []
         for m in obj.get("mentions", []):
             if (not isinstance(m, list) or len(m) != 4
-                    or not all(isinstance(x, int) for x in m[:3])
+                    or not all(type(x) is int for x in m[:3])
                     or not isinstance(m[3], str)):
                 fail("mention must be [sentence_idx, start, end, group_id]")
             mentions.append(EntityMention(m[0], (m[1], m[2]), m[3]))
@@ -306,6 +306,10 @@ def augment_neutral(doc, annotated):
     return list(annotated) + added
 
 
+_SUBJ = tz.Term.entity_subj()
+_OBJ = tz.Term.entity_obj()
+
+
 def _context_sequence(sentence_terms, subj_span, obj_span):
     """The TermSequence of one context: a sentence's (terms, positions)
     with the subject and object mentions masked as such."""
@@ -318,8 +322,8 @@ def _context_sequence(sentence_terms, subj_span, obj_span):
         raise ValueError("object mention absent from sentence")
     subj_pos, obj_pos = positions[subj_span], positions[obj_span]
     terms = list(terms)
-    terms[subj_pos] = tz.Term.entity_subj()
-    terms[obj_pos] = tz.Term.entity_obj()
+    terms[subj_pos] = _SUBJ
+    terms[obj_pos] = _OBJ
     return tz.TermSequence(terms, subj_pos, obj_pos)
 
 
@@ -329,25 +333,29 @@ def extract_contexts(doc, opinions, frame_lexicon=None, lemmatizer=tz.lemmatize)
 
     When a side has several mentions in a sentence, the mention pair
     with the smallest start-token distance wins; ties prefer the
-    leftmost subject, then the leftmost object. A sentence's terms are
+    leftmost subject, then the leftmost object. An opinion visits only
+    the sentences that mention both its groups. A sentence's terms are
     built once, when it first yields a context, and every context of it
     only swaps in its participant masks.
     """
     spans_by_sentence = defaultdict(lambda: defaultdict(list))
+    sentences_of = defaultdict(set)
     for m in doc.entity_mentions:
         spans_by_sentence[m.sentence_idx][m.group_id].append(m.token_span)
-    mentioned = sorted(spans_by_sentence.items())
+        sentences_of[m.group_id].add(m.sentence_idx)
     built = {}
     samples = []
     for opinion in opinions:
-        for s_idx, spans_by_group in mentioned:
-            sources = spans_by_group.get(opinion.source_group)
-            targets = spans_by_group.get(opinion.target_group)
-            if not sources or not targets:
-                continue
-            subj, obj = min(((s, t) for s in sources for t in targets),
-                            key=lambda pair: (abs(pair[0][0] - pair[1][0]),
-                                              pair[0][0], pair[1][0]))
+        source, target = opinion.source_group, opinion.target_group
+        for s_idx in sorted(sentences_of[source] & sentences_of[target]):
+            spans_by_group = spans_by_sentence[s_idx]
+            sources, targets = spans_by_group[source], spans_by_group[target]
+            if len(sources) == 1 and len(targets) == 1:
+                subj, obj = sources[0], targets[0]
+            else:
+                subj, obj = min(((s, t) for s in sources for t in targets),
+                                key=lambda pair: (abs(pair[0][0] - pair[1][0]),
+                                                  pair[0][0], pair[1][0]))
             if s_idx not in built:
                 tokens = doc.sentences[s_idx].tokens
                 lemmas = [lemmatizer(t) for t in tokens]
@@ -358,7 +366,7 @@ def extract_contexts(doc, opinions, frame_lexicon=None, lemmatizer=tz.lemmatize)
                     frames)
             seq = _context_sequence(built[s_idx], subj, obj)
             samples.append(ContextSample(doc.doc_id, s_idx, seq, opinion.label,
-                                         opinion.source_group, opinion.target_group))
+                                         source, target))
     return samples
 
 

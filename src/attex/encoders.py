@@ -111,12 +111,8 @@ class Vocab:
 
 def build_vocab(samples):
     """Vocabulary over word and frame lemmas of the given samples."""
-    lemmas = []
-    for sample in samples:
-        for term in sample.terms.terms:
-            if term.kind in (tz.WORD, tz.FRAME):
-                lemmas.append(term.lemma)
-    return Vocab(lemmas)
+    terms = dict.fromkeys(t for sample in samples for t in sample.terms.terms)
+    return Vocab(t.lemma for t in terms if t.kind in (tz.WORD, tz.FRAME))
 
 
 def load_word_vectors(path, m):

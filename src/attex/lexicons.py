@@ -48,6 +48,7 @@ class FrameLexicon:
                 raise ValueError("duplicate entry: %r" % (entry.lemmas,))
             self._polarity[entry.lemmas] = entry.polarity
             self.max_entry_len = max(self.max_entry_len, len(entry.lemmas))
+        self._first_lemmas = frozenset(k[0] for k in self._polarity)
 
     def __len__(self):
         return len(self._polarity)
@@ -106,12 +107,16 @@ def match_frames(lemmas, lex):
     """Greedy left-to-right longest-match frame lookup.
 
     Returns a list of ((start, end), polarity) with half-open spans that
-    never overlap; each matched slice equals a lexicon entry verbatim.
+    never overlap; each matched slice equals a lexicon entry verbatim. A
+    lemma that starts no entry is passed over without a lookup.
     """
     matches = []
     i = 0
     n = len(lemmas)
     while i < n:
+        if lemmas[i] not in lex._first_lemmas:
+            i += 1
+            continue
         hit = None
         for width in range(min(lex.max_entry_len, n - i), 0, -1):
             polarity = lex.polarity_of(lemmas[i:i + width])

@@ -177,6 +177,10 @@ def _is_punctuation(token):
 
 def classify_token(token):
     """url, number, punctuation (that precedence), or None."""
+    # Letters and digits that are not all digits: a word, whatever the
+    # script; every URL, number or punctuation token fails this test.
+    if token.isalnum() and not token.isdigit():
+        return None
     lowered = token.lower()
     if lowered.startswith(("http://", "https://", "www.")):
         return URL
@@ -204,17 +208,20 @@ def sentence_terms(tokens, lemmas, mentions, frames=()):
     frame_at = {start: (end, polarity) for (start, end), polarity in frames
                 if not any(in_mention[start:end])}
 
+    other = Term.entity_other()
     terms = []
     positions = {}
     i = 0
     while i < len(tokens):
-        if i in mention_end:
-            end = mention_end[i]
+        end = mention_end.get(i)
+        if end is not None:
             positions[i, end] = len(terms)
-            terms.append(Term.entity_other())
+            terms.append(other)
             i = end
-        elif i in frame_at:
-            end, polarity = frame_at[i]
+            continue
+        frame = frame_at.get(i)
+        if frame is not None:
+            end, polarity = frame
             preceding = lemmas[i - 1] if i > 0 else ""
             adjusted = lx.apply_negation(polarity, preceding)
             terms.append(Term.frame(" ".join(lemmas[i:end]), adjusted))

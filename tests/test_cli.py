@@ -412,6 +412,41 @@ class TestPrepare:
         assert capsys.readouterr().err.startswith(
             "data error: %s:%d: bad cache record: " % (cache, len(lines)))
 
+    # A boolean where its integer would name the mask's position.
+    @pytest.mark.parametrize("field", [5, 6])
+    def test_boolean_participant_position_is_data_error(
+            self, tmp_path, capsys, field):
+        config, out = prepared(tmp_path, capsys)
+        cache = out / "contexts.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        lineno, row = next((i, row) for i, row in enumerate(
+            map(json.loads, lines[1:]), start=2) if row[field] in (0, 1))
+        row[field] = bool(row[field])
+        lines[lineno - 1] = json.dumps(row, ensure_ascii=False)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: %s:%d: bad cache record: subj_pos and obj_pos "
+            "must be integers\n" % (cache, lineno))
+
+    def test_boolean_mention_is_data_error(self, tmp_path, capsys):
+        config, out = write_fixture(tmp_path)
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(json.dumps({
+            "doc_id": "doc0", "sentences": [["a", "x", "b", "."],
+                                            ["b", "y", "a", "."]],
+            "groups": [["g1", "a"], ["g2", "b"]],
+            "mentions": [[0, 0, 1, "g1"], [0, 2, 3, "g2"],
+                         [True, False, True, "g2"], [1, 2, 3, "g1"]]}) + "\n",
+            encoding="utf-8")
+        (tmp_path / "opinions.tsv").write_text("doc0\tg1\tg2\tpositive\n",
+                                               encoding="utf-8")
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: %s:1: mention must be [sentence_idx, start, end, "
+            "group_id]\n" % documents)
+        assert not (out / "contexts.jsonl").exists()
+
     def test_missing_lexicon_fails_before_work(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
         text = config.read_text().replace(

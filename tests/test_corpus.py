@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -78,6 +81,15 @@ class TestLoadDocuments:
         record = dict(FIXTURE_DOC, mentions=[[0, 0, "RU"]])
         path = write_documents(tmp_path, [record])
         with pytest.raises(DataError):
+            cp.load_documents(path)
+
+    # Each boolean stands where its integer would make a valid mention.
+    @pytest.mark.parametrize("mention", [
+        [True, 2, 3, "SY"], [0, False, 1, "RU"], [0, 0, True, "RU"]])
+    def test_boolean_mention_field_rejected(self, tmp_path, mention):
+        record = dict(FIXTURE_DOC, mentions=[mention])
+        path = write_documents(tmp_path, [record])
+        with pytest.raises(DataError, match="mention must be"):
             cp.load_documents(path)
 
 
@@ -204,6 +216,14 @@ class TestAugmentNeutral:
             == [(o.pair(), o.label) for o in once]
 
 
+# contexts_digest of the contexts of synth.build_corpus(seed), by seed.
+SYNTH_CONTEXTS = {
+    0: "05e089781f7a9641015e43db5ce96e753763f9299fc4be0c94581d402e4c7eee",
+    1: "681f22a17ec4b35529dcb7fe61fa97da3f18fa7d6a5f41312184a91381b6f909",
+    2: "4e6ef878f8991ee4f8bb1653f8d1fc93e8b74964ce48653f1b7912be2f4559b8",
+}
+
+
 class TestExtractContexts:
     def test_single_pair_single_sample(self):
         doc = doc_with_mentions([{1: "A", 4: "B"}])
@@ -218,6 +238,17 @@ class TestExtractContexts:
         doc = doc_with_mentions([{0: "A"}, {0: "B"}])
         samples = cp.extract_contexts(doc, [cp.Opinion("A", "B", "positive")])
         assert samples == []
+
+    def test_contexts_follow_sentence_order(self):
+        # A set of the sentence indices 2, 9 and 17 iterates 9 before 2,
+        # so the order must come from sorting them.
+        shared = {2, 9, 17}
+        doc = doc_with_mentions([{1: "A", 4: "B"} if s in shared else {1: "A"}
+                                 for s in range(18)])
+        samples = cp.extract_contexts(doc, [cp.Opinion("B", "A", "negative"),
+                                            cp.Opinion("A", "B", "positive")])
+        assert [(s.source_group, s.sentence_idx) for s in samples] == [
+            ("B", 2), ("B", 9), ("B", 17), ("A", 2), ("A", 9), ("A", 17)]
 
     def test_min_distance_mention_chosen(self):
         doc = cp.Document(
@@ -304,16 +335,36 @@ class TestExtractContexts:
         assert len(samples) > len({s.sentence_idx for s in samples})
         assert len(calls) <= sum(len(s) for s in doc.sentences)
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "05e089781f7a9641015e43db5ce96e753763f9299fc4be0c94581d402e4c7eee"),
-        (1, "681f22a17ec4b35529dcb7fe61fa97da3f18fa7d6a5f41312184a91381b6f909"),
-        (2, "4e6ef878f8991ee4f8bb1653f8d1fc93e8b74964ce48653f1b7912be2f4559b8"),
-    ])
+    @pytest.mark.parametrize("seed,digest", SYNTH_CONTEXTS.items())
     def test_synthetic_contexts_are_pinned(self, seed, digest):
         corpus = synth.build_corpus(seed)
         samples = md.extract_samples(corpus.documents, corpus,
                                      synth.frame_lexicon())
         assert contexts_digest(samples) == digest
+
+    # Extraction indexes sentences in sets; its order must not follow
+    # the string hash, which a new interpreter seeds anew. n = 10 ** 6
+    # crops nothing, so the digests are those pinned above.
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_order_does_not_depend_on_the_hash_seed(self, hash_seed):
+        code = (
+            "import json, synth, test_corpus\n"
+            "from attex import model as md, termizer as tz\n"
+            "digests = []\n"
+            "for seed in %r:\n"
+            "    corpus = synth.build_corpus(seed)\n"
+            "    kept, _ = md.samples_for_docs(corpus.documents, corpus,\n"
+            "        synth.frame_lexicon(), 10 ** 6, tz.lemmatize)\n"
+            "    digests.append(test_corpus.contexts_digest(kept))\n"
+            "print(json.dumps(digests))\n" % (tuple(SYNTH_CONTEXTS),))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join((src, tests)))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == list(SYNTH_CONTEXTS.values())
 
 
 def contexts_digest(samples):

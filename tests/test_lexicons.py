@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attex import lexicons as lx
@@ -53,6 +53,13 @@ def _oracle_match(lemmas, entries):
         return spans
 
     return min(_all_matchings(lemmas, entries), key=key)
+
+
+# Entries over a three-letter alphabet share prefixes and are prefixes of
+# one another; up to 9 lemmas, they can be longer than the sentence.
+random_entries = st.dictionaries(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=9).map(tuple),
+    st.sampled_from(lx.POLARITIES), max_size=10)
 
 
 class TestFrameEntry:
@@ -136,6 +143,19 @@ class TestMatchFrames:
     def test_long_sequences_against_oracle(self, lemmas):
         got = lx.match_frames(lemmas, ORACLE_LEX)
         assert got == _oracle_match(lemmas, ORACLE_ENTRIES)
+
+    @settings(max_examples=500, deadline=None)
+    @given(entries=random_entries,
+           lemmas=st.lists(st.sampled_from("abcx"), max_size=8))
+    @example(entries={}, lemmas=["a", "b"])
+    @example(entries={("a", "b"): "positive", ("a", "b", "c"): "negative",
+                      ("a", "c"): "neutral", ("b",): "positive"},
+             lemmas=["a", "b", "a", "b", "c", "a", "c", "b"])
+    @example(entries={("a",) * 9: "positive", ("a",): "negative"},
+             lemmas=["a", "a", "a"])
+    def test_random_lexicons_against_oracle(self, entries, lemmas):
+        lex = lx.FrameLexicon([lx.FrameEntry(k, v) for k, v in entries.items()])
+        assert lx.match_frames(lemmas, lex) == _oracle_match(lemmas, entries)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(["a", "b", "c", "x", "y"]), max_size=12))

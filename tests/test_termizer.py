@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attex import corpus as cp
 from attex import lexicons as lx
@@ -44,6 +46,39 @@ class TestClassifyToken:
 
 def classify(token):
     return tz.classify_token(token)
+
+
+def full_rule(token):
+    """classify_token's three checks, run on every token."""
+    if token.lower().startswith(("http://", "https://", "www.")):
+        return tz.URL
+    if tz._is_number(token):
+        return tz.NUMBER
+    if tz._is_punctuation(token):
+        return tz.PUNCTUATION
+    return None
+
+
+TOKEN_CHARS = st.one_of(
+    st.characters(categories=("Lu", "Ll", "Lo", "Nd", "No", "P")),
+    st.sampled_from("0123456789٣²½+-.:/,«»!—"))
+
+
+class TestClassifyTokenFastPath:
+    # A token of letters and digits that are not all digits skips the
+    # three checks; it must get the answer they give.
+    @settings(max_examples=1000, deadline=None)
+    @given(prefix=st.sampled_from(
+               ("", "http://", "https://", "www.", "WWW.", "Http://", "+", "-")),
+           body=st.text(TOKEN_CHARS, max_size=6))
+    def test_equals_the_full_rule(self, prefix, body):
+        token = prefix + body
+        assert classify(token) == full_rule(token)
+
+    def test_every_code_point_alone_and_after_a_letter(self):
+        for code in range(0x30000):
+            for token in (chr(code), "a" + chr(code)):
+                assert classify(token) == full_rule(token), hex(code)
 
 
 class TestTermValidation:
