@@ -119,11 +119,13 @@ class ExperimentConfig:
                 raise UsageError("unknown setting %r" % (key,))
             parse = SETTINGS[key].parse
             try:
-                self.values[key] = parse(raw) if isinstance(raw, str) else raw
+                self.values[key] = parse(raw)
             except (KeyError, ValueError):
                 raise UsageError("key %r needs %s, got %r"
                                  % (key, _NEEDS[parse], raw))
         self.seed = self.values.get("seed", 0)
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative, got %d" % self.seed)
         self.mode = self.values.get("mode", "cv3")
         if self.mode not in MODES:
             raise UsageError("mode must be one of %s" % (MODES,))
@@ -453,16 +455,15 @@ COMMANDS = {
 
 
 def build_parser():
+    """One parser for every command; flags may come before or after it."""
     parser = _Parser(prog="attex", description=__doc__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--config")
-        sub.add_argument("--encoder", choices=enc.ENCODER_KINDS)
-        sub.add_argument("--features", choices=enc.FEATURE_MODES)
-        sub.add_argument("--mode", choices=MODES)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--out")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config")
+    parser.add_argument("--encoder", choices=enc.ENCODER_KINDS)
+    parser.add_argument("--features", choices=enc.FEATURE_MODES)
+    parser.add_argument("--mode", choices=MODES)
+    parser.add_argument("--seed")
+    parser.add_argument("--out")
     return parser
 
 

@@ -230,10 +230,9 @@ class Embedder(Module):
     """Trainable word/polarity/position tables; rows are concatenated
     per term and the sequence is right-padded with zero rows."""
 
-    def __init__(self, vocab, n, m=WORD_DIM, polarity_dim=5, use_position=False,
-                 position_dim=5, max_distance=None, rng=None, pretrained=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, vocab, n, rng, m=WORD_DIM, polarity_dim=5,
+                 use_position=False, position_dim=5, max_distance=None,
+                 pretrained=None):
         self.vocab = vocab
         self.n = n
         self.m = m
@@ -341,7 +340,7 @@ class CnnEncoder(Module):
         self.w = _glorot(rng, (cfg.window, row_width, cfg.filters), "cnn.w")
         self.b = tg.Parameter(np.zeros(cfg.filters), "cnn.b")
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         conv = tg.tanh(tg.conv1d(x, self.w, self.b))
         whole = np.zeros((len(batch), 1), dtype=np.intp)
         return EncoderOutput(tg.max_pool_over_time(conv, whole,
@@ -358,7 +357,7 @@ class PcnnEncoder(Module):
         self.w = _glorot(rng, (cfg.window, row_width, cfg.filters), name + ".w")
         self.b = tg.Parameter(np.zeros(cfg.filters), name + ".b")
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         conv = tg.conv1d(x, self.w, self.b)
         return EncoderOutput(tg.max_pool_over_time(conv, *_pcnn_segments(batch)))
 
@@ -373,7 +372,7 @@ class LstmEncoder(Module):
         self.z = self.directions * cfg.h
         self.lstm = Lstm(row_width, cfg.h, self.directions, rng, self.kind)
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         states = self.lstm.states(x, batch.lengths)
         return EncoderOutput(tg.gather(states, batch.lengths - 1))
 
@@ -393,7 +392,7 @@ class AttBLstmEncoder(Module):
         self.bilstm = Lstm(row_width, cfg.h, 2, rng, "attblstm")
         self.w = _glorot(rng, (2 * cfg.h,), "attblstm.att.w")
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
         scores = tg.matmul(tg.tanh(h_mat), self.w)
         alpha = tg.softmax(scores, batch.mask)
@@ -414,7 +413,7 @@ class AttBLstmZYangEncoder(Module):
         self.b_a = tg.Parameter(np.zeros(h2), "zyang.att.b_a")
         self.u_w = _glorot(rng, (h2,), "zyang.att.u_w")
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
         projected = tg.tanh(tg.add(tg.matmul(h_mat, self.w_a), self.b_a))
         alpha = tg.softmax(tg.matmul(projected, self.u_w), batch.mask)
@@ -434,8 +433,8 @@ class AttCnnEncoder(Module):
         self.b1 = tg.Parameter(np.zeros(cfg.h), "attcnn.att.b1")
         self.w2 = _glorot(rng, (cfg.h,), "attcnn.att.w2")
 
-    def encode(self, tape, x, batch):
-        pooled = self.pcnn.encode(tape, x, batch)
+    def encode(self, x, batch):
+        pooled = self.pcnn.encode(x, batch)
         attended, alpha = tg.feature_attention(
             x, batch.features, batch.feature_mask, batch.mask, self.w1,
             self.b1, self.w2)
@@ -463,14 +462,14 @@ class IanEncoder(Module):
         weights = tg.softmax(tg.tanh(tg.add(scores, b)), mask)
         return tg.einsum("bt,btd->bd", weights, states), weights
 
-    def encode(self, tape, x, batch):
+    def encode(self, x, batch):
         feature_mask = batch.feature_mask
         context_states = self.context_lstm.states(x, batch.lengths)
         feature_states = self.feature_lstm.states(
             tg.gather(x, batch.features), batch.feature_lengths)
-        c_mean = tg.einsum("bt,btd->bd", tape.constant(_mean_weights(batch.mask)),
+        c_mean = tg.einsum("bt,btd->bd", tg.Tensor(_mean_weights(batch.mask)),
                            context_states)
-        t_mean = tg.einsum("bk,bkd->bd", tape.constant(_mean_weights(feature_mask)),
+        t_mean = tg.einsum("bk,bkd->bd", tg.Tensor(_mean_weights(feature_mask)),
                            feature_states)
         attended_c, gamma = self._attend(context_states, batch.mask, t_mean,
                                          self.w_c, self.b_c)

@@ -42,7 +42,7 @@ class ClassifierHead(enc.Module):
         self.b_r = tg.Parameter(np.zeros(len(lx.POLARITIES)), "head.b_r")
         self.z = z
 
-    def forward(self, tape, s):
+    def forward(self, s):
         """s (B, z) -> logits (B, 3)."""
         return tg.tanh_affine(s, self.w_r, self.b_r)
 
@@ -81,8 +81,8 @@ class AttitudeModel:
     def forward(self, tape, batch):
         """Batch of B contexts -> (logits (B, 3), EncoderOutput)."""
         x = self.embedder.embed(tape, batch)
-        out = self.encoder.encode(tape, x, batch)
-        return self.head.forward(tape, out.s), out
+        out = self.encoder.encode(x, batch)
+        return self.head.forward(out.s), out
 
 
 def build_model(vocab, encoder_cfg, embed_options=None, rng=None):
@@ -328,12 +328,10 @@ def evaluate_on_samples(model, samples, gold, scope=SCOPE_DOCUMENT,
     return macro_f1(predict_opinions(model, samples, compiled), gold, scope)
 
 
-def train(model, samples, cfg, rng=None):
+def train(model, samples, cfg, rng):
     """Mini-batch gradient descent under the measurement protocol."""
     if not samples:
         raise ValueError("no training samples")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.neutral_ratio is not None:
         samples = downsample_neutral(samples, cfg.neutral_ratio, rng)
         if not samples:
@@ -511,28 +509,29 @@ def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
                 embed_options, scope):
     """SplitResults of splits 0..k-1. The corpus is extracted once; split
     i trains on the documents whose test_split.get(doc_id) is not i and
-    scores the others, each side in corpus order. Its `dropped` is the
-    corpus total, as its two sides cover it."""
+    scores the others, each side in corpus order. Its model is rebuilt
+    here from the trained parameters, in whichever process it trained.
+    Its `dropped` is the corpus total, as its two sides cover it."""
     samples, dropped = samples_for_docs(corpus.documents, corpus,
                                         frame_lexicon, encoder_cfg.n,
                                         tz.lemmatize)
     gold = opinion_gold(corpus.documents, corpus)
     sides = _split_sides(samples, gold, test_split, k)
-    models = {}
 
     def run(split):
-        models[split], history = fit(sides[split][0], encoder_cfg, train_cfg,
-                                     embed_options, split)
-        return models[split].flat.data, history, evaluate_on_samples(
-            models[split], *sides[split][1:], scope)
+        model, history = fit(sides[split][0], encoder_cfg, train_cfg,
+                             embed_options, split)
+        return model.flat.data, history, evaluate_on_samples(
+            model, *sides[split][1:], scope)
 
-    outcomes = _in_processes(run, k)
-    for split in set(range(k)) - set(models):  # trained in a forked process
-        models[split] = _split_model(sides[split][0], encoder_cfg, train_cfg,
-                                     embed_options, split)
-        models[split].flat.data[...] = outcomes[split][0]
-    return [SplitResult(f1, history, models[split], sides[split][1], dropped)
-            for split, (_, history, f1) in enumerate(outcomes)]
+    results = []
+    for split, (data, history, f1) in enumerate(_in_processes(run, k)):
+        model = _split_model(sides[split][0], encoder_cfg, train_cfg,
+                             embed_options, split)
+        model.flat.data[...] = data
+        results.append(SplitResult(f1, history, model, sides[split][1],
+                                   dropped))
+    return results
 
 
 class CvResult:

@@ -125,7 +125,6 @@ class TermSequence:
     __slots__ = ("terms", "subj_pos", "obj_pos")
 
     def __init__(self, terms, subj_pos, obj_pos):
-        terms = list(terms)
         if not terms:
             raise ValueError("term sequence is empty")
         if subj_pos == obj_pos:

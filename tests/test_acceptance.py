@@ -349,7 +349,7 @@ def _train_toy(samples, cfg):
                            {"m": 2, "polarity_dim": 2, "use_position": False,
                             "position_dim": 1},
                            rng=np.random.default_rng(0))
-    return md.train(model, samples, cfg)
+    return md.train(model, samples, cfg, np.random.default_rng(cfg.seed))
 
 
 def _history_follows_protocol(history, cfg):

@@ -262,6 +262,52 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
 
+    def test_command_help_exits_zero(self, capsys):
+        assert cli.main(["prepare", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: attex ")
+
+    def test_flags_before_or_after_the_command(self, tmp_path, monkeypatch):
+        config = tmp_path / "g.conf"
+        config.write_text("gradcheck_trials = 1\n")
+        flags = ["--seed", "2", "--config", str(config), "--encoder", "ian"]
+        parse = cli.build_parser().parse_args
+        after = parse(["gradcheck"] + flags)
+        assert vars(parse(flags + ["gradcheck"])) == vars(after)
+        assert cli.merge_settings(after) == {
+            "gradcheck_trials": "1", "seed": "2", "encoder": "ian"}
+        calls = []
+        monkeypatch.setattr(cli.md, "gradient_suite",
+                            lambda trials, seed: calls.append((trials, seed))
+                            or {})
+        assert cli.main(flags + ["gradcheck"]) == 0
+        assert cli.main(["gradcheck"] + flags) == 0
+        assert calls == [(1, 2), (1, 2)]
+
+    def test_bad_seed_flag_names_the_setting(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert "seed" in err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_negative_seed_names_the_setting(self, tmp_path, capsys, command,
+                                             source):
+        config, _ = write_fixture(tmp_path)
+        argv = [command, "--config", str(config)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config.write_text(config.read_text() + "seed = -2\n")
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert "seed" in err
+
 
 class TestPrepare:
     def test_counts_and_cache(self, tmp_path, capsys):

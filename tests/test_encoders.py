@@ -126,7 +126,7 @@ def encode_one(encoder, rows, subj, obj, n=None, frame_positions=(),
     tape = tg.Tape()
     x, batch = manual_batch(tape, rows, subj, obj, n, frame_positions,
                             encoder.cfg.k, encoder.cfg.feature_mode, features)
-    out = encoder.encode(tape, x, batch)
+    out = encoder.encode(x, batch)
     return out.s.data[0], None if out.alpha is None else out.alpha[0]
 
 
@@ -615,7 +615,7 @@ class TestAllEncoders:
                                       cfg.feature_mode)
 
         def f(tape):
-            out = encoder.encode(tape, embedder.embed(tape, batch), batch)
+            out = encoder.encode(embedder.embed(tape, batch), batch)
             return tg.matmul(tg.matmul(out.s, tape.constant(readout)),
                              tape.constant([1.0, 0.5]))
 

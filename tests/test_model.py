@@ -75,7 +75,7 @@ class TestPrediction:
 
 def head_probabilities(head, s):
     tape = tg.Tape()
-    logits = head.forward(tape, tape.constant(np.asarray(s, dtype=float)[None]))
+    logits = head.forward(tape.constant(np.asarray(s, dtype=float)[None]))
     return md.class_probabilities(logits.data)[0]
 
 
@@ -434,7 +434,7 @@ class TestTrain:
         samples = toy_samples(1)
         model = toy_model(samples)
         with pytest.raises(ValueError):
-            md.train(model, [], md.TrainConfig())
+            md.train(model, [], md.TrainConfig(), np.random.default_rng(0))
 
     def test_neutral_ratio_that_keeps_nothing_rejected(self):
         # With no sentiment sample the neutral cap is 0, so downsampling
@@ -443,7 +443,8 @@ class TestTrain:
         model = toy_model(samples)
         before = snapshot(model)
         with pytest.raises(ValueError, match="neutral_ratio"):
-            md.train(model, samples, md.TrainConfig(neutral_ratio=2.0))
+            md.train(model, samples, md.TrainConfig(neutral_ratio=2.0),
+                     np.random.default_rng(0))
         after = snapshot(model)
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
@@ -453,7 +454,8 @@ class TestTrain:
         cfg = md.TrainConfig(max_epochs=100, eval_period=10,
                              stop_threshold=0.85, learning_rate=0.02,
                              batch_size=8, seed=1)
-        history = md.train(model, samples, cfg)
+        history = md.train(model, samples, cfg,
+                           np.random.default_rng(cfg.seed))
         epochs = history.epochs()
         assert epochs == list(range(10, epochs[-1] + 1, 10))
         assert epochs[-1] < 100
@@ -465,14 +467,16 @@ class TestTrain:
         cfg = md.TrainConfig(max_epochs=100, eval_period=10,
                              stop_threshold=0.0, learning_rate=0.02,
                              batch_size=8, seed=2)
-        history = md.train(model, samples, cfg)
+        history = md.train(model, samples, cfg,
+                           np.random.default_rng(cfg.seed))
         assert history.epochs() == [10]
 
     def test_zero_epochs_touches_nothing(self):
         samples = toy_samples(1)
         model = toy_model(samples, seed=3)
         before = snapshot(model)
-        history = md.train(model, samples, md.TrainConfig(max_epochs=0))
+        history = md.train(model, samples, md.TrainConfig(max_epochs=0),
+                           np.random.default_rng(0))
         assert history.rows == []
         after = snapshot(model)
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -485,7 +489,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = toy_model(samples, seed=4)
-            history = md.train(model, samples, cfg)
+            history = md.train(model, samples, cfg,
+                               np.random.default_rng(cfg.seed))
             runs.append((history.rows, snapshot(model)))
         assert runs[0][0] == runs[1][0]
         assert all(np.array_equal(runs[0][1][k], runs[1][1][k])
@@ -497,7 +502,7 @@ class TestTrain:
         model.head.w_r.data[...] = np.nan
         cfg = md.TrainConfig(max_epochs=10, eval_period=10)
         with pytest.raises(NumericError, match="epoch 1"):
-            md.train(model, samples, cfg)
+            md.train(model, samples, cfg, np.random.default_rng(cfg.seed))
 
     def test_non_finite_parameter_named_at_its_step(self):
         # An infinite step leaves the loss of its own batch finite, so the
@@ -509,7 +514,7 @@ class TestTrain:
         with pytest.raises(NumericError,
                            match="parameter 'emb.word' .*epoch 1$"), \
                 np.errstate(invalid="ignore"):
-            md.train(model, samples, cfg)
+            md.train(model, samples, cfg, np.random.default_rng(cfg.seed))
 
     def test_sgd_also_learns(self):
         samples = toy_samples(2)
@@ -517,7 +522,8 @@ class TestTrain:
         cfg = md.TrainConfig(max_epochs=40, eval_period=10,
                              stop_threshold=0.85, optimizer="sgd",
                              learning_rate=0.5, batch_size=4, seed=7)
-        history = md.train(model, samples, cfg)
+        history = md.train(model, samples, cfg,
+                           np.random.default_rng(cfg.seed))
         assert history.rows
         assert history.rows[-1][2] < history.rows[0][2] or \
             history.final_f1() > 0.85

@@ -103,7 +103,8 @@ def test_guard_names_a_later_parameter(monkeypatch):
     monkeypatch.setattr(md.Adam, "step", poisoned)
     with pytest.raises(NumericError,
                        match="parameter 'head.w_r' .*epoch 1$"):
-        md.train(model, samples, md.TrainConfig(max_epochs=10))
+        md.train(model, samples, md.TrainConfig(max_epochs=10),
+                 np.random.default_rng(0))
 
 
 def test_packing_again_is_rejected():

@@ -1,8 +1,8 @@
 """Source guards: a model part's parameters come from its attributes, its
 sizes are attributes, every Glorot limit comes from `_glorot`, only
 `Lstm` calls the LSTM op, a term and an opinion state no equality of
-their own, the polarity order is stated once, and every definition in
-the package is used somewhere."""
+their own, the polarity order is stated once, every definition in the
+package is used somewhere, and every parameter is read."""
 
 import ast
 import pathlib
@@ -124,6 +124,22 @@ def test_every_definition_is_named_elsewhere():
                        if (source, number) != (PACKAGE / name, node.lineno)):
                 unnamed.append("%s:%d %s" % (name, node.lineno, node.name))
     assert unnamed == []
+
+
+def test_every_parameter_is_read():
+    # A parameter that its body never reads is one that every caller
+    # passes for nothing.
+    unread = []
+    for name, node in functions():
+        read = {child.id for statement in node.body
+                for child in ast.walk(statement)
+                if isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)}
+        args = node.args
+        arguments = args.posonlyargs + args.args + args.kwonlyargs
+        unread += ["%s(%s)" % (name, arg.arg) for arg in arguments
+                   if arg.arg not in ("self", "cls") and arg.arg not in read]
+    assert unread == []
 
 
 def test_terms_are_not_told_apart_by_id():
