@@ -240,6 +240,11 @@ class Embedder(Module):
         self.use_position = use_position
         self.position_dim = position_dim
         self.max_distance = (n - 1) if max_distance is None else max_distance
+        for name, size in (("m", m), ("polarity_dim", polarity_dim),
+                           ("position_dim", position_dim),
+                           ("max_distance", self.max_distance)):
+            if size < 0:
+                raise ValueError("%s must be non-negative, got %d" % (name, size))
         self.row_width = m + polarity_dim + (2 * position_dim if use_position
                                              else 0)
 
@@ -317,9 +322,10 @@ class Lstm(Module):
         return tg.lstm_sequence(x, self.w, self.u, self.b, lengths)
 
 
-def _mean_weights(mask):
-    """Constant weights 1/count on each row's True entries, 0 elsewhere."""
-    return mask / mask.sum(axis=1, keepdims=True)
+def _mean_pool(states, mask):
+    """Mean of the rows of states (B, T, d) where mask (B, T) is True."""
+    weights = tg.Tensor(mask / mask.sum(axis=1, keepdims=True), states.tape)
+    return tg.einsum("bt,btd->bd", weights, states)
 
 
 def _pcnn_segments(batch):
@@ -467,10 +473,8 @@ class IanEncoder(Module):
         context_states = self.context_lstm.states(x, batch.lengths)
         feature_states = self.feature_lstm.states(
             tg.gather(x, batch.features), batch.feature_lengths)
-        c_mean = tg.einsum("bt,btd->bd", tg.Tensor(_mean_weights(batch.mask)),
-                           context_states)
-        t_mean = tg.einsum("bk,bkd->bd", tg.Tensor(_mean_weights(feature_mask)),
-                           feature_states)
+        c_mean = _mean_pool(context_states, batch.mask)
+        t_mean = _mean_pool(feature_states, feature_mask)
         attended_c, gamma = self._attend(context_states, batch.mask, t_mean,
                                          self.w_c, self.b_c)
         attended_t, _ = self._attend(feature_states, feature_mask, c_mean,

@@ -27,7 +27,7 @@ from . import encoders as enc
 from . import lexicons as lx
 from . import tensorgrad as tg
 from . import termizer as tz
-from .errors import NumericError, write_lines
+from .errors import DataError, NumericError, write_lines
 
 SCOPE_DOCUMENT = "per-document-averaged"
 SCOPE_COLLECTION = "collection"
@@ -511,12 +511,16 @@ def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
     i trains on the documents whose test_split.get(doc_id) is not i and
     scores the others, each side in corpus order. Its model is rebuilt
     here from the trained parameters, in whichever process it trained.
-    Its `dropped` is the corpus total, as its two sides cover it."""
+    Its `dropped` is the corpus total, as its two sides cover it. A split
+    with no training context is a DataError, raised before any trains."""
     samples, dropped = samples_for_docs(corpus.documents, corpus,
                                         frame_lexicon, encoder_cfg.n,
                                         tz.lemmatize)
     gold = opinion_gold(corpus.documents, corpus)
     sides = _split_sides(samples, gold, test_split, k)
+    for split, (train_samples, _, _) in enumerate(sides):
+        if not train_samples:
+            raise DataError("split %d has no training context" % split)
 
     def run(split):
         model, history = fit(sides[split][0], encoder_cfg, train_cfg,

@@ -30,11 +30,11 @@ from .errors import DataError, read_lines, write_lines
 
 
 class Tensor:
-    """A dense float64 array plus a slot for its upstream gradient."""
+    """A dense float64 array on one tape plus a slot for its upstream gradient."""
 
     __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, tape: "Tape | None" = None):
+    def __init__(self, data, tape: "Tape"):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.tape = tape
@@ -112,13 +112,13 @@ class Tape:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self.recording = record
 
-    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
+    def _record(self, value, backward: Callable[[np.ndarray], None]) -> Tensor:
+        """An op's output on this tape, with the closure that passes its
+        gradient on to the op's operands."""
+        out = Tensor(value, self)
         if self.recording:
             self._records.append((out, backward))
-
-    def constant(self, data) -> Tensor:
-        """Tape-bound leaf; gradients may flow into it but go nowhere."""
-        return Tensor(data, self)
+        return out
 
     def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss, seeding d(loss)/d(loss)=1."""
@@ -140,23 +140,19 @@ class Tape:
 Operand = Tensor | Parameter
 
 
-def _value(x: Operand) -> np.ndarray:
-    return x.data
-
-
 def _tape_of(*xs: Operand) -> Tape:
     tape = None
     for x in xs:
-        t = x.tape if isinstance(x, Tensor) else None
-        if t is None:
+        if isinstance(x, Parameter):
             continue
         if tape is None:
-            tape = t
-        elif tape is not t:
+            tape = x.tape
+        elif tape is not x.tape:
             raise ValueError("operands were recorded on different tapes")
     if tape is None:
         raise ValueError(
-            "operation has no tape-bound operand; wrap an input with tape.constant"
+            "operation has no tape-bound operand; wrap an input with "
+            "tg.Tensor(data, tape)"
         )
     return tape
 
@@ -164,7 +160,7 @@ def _tape_of(*xs: Operand) -> Tape:
 def _accumulate(x: Operand, g: np.ndarray) -> None:
     if isinstance(x, Parameter):
         x.grad += g
-    elif x.tape is not None:
+    else:
         x.grad = g if x.grad is None else x.grad + g
 
 
@@ -182,42 +178,39 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Operand, b: Operand) -> Tensor:
     """Elementwise sum under numpy broadcasting, e.g. a bias (f,) over (..., f)."""
     tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
+    av, bv = a.data, b.data
     try:
         ov = av + bv
     except ValueError:
         raise ValueError(f"add: incompatible shapes {av.shape} and {bv.shape}")
-    out = Tensor(ov, tape)
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, av.shape))
         _accumulate(b, _unbroadcast(g, bv.shape))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def scale(a: Operand, c: float) -> Tensor:
     tape = _tape_of(a)
-    out = Tensor(_value(a) * c, tape)
+    ov = a.data * c
 
     def backward(g):
         _accumulate(a, g * c)
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def matmul(a: Operand, b: Operand) -> Tensor:
     """a (..., q) times a matrix b (q, r) or a vector b (q,), over a's last axis."""
     tape = _tape_of(a, b)
-    av, bv = _value(a), _value(b)
+    av, bv = a.data, b.data
     if av.ndim < 1 or bv.ndim not in (1, 2):
         raise ValueError("matmul expects a (..., q) and b (q, r) or (q,)")
     q = av.shape[-1]
     if q != bv.shape[0]:
         raise ValueError(f"matmul: inner extents differ {av.shape} @ {bv.shape}")
-    out = Tensor(av @ bv, tape)
+    ov = av @ bv
 
     def backward(g):
         rows = av.reshape(-1, q)
@@ -228,8 +221,7 @@ def matmul(a: Operand, b: Operand) -> Tensor:
             _accumulate(a, g[..., None] * bv)
             _accumulate(b, rows.T @ g.reshape(-1))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def einsum(spec: str, a: Operand, b: Operand) -> Tensor:
@@ -244,27 +236,24 @@ def einsum(spec: str, a: Operand, b: Operand) -> Tensor:
     for mine, other in ((sa, sb), (sb, sa)):
         if len(set(mine)) != len(mine) or not set(mine) <= set(other + output):
             raise ValueError(f"einsum: unsupported spec {spec!r}")
-    av, bv = _value(a), _value(b)
-    out = Tensor(np.einsum(spec, av, bv), tape)
+    av, bv = a.data, b.data
+    ov = np.einsum(spec, av, bv)
 
     def backward(g):
         _accumulate(a, np.einsum(f"{output},{sb}->{sa}", g, bv))
         _accumulate(b, np.einsum(f"{output},{sa}->{sb}", g, av))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def tanh(a: Operand) -> Tensor:
     tape = _tape_of(a)
-    ov = np.tanh(_value(a))
-    out = Tensor(ov, tape)
+    ov = np.tanh(a.data)
 
     def backward(g):
         _accumulate(a, g * (1.0 - ov * ov))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def lstm_sequence(x: Operand, w: Operand, u: Operand, b: Operand,
@@ -288,7 +277,7 @@ def lstm_sequence(x: Operand, w: Operand, u: Operand, b: Operand,
     for the batch-major h·U, so values match a batch-major loop bit for bit.
     """
     tape = _tape_of(x, w, u, b)
-    xv, wv, ud, bv = (_value(a) for a in (x, w, u, b))
+    xv, wv, ud, bv = (a.data for a in (x, w, u, b))
     lengths = np.asarray(lengths, dtype=np.intp)
     D, h = ud.shape[:2] if ud.ndim == 3 else (0, 0)
     H = D * h
@@ -356,7 +345,6 @@ def lstm_sequence(x: Operand, w: Operand, u: Operand, b: Operand,
     states = 0.5 * swap(hs)  # (L, B, H)
     ov = np.zeros((B, T, H))
     ov[:, :L] = flip(states).transpose(1, 0, 2)
-    out = Tensor(ov, tape)
 
     def backward(g):
         # Gate-major like the forward loop. Step t of dPre is (dc, dc, dh,
@@ -404,8 +392,7 @@ def lstm_sequence(x: Operand, w: Operand, u: Operand, b: Operand,
         _accumulate(w, xs.reshape(L * B, m).T @ flat)
         _accumulate(b, flat.sum(axis=0))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -422,28 +409,26 @@ def softmax(v: Operand, mask) -> Tensor:
     exactly 0 and so is the gradient; every row needs one True entry.
     """
     tape = _tape_of(v)
-    x = _value(v)
+    x = v.data
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("softmax expects a non-empty last axis")
     # Any over the last axis commutes with broadcasting the mask.
     if not np.any(mask, axis=-1).all():
         raise ValueError("softmax: a row has no unmasked entry")
     ov = _softmax_rows(np.where(mask, x, -np.inf))
-    out = Tensor(ov, tape)
 
     def backward(g):
         _accumulate(v, ov * (g - (g * ov).sum(axis=-1, keepdims=True)))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def concat(parts: Sequence[Operand], axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat of zero tensors")
     tape = _tape_of(*parts)
-    values = [_value(p) for p in parts]
-    out = Tensor(np.concatenate(values, axis=axis), tape)
+    values = [p.data for p in parts]
+    ov = np.concatenate(values, axis=axis)
     sizes = [v.shape[axis] for v in values]
 
     def backward(g):
@@ -454,8 +439,7 @@ def concat(parts: Sequence[Operand], axis: int = 0) -> Tensor:
             _accumulate(p, g[tuple(index)])
             offset += size
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def gather(a: Operand, positions) -> Tensor:
@@ -465,22 +449,21 @@ def gather(a: Operand, positions) -> Tensor:
     Backward scatter-adds, so repeated positions add up.
     """
     tape = _tape_of(a)
-    av = _value(a)
+    av = a.data
     pos = np.asarray(positions, dtype=np.intp)
     if av.ndim != 3 or pos.ndim not in (1, 2) or pos.shape[0] != av.shape[0]:
         raise ValueError(f"gather: positions {pos.shape} do not fit a {av.shape}")
     if pos.size and (pos.min() < 0 or pos.max() >= av.shape[1]):
         raise IndexError(f"gather: position out of range for shape {av.shape}")
     index = (np.arange(len(pos)).reshape((-1,) + (1,) * (pos.ndim - 1)), pos)
-    out = Tensor(av[index], tape)
+    ov = av[index]
 
     def backward(g):
         z = np.zeros_like(av)
         np.add.at(z, index, g)
         _accumulate(a, z)
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
@@ -491,7 +474,7 @@ def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
     argmax.
     """
     tape = _tape_of(a)
-    av = _value(a)
+    av = a.data
     starts, ends = np.asarray(starts), np.asarray(ends)
     if av.ndim != 3 or starts.shape != ends.shape or starts.ndim != 2 \
             or starts.shape[0] != av.shape[0]:
@@ -505,8 +488,7 @@ def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
     # maxima of contiguous blocks, and the argmax only runs in backward.
     values = np.where(inside[..., None], av.transpose(1, 0, 2)[:, :, None],
                       -np.inf)
-    out = Tensor(np.where(filled, values.max(axis=0), 0.0).reshape(B, -1),
-                 tape)
+    ov = np.where(filled, values.max(axis=0), 0.0).reshape(B, -1)
 
     def backward(g):
         rows = values.argmax(axis=0)  # (B, S, f), first maximum
@@ -516,8 +498,7 @@ def max_pool_over_time(a: Operand, starts, ends) -> Tensor:
                         .reshape(-1), minlength=B * T * f)
         _accumulate(a, z.reshape(av.shape))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
@@ -527,7 +508,7 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
     is split evenly around each row with the extra step on the left.
     """
     tape = _tape_of(x, w, b)
-    xv, wv, bv = _value(x), _value(w), _value(b)
+    xv, wv, bv = x.data, w.data, b.data
     if xv.ndim != 3 or wv.ndim != 3 or bv.ndim != 1:
         raise ValueError("conv1d expects x (B,n,m), w (win,m,f), b (f,)")
     B, n, m = xv.shape
@@ -546,7 +527,6 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
     ov = padded[:, :n] @ wv[0] + bv
     for d in range(1, win):
         ov += padded[:, d : d + n] @ wv[d]
-    out = Tensor(ov, tape)
 
     def backward(g):
         gx_padded = np.zeros_like(padded)
@@ -559,8 +539,7 @@ def conv1d(x: Operand, w: Operand, b: Operand) -> Tensor:
         _accumulate(w, gw)
         _accumulate(b, rows.sum(axis=0))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
@@ -576,7 +555,7 @@ def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
     and alpha (B, T), the mean of their weights scaled to sum to 1.
     """
     tape = _tape_of(x, w1, b1, w2)
-    xv, w1v, b1v, w2v = (_value(o) for o in (x, w1, b1, w2))
+    xv, w1v, b1v, w2v = (o.data for o in (x, w1, b1, w2))
     pos = np.asarray(features, dtype=np.intp)
     feature_mask, mask = np.asarray(feature_mask), np.asarray(mask)
     m = xv.shape[-1] if xv.ndim == 3 else 0
@@ -607,7 +586,7 @@ def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
     alpha = _softmax_rows(np.where(mask[:, None], hidden @ w2v, -np.inf))
     weights = feature_mask / feature_mask.sum(axis=1, keepdims=True)
     summaries = np.einsum("bkt,btm->bkm", alpha, xv)
-    out = Tensor(np.einsum("bk,bkm->bm", weights, summaries), tape)
+    ov = np.einsum("bk,bkm->bm", weights, summaries)
     mean_alpha = np.einsum("bk,bkt->bt", weights, alpha)
     mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
 
@@ -632,8 +611,7 @@ def feature_attention(x: Operand, features, feature_mask, mask, w1: Operand,
         _accumulate(b1, dpre.sum(axis=(0, 1, 2)))
         _accumulate(w2, np.einsum("bkt,bkth->h", d_scores, hidden))
 
-    tape._record(out, backward)
-    return out, mean_alpha
+    return tape._record(ov, backward), mean_alpha
 
 
 def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
@@ -663,7 +641,6 @@ def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
     ov = np.zeros(shape + (edges[-1],))
     ov[mask] = np.concatenate([tv[rows] for tv, rows in zip(values, live)],
                               axis=1)
-    out = Tensor(ov, tape)
 
     def backward(g):
         g = g[mask]
@@ -676,28 +653,26 @@ def embedding_lookup(tape: Tape, tables: Sequence[Parameter], ids,
             np.add.at(tables[j].grad.reshape(-1), cells.reshape(-1),
                       g[:, edges[j]:edges[j + 1]].reshape(-1))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def tanh_affine(s: Operand, w: Operand, b: Operand) -> Tensor:
     """tanh(s)·w + b of s (B, z), w (z, c), b (c,), as one op."""
     tape = _tape_of(s, w, b)
-    sv, wv, bv = _value(s), _value(w), _value(b)
+    sv, wv, bv = s.data, w.data, b.data
     if sv.ndim != 2 or wv.ndim != 2 or sv.shape[1] != wv.shape[0] \
             or bv.shape != wv.shape[1:]:
         raise ValueError(f"tanh_affine expects s (B,z), w (z,c), b (c,); "
                          f"got {sv.shape}, {wv.shape}, {bv.shape}")
     t = np.tanh(sv)
-    out = Tensor(t @ wv + bv, tape)
+    ov = t @ wv + bv
 
     def backward(g):
         _accumulate(b, g.sum(axis=0))
         _accumulate(w, t.T @ g)
         _accumulate(s, (g @ wv.T) * (1.0 - t * t))
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
@@ -708,7 +683,7 @@ def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
     mistake still gets the full gradient.
     """
     tape = _tape_of(logits)
-    lv = _value(logits)
+    lv = logits.data
     gold = np.asarray(gold, dtype=np.intp)
     if lv.ndim != 2 or gold.shape != lv.shape[:1] or len(gold) < 1:
         raise ValueError(f"softmax_cross_entropy: logits {lv.shape}, gold {gold.shape}")
@@ -719,7 +694,7 @@ def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
     shifted = lv - lv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1)
-    out = Tensor((np.log(total) - shifted[rows, gold]).sum() / B, tape)
+    ov = (np.log(total) - shifted[rows, gold]).sum() / B
 
     def backward(g):
         d = e  # the softmax, then its gradient, in place
@@ -728,8 +703,7 @@ def softmax_cross_entropy(logits: Operand, gold) -> Tensor:
         d *= float(g) / B
         _accumulate(logits, d)
 
-    tape._record(out, backward)
-    return out
+    return tape._record(ov, backward)
 
 
 def gradient_check(f: Callable[[Tape], Tensor],

@@ -39,9 +39,7 @@ from attex import termizer as tz
 
 
 def _op(tape, value, backward):
-    out = tg.Tensor(value, tape)
-    tape._record(out, backward)
-    return out
+    return tape._record(value, backward)
 
 
 def _into(a, g):
@@ -146,7 +144,7 @@ def max_pool(a):
 
 def _sigmoid(tape, v):
     # sigmoid(v) = 0.5 * (1 + tanh(v / 2))
-    one = tape.constant(np.ones(v.shape[0]))
+    one = tg.Tensor(np.ones(v.shape[0]), tape)
     return tg.scale(tg.add(tg.tanh(tg.scale(v, 0.5)), one), 0.5)
 
 
@@ -165,7 +163,7 @@ def lstm_step(tape, x_t, h_prev, c_prev, w, u, b):
 def lstm_run(tape, rows, w, u, b):
     """States after each row of the list `rows`, in order."""
     h = u.shape[0]
-    h_t, c_t = tape.constant(np.zeros(h)), tape.constant(np.zeros(h))
+    h_t, c_t = tg.Tensor(np.zeros(h), tape), tg.Tensor(np.zeros(h), tape)
     states = []
     for x_t in rows:
         h_t, c_t = lstm_step(tape, x_t, h_t, c_t, w, u, b)
@@ -249,7 +247,7 @@ def embed(tape, embedder, seq):
             parts.append(embedding_lookup(tape, embedder.position_table, ids))
     x = tg.concat(parts, axis=1)
     if n_real < embedder.n:
-        pad = tape.constant(np.zeros((embedder.n - n_real, embedder.row_width)))
+        pad = tg.Tensor(np.zeros((embedder.n - n_real, embedder.row_width)), tape)
         x = tg.concat([x, pad], axis=0)
     frames = [i for i, t in enumerate(seq.terms) if t.kind == tz.FRAME]
     return Context(x, n_real, seq.subj_pos, seq.obj_pos, frames)
@@ -272,12 +270,12 @@ def _pcnn(encoder, ctx):
         if end > start:
             blocks.append(max_pool(narrow(conv, 0, start, end - start)))
         else:
-            blocks.append(ctx.x.tape.constant(np.zeros(encoder.cfg.filters)))
+            blocks.append(tg.Tensor(np.zeros(encoder.cfg.filters), ctx.x.tape))
     return tg.concat(blocks, axis=0)
 
 
 def _mean(tape, states):
-    weights = tape.constant(np.full(len(states), 1.0 / len(states)))
+    weights = tg.Tensor(np.full(len(states), 1.0 / len(states)), tape)
     return tg.matmul(weights, stack(states))
 
 
@@ -436,7 +434,7 @@ def feature_attention(tape, x, features, feature_mask, mask, w1, b1, w2):
     alpha = tg.softmax(scores, mask[:, None, :])  # (B, k, T)
     weights = feature_mask / feature_mask.sum(axis=1, keepdims=True)
     summaries = tg.einsum("bkt,btm->bkm", alpha, x)
-    attended = tg.einsum("bk,bkm->bm", tape.constant(weights), summaries)
+    attended = tg.einsum("bk,bkm->bm", tg.Tensor(weights, tape), summaries)
     mean_alpha = np.einsum("bk,bkt->bt", weights, alpha.data)
     mean_alpha /= mean_alpha.sum(axis=1, keepdims=True)
     return attended, mean_alpha

@@ -76,7 +76,7 @@ def _pooling_mismatches(trials=1000):
         rows = rng.normal(0.0, 1.0, (n_real, width))
         subj, obj = (int(v) for v in rng.choice(n_real, 2, replace=False))
         got, _ = encode_one(encoder, rows, subj, obj, n=n)
-        conv = tg.conv1d(tg.Tape().constant(pad_rows(rows, n)[None]),
+        conv = tg.conv1d(tg.Tensor(pad_rows(rows, n)[None], tg.Tape()),
                          encoder.w, encoder.b).data[0]
         p1, p2 = sorted((subj, obj))
         blocks = []

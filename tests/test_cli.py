@@ -899,6 +899,24 @@ class TestTrain:
         assert evaluated["f1_per_document"] == repr(res.f1)
 
 
+class TestEmbeddingSizes:
+    @pytest.mark.parametrize("use_position", ["true", "false"])
+    @pytest.mark.parametrize("key", ["m", "polarity_dim", "position_dim",
+                                     "max_distance"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_negative_size_names_the_setting(self, tmp_path, capsys, command,
+                                             key, use_position):
+        config, out = prepared(tmp_path, capsys)
+        lines = [line for line in config.read_text().splitlines()
+                 if line.split(" = ")[0] not in (key, "use_position")]
+        config.write_text("".join(line + "\n" for line in lines + [
+            "%s = -1" % key, "use_position = %s" % use_position]))
+        assert cli.main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: %s must be non-negative, got -1\n" % key)
+        assert not (out / "model.ckpt").exists()
+
+
 class TestEval:
     def test_eval_after_train(self, tmp_path, capsys):
         config, out = prepared(tmp_path, capsys)
@@ -989,6 +1007,36 @@ class TestCv:
         assert capsys.readouterr().err.startswith(
             "data error: %s: cv needs at least 3 documents, got 2" % path)
         assert not out.exists()
+
+    def test_fold_with_nothing_to_train_on_is_data_error(self, tmp_path,
+                                                          capsys):
+        # Only d1 yields contexts, so the fold that holds it out has
+        # nothing to train on: a fault of the corpus, not of the settings.
+        docs = [{"doc_id": "d1",
+                 "sentences": [["a", "x", "b", "."], ["b", "y", "a", "."]],
+                 "groups": [["A", "a"], ["B", "b"]],
+                 "mentions": [[0, 0, 1, "A"], [0, 2, 3, "B"],
+                              [1, 0, 1, "B"], [1, 2, 3, "A"]]},
+                {"doc_id": "d2", "sentences": [["a", "x", "."]],
+                 "groups": [["A", "a"]], "mentions": [[0, 0, 1, "A"]]},
+                {"doc_id": "d3", "sentences": [["x", "y", "."]],
+                 "groups": [], "mentions": []}]
+        (tmp_path / "documents.jsonl").write_text(
+            "".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        (tmp_path / "opinions.tsv").write_text("d1\tA\tB\tpositive\n",
+                                               encoding="utf-8")
+        config = tmp_path / "cv.conf"
+        config.write_text("documents = %s\nopinions = %s\nout = %s\n"
+                          "encoder = cnn\n" % (tmp_path / "documents.jsonl",
+                                                tmp_path / "opinions.tsv",
+                                                tmp_path / "out"))
+        assert cli.main(["cv", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error: split ")
+        assert err.endswith(" has no training context\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "folds.csv").exists()
 
     def test_seed_flag_overrides_default(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)

@@ -117,7 +117,7 @@ def manual_batch(tape, rows, subj, obj, n=None, frame_positions=(), k=2,
     ids = np.zeros((1, rows.shape[0]), dtype=np.intp)
     batch = enc.Batch(ids, ids, np.array([n_real]), np.array([subj]),
                       np.array([obj]), feats, np.array([len(features)]))
-    return tape.constant(rows[None]), batch
+    return tg.Tensor(rows[None], tape), batch
 
 
 def encode_one(encoder, rows, subj, obj, n=None, frame_positions=(),
@@ -616,8 +616,8 @@ class TestAllEncoders:
 
         def f(tape):
             out = encoder.encode(embedder.embed(tape, batch), batch)
-            return tg.matmul(tg.matmul(out.s, tape.constant(readout)),
-                             tape.constant([1.0, 0.5]))
+            return tg.matmul(tg.matmul(out.s, tg.Tensor(readout, tape)),
+                             tg.Tensor([1.0, 0.5], tape))
 
         params = embedder.parameters() + encoder.parameters()
         assert tg.gradient_check(f, params) < 1e-4

@@ -136,11 +136,11 @@ def test_tanh_affine_equals_tanh_matmul_add(trial):
     s = rng.normal(scale=2.0, size=(B, z))
 
     def fused(tape):
-        leaf = tape.constant(s)
+        leaf = tg.Tensor(s, tape)
         return tg.tanh_affine(leaf, w, b), [leaf], None
 
     def chain(tape):
-        leaf = tape.constant(s)
+        leaf = tg.Tensor(s, tape)
         return pc.head(leaf, w, b), [leaf], None
 
     assert_same(run(fused, [w, b], seeded(np.random.default_rng(trial))),
@@ -171,7 +171,7 @@ def test_max_pool_equals_forward_argmax_pool(ties, trial):
 
     def build(pool):
         def f(tape):
-            leaf = tape.constant(a)
+            leaf = tg.Tensor(a, tape)
             return pool(leaf, starts, ends), [leaf], None
         return f
 
@@ -214,13 +214,13 @@ def test_feature_attention_equals_the_chain(zero_padding, trial):
                                                              zero_padding)
 
     def fused(tape):
-        leaf = tape.constant(x)
+        leaf = tg.Tensor(x, tape)
         out, alpha = tg.feature_attention(leaf, features, feature_mask, mask,
                                           *params)
         return out, [leaf], alpha
 
     def chain(tape):
-        leaf = tape.constant(x)
+        leaf = tg.Tensor(x, tape)
         out, alpha = pc.feature_attention(tape, leaf, features, feature_mask,
                                           mask, *params)
         return out, [leaf], alpha
@@ -236,7 +236,7 @@ def test_feature_attention_equals_the_chain(zero_padding, trial):
 def test_feature_attention_rejects_bad_input():
     rng = np.random.default_rng(7)
     x, features, feature_mask, mask, params = attention_case(rng, True)
-    leaf = tg.Tape().constant(x)
+    leaf = tg.Tensor(x, tg.Tape())
     with pytest.raises(IndexError):
         tg.feature_attention(leaf, features + x.shape[1], feature_mask, mask,
                              *params)
@@ -254,13 +254,13 @@ def test_feature_attention_rejects_bad_input():
 # the gradient check of each fused op -------------------------------------------
 
 def lifted(tape, param):
-    return tg.add(tape.constant(np.zeros(param.data.shape)), param)
+    return tg.add(tg.Tensor(np.zeros(param.data.shape), tape), param)
 
 
 def scalar(out, weights):
     """A fixed linear functional of out, as a scalar for gradient_check."""
     spec = "abcd"[:out.data.ndim]
-    return tg.einsum(f"{spec},{spec}->", out, out.tape.constant(weights))
+    return tg.einsum(f"{spec},{spec}->", out, tg.Tensor(weights, out.tape))
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -326,7 +326,7 @@ def test_conv1d_equals_the_padded_sum(win):
     for d in range(win):
         want += padded[:, d:d + 5] @ w[d]
     tape = tg.Tape()
-    got = tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b))
+    got = tg.conv1d(tg.Tensor(x, tape), tg.Tensor(w, tape), tg.Tensor(b, tape))
     assert np.array_equal(got.data, want)
 
 
@@ -353,7 +353,7 @@ def test_cross_entropy_equals_the_formula(trial):
     logits = rng.normal(scale=3.0, size=(6, 3))
     gold = rng.integers(0, 3, 6)
     tape = tg.Tape()
-    leaf = tape.constant(logits)
+    leaf = tg.Tensor(logits, tape)
     loss = tg.softmax_cross_entropy(leaf, gold)
     tape.backward(loss)
     rows = np.arange(6)

@@ -24,10 +24,10 @@ TOL = 1e-10
 
 def _weighted_sum(tape, mat, weights):
     """Scalar sum of mat * weights for a tensor of any rank."""
-    prod = pc.mul(mat, tape.constant(weights))
+    prod = pc.mul(mat, tg.Tensor(weights, tape))
     while prod.data.ndim > 1:
-        prod = tg.matmul(prod, tape.constant(np.ones(prod.shape[-1])))
-    return tg.matmul(prod, tape.constant(np.ones(prod.shape[0])))
+        prod = tg.matmul(prod, tg.Tensor(np.ones(prod.shape[-1]), tape))
+    return tg.matmul(prod, tg.Tensor(np.ones(prod.shape[0]), tape))
 
 
 def _lstm_params(rng, m, h, directions=1):
@@ -59,7 +59,7 @@ def test_matches_per_step_oracle(trial, two_directions):
     for p in params:
         p.zero_grad()
     tape = tg.Tape()
-    x = tape.constant(x_data)
+    x = tg.Tensor(x_data, tape)
     states = tg.lstm_sequence(x, *params, lengths)
     tape.backward(_weighted_sum(tape, states, readout))
     got_x, got_params = x.grad, [p.grad.copy() for p in params]
@@ -69,7 +69,7 @@ def test_matches_per_step_oracle(trial, two_directions):
         p.zero_grad()
     for row, n in enumerate(lengths):
         tape = tg.Tape()
-        xr = tape.constant(x_data[row, :n])
+        xr = tg.Tensor(x_data[row, :n], tape)
         want = tg.concat([pc.lstm_sequence(
             tape, xr, *pc.lstm_direction(tape, *params, d), reverse=d == 1)
             for d in range(directions)], axis=1)
@@ -96,7 +96,7 @@ def test_single_step_single_unit_closed_form():
         params = [tg.Parameter(a, "p") for a in (
             np.repeat(w.data, D, axis=1), np.repeat(u.data, D, axis=0),
             np.repeat(b.data, D))]
-        out = tg.lstm_sequence(tg.Tape().constant(x), *params, [1])
+        out = tg.lstm_sequence(tg.Tensor(x, tg.Tape()), *params, [1])
         assert out.data.shape == (1, 1, D)
         assert np.allclose(out.data[0, 0], want, rtol=0, atol=1e-15)
 
@@ -110,7 +110,7 @@ def test_gradient_check_edge_sizes(T, h):
     readout = rng.uniform(-1, 1, (2, T, 2 * h))
 
     def f(tape):
-        xm = tg.add(tape.constant(np.zeros((2, T, 2))), x)
+        xm = tg.add(tg.Tensor(np.zeros((2, T, 2)), tape), x)
         both = tg.lstm_sequence(xm, *params, lengths)
         return _weighted_sum(tape, both, readout)
 
@@ -136,7 +136,7 @@ def _zeros(*shapes):
 def test_bad_shapes_rejected(x_shape, w_shape, u_shape, b_shape):
     tape = tg.Tape()
     with pytest.raises(ValueError):
-        tg.lstm_sequence(tape.constant(np.zeros(x_shape)),
+        tg.lstm_sequence(tg.Tensor(np.zeros(x_shape), tape),
                          *_zeros(w_shape, u_shape, b_shape), [1])
 
 
@@ -151,7 +151,7 @@ def test_bad_cells_rejected(cells):
     dw, du, db = cells
     tape = tg.Tape()
     with pytest.raises(ValueError):
-        tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
+        tg.lstm_sequence(tg.Tensor(np.zeros((2, 4, 3)), tape),
                          *_zeros((3, 8 * dw), (du, 2, 8), (8 * db,)), [4, 2])
 
 
@@ -160,14 +160,14 @@ def test_bad_lengths_rejected(lengths):
     rng = np.random.default_rng(3)
     tape = tg.Tape()
     with pytest.raises(ValueError):
-        tg.lstm_sequence(tape.constant(np.zeros((2, 4, 3))),
+        tg.lstm_sequence(tg.Tensor(np.zeros((2, 4, 3)), tape),
                          *_lstm_params(rng, 3, 2), lengths)
 
 
 def test_one_tape_record_per_call():
     rng = np.random.default_rng(4)
     tape = tg.Tape()
-    x = tape.constant(rng.uniform(-1, 1, (5, 9, 3)))
+    x = tg.Tensor(rng.uniform(-1, 1, (5, 9, 3)), tape)
     for directions in (1, 2):
         before = len(tape._records)
         tg.lstm_sequence(x, *_lstm_params(rng, 3, 2, directions),
@@ -178,7 +178,7 @@ def test_one_tape_record_per_call():
 def test_bilstm_adds_one_tape_record():
     rng = np.random.default_rng(6)
     tape = tg.Tape()
-    x = tape.constant(rng.uniform(-1, 1, (4, 7, 3)))
+    x = tg.Tensor(rng.uniform(-1, 1, (4, 7, 3)), tape)
     before = len(tape._records)
     states = enc.Lstm(3, 2, 2, rng, "bi").states(x, [7, 2, 1, 5])
     assert states.shape == (4, 7, 4)
@@ -330,7 +330,7 @@ def test_encode_matches_per_row_path(kind):
         for p in params:
             p.zero_grad()
         tape = tg.Tape()
-        x = tape.constant(np.stack([c[0] for c in contexts]))
+        x = tg.Tensor(np.stack([c[0] for c in contexts]), tape)
         out = encoder.encode(x, batch)
         tape.backward(_weighted_sum(tape, out.s, readout))
         got = [p.grad.copy() for p in params]
@@ -339,9 +339,9 @@ def test_encode_matches_per_row_path(kind):
             p.zero_grad()
         for row, (rows, n_real, subj, obj, frames) in enumerate(contexts):
             tape = tg.Tape()
-            ctx = pc.Context(tape.constant(rows), n_real, subj, obj, frames)
+            ctx = pc.Context(tg.Tensor(rows, tape), n_real, subj, obj, frames)
             s, alpha = pc.encode(tape, encoder, ctx)
-            tape.backward(tg.matmul(s, tape.constant(readout[row])))
+            tape.backward(tg.matmul(s, tg.Tensor(readout[row], tape)))
             assert np.allclose(out.s.data[row], s.data, rtol=0, atol=TOL)
             if alpha is None:
                 assert out.alpha is None

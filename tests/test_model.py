@@ -16,7 +16,7 @@ from attex import lexicons as lx
 from attex import model as md
 from attex import tensorgrad as tg
 from attex import termizer as tz
-from attex.errors import NumericError
+from attex.errors import DataError, NumericError
 
 
 def seq_of(middle, extra=("x",)):
@@ -75,7 +75,7 @@ class TestPrediction:
 
 def head_probabilities(head, s):
     tape = tg.Tape()
-    logits = head.forward(tape.constant(np.asarray(s, dtype=float)[None]))
+    logits = head.forward(tg.Tensor(np.asarray(s, dtype=float)[None], tape))
     return md.class_probabilities(logits.data)[0]
 
 
@@ -695,6 +695,23 @@ class TestRunners:
         assert 0.0 <= result.f1 <= 1.0
         assert result.history.rows
         assert result.test_samples
+
+    def test_split_with_nothing_to_train_on_is_data_error(self,
+                                                          monkeypatch):
+        # Only doc0 yields contexts, so the fold holding it out has none
+        # to train on: refused before any split trains or forks.
+        lone = tiny_corpus(1)
+        empty = [cp.Document("doc%d" % d, [cp.Sentence(["e1", "любит"])],
+                             [], []) for d in (1, 2)]
+        corpus = cp.Corpus(lone.documents + empty, lone.opinions_by_doc)
+        usable_cpus(monkeypatch, 3)
+        forks = counted_forks(monkeypatch)
+        trained = []
+        monkeypatch.setattr(md, "train", lambda *args: trained.append(args))
+        with pytest.raises(DataError, match=r"^split \d has no training "
+                                            r"context$"):
+            md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(), k=3)
+        assert forks == [] and trained == []
 
     def test_gold_includes_augmented_neutrals(self):
         corpus = tiny_corpus(1)

@@ -2,7 +2,8 @@
 sizes are attributes, every Glorot limit comes from `_glorot`, only
 `Lstm` calls the LSTM op, a term and an opinion state no equality of
 their own, the polarity order is stated once, every definition in the
-package is used somewhere, and every parameter is read."""
+package is used somewhere, every parameter is read, and a tensor is made
+one way."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import re
 
 import attex
 from attex import corpus as cp
+from attex import tensorgrad as tg
 from attex import termizer as tz
 
 PACKAGE = pathlib.Path(attex.__file__).parent
@@ -140,6 +142,28 @@ def test_every_parameter_is_read():
         unread += ["%s(%s)" % (name, arg.arg) for arg in arguments
                    if arg.arg not in ("self", "cls") and arg.arg not in read]
     assert unread == []
+
+
+def _tensor_calls(tree):
+    """Every call of Tensor or tg.Tensor under tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "Tensor" in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))]
+
+
+def test_one_way_to_make_a_tensor():
+    # Tape._record alone makes and records an op's output, a leaf is
+    # tg.Tensor(data, tape), and so every tensor belongs to one tape.
+    tree = trees()["tensorgrad.py"]
+    record = dict(_functions(tree, ""))["Tape._record"]
+    calls = _tensor_calls(tree)
+    assert len(calls) == 1 and calls == _tensor_calls(record)
+    assert "constant" not in vars(tg.Tape)
+    tapeless = ["%s:%d" % (name, call.lineno)
+                for name, tree in trees().items()
+                for call in _tensor_calls(tree)
+                if len(call.args) + len(call.keywords) != 2]
+    assert tapeless == []
 
 
 def test_terms_are_not_told_apart_by_id():

@@ -44,8 +44,8 @@ def _naive_conv1d(x, w, b):
 class TestMatmul:
     def test_identity(self):
         tape = tg.Tape()
-        b = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-        out = tg.matmul(tape.constant(np.eye(2)), b)
+        b = tg.Tensor([[1.0, 2.0], [3.0, 4.0]], tape)
+        out = tg.matmul(tg.Tensor(np.eye(2), tape), b)
         assert np.array_equal(out.data, b.data)
 
     def test_small_instance_matches_naive_oracle(self):
@@ -54,13 +54,14 @@ class TestMatmul:
         expected = _naive_matmul(a, b)
         assert expected == [[17.0], [39.0]]
         tape = tg.Tape()
-        out = tg.matmul(tape.constant(a), tape.constant(b))
+        out = tg.matmul(tg.Tensor(a, tape), tg.Tensor(b, tape))
         assert out.data.tolist() == expected
 
     def test_shape_mismatch(self):
         tape = tg.Tape()
         with pytest.raises(ValueError):
-            tg.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+            tg.matmul(tg.Tensor(np.zeros((2, 3)), tape),
+                      tg.Tensor(np.zeros((2, 3)), tape))
 
     def test_random_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
@@ -68,30 +69,30 @@ class TestMatmul:
             a = rng.uniform(-1, 1, (3, 4))
             b = rng.uniform(-1, 1, (4, 2))
             tape = tg.Tape()
-            out = tg.matmul(tape.constant(a), tape.constant(b))
+            out = tg.matmul(tg.Tensor(a, tape), tg.Tensor(b, tape))
             assert np.allclose(out.data, _naive_matmul(a.tolist(), b.tolist()))
 
 
 class TestElementwise:
     def test_tanh_zero(self):
         tape = tg.Tape()
-        assert tg.tanh(tape.constant([0.0])).data[0] == 0.0
+        assert tg.tanh(tg.Tensor([0.0], tape)).data[0] == 0.0
 
     def test_concat_axis0(self):
         tape = tg.Tape()
-        out = tg.concat([tape.constant([1.0]), tape.constant([2.0])], axis=0)
+        out = tg.concat([tg.Tensor([1.0], tape), tg.Tensor([2.0], tape)], axis=0)
         assert out.data.tolist() == [1.0, 2.0]
 
     def test_add_bias_broadcast(self):
         tape = tg.Tape()
-        out = tg.add(tape.constant(np.zeros((2, 3))), tape.constant([1.0, 2.0, 3.0]))
+        out = tg.add(tg.Tensor(np.zeros((2, 3)), tape), tg.Tensor([1.0, 2.0, 3.0], tape))
         assert np.array_equal(out.data, [[1.0, 2.0, 3.0]] * 2)
 
 
 class TestSoftmax:
     def test_uniform_by_symmetry(self):
         tape = tg.Tape()
-        out = tg.softmax(tape.constant([0.0, 0.0, 0.0]), everywhere(3)).data
+        out = tg.softmax(tg.Tensor([0.0, 0.0, 0.0], tape), everywhere(3)).data
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_direct_evaluation(self):
@@ -101,12 +102,12 @@ class TestSoftmax:
         expected = [math.exp(x) / denom for x in v]
         assert expected == pytest.approx([0.09003057317038046, 0.24472847105479767, 0.6652409557748219])
         tape = tg.Tape()
-        out = tg.softmax(tape.constant(v), everywhere(3)).data
+        out = tg.softmax(tg.Tensor(v, tape), everywhere(3)).data
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_large_values_stable(self):
         tape = tg.Tape()
-        out = tg.softmax(tape.constant([1000.0, 0.0, 0.0]), everywhere(3)).data
+        out = tg.softmax(tg.Tensor([1000.0, 0.0, 0.0], tape), everywhere(3)).data
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
         assert abs(out.sum() - 1.0) < 1e-12
@@ -115,7 +116,7 @@ class TestSoftmax:
         rng = np.random.default_rng(1)
         for _ in range(200):
             v = rng.uniform(-30, 30, rng.integers(1, 9))
-            out = tg.softmax(tg.Tape().constant(v), everywhere(len(v))).data
+            out = tg.softmax(tg.Tensor(v, tg.Tape()), everywhere(len(v))).data
             assert np.all(out >= 0)
             assert abs(out.sum() - 1.0) < 1e-12
 
@@ -125,28 +126,28 @@ class TestSoftmax:
         lengths = np.array([6, 1, 3, 5])
         mask = np.arange(6) < lengths[:, None]
         tape = tg.Tape()
-        x = tape.constant(v)
+        x = tg.Tensor(v, tape)
         out = tg.softmax(x, mask)
         for row, n in enumerate(lengths):
-            want = tg.softmax(tg.Tape().constant(v[row, :n]), everywhere(n)).data
+            want = tg.softmax(tg.Tensor(v[row, :n], tg.Tape()), everywhere(n)).data
             assert np.allclose(out.data[row, :n], want, rtol=0, atol=1e-15)
             assert np.all(out.data[row, n:] == 0.0)
-        readout = tape.constant(rng.uniform(-1, 1, 6))
+        readout = tg.Tensor(rng.uniform(-1, 1, 6), tape)
         tape.backward(tg.matmul(tg.matmul(out, readout),
-                                tape.constant(np.ones(4))))
+                                tg.Tensor(np.ones(4), tape)))
         assert np.all(x.grad[~mask] == 0.0)
 
     def test_row_without_real_entry_rejected(self):
         tape = tg.Tape()
         with pytest.raises(ValueError):
-            tg.softmax(tape.constant(np.zeros((2, 3))),
+            tg.softmax(tg.Tensor(np.zeros((2, 3)), tape),
                        np.array([[True, False, False], [False] * 3]))
 
 
 def pool_whole(tape, m):
     """Max pool of one (T, f) matrix over all of its T steps."""
     m = np.asarray(m, dtype=float)
-    x = tape.constant(m[None])
+    x = tg.Tensor(m[None], tape)
     return x, tg.max_pool_over_time(x, [[0]], [[m.shape[0]]])
 
 
@@ -165,19 +166,19 @@ class TestMaxPool:
     def test_tie_routes_gradient_to_first_row(self):
         tape = tg.Tape()
         x, pooled = pool_whole(tape, [[2.0], [2.0], [2.0]])
-        loss = tg.matmul(tg.matmul(pooled, tape.constant([1.0])),
-                         tape.constant([1.0]))
+        loss = tg.matmul(tg.matmul(pooled, tg.Tensor([1.0], tape)),
+                         tg.Tensor([1.0], tape))
         tape.backward(loss)
         assert x.grad.tolist() == [[[1.0], [0.0], [0.0]]]
 
     def test_empty_time_axis(self):
         # An empty segment pools to 0 and passes no gradient on.
         tape = tg.Tape()
-        x = tape.constant([[[1.0, -2.0], [3.0, 4.0]]])
+        x = tg.Tensor([[[1.0, -2.0], [3.0, 4.0]]], tape)
         pooled = tg.max_pool_over_time(x, [[0, 2]], [[2, 2]])
         assert pooled.data.tolist() == [[3.0, 4.0, 0.0, 0.0]]
-        tape.backward(tg.matmul(tg.matmul(pooled, tape.constant(np.ones(4))),
-                                tape.constant([1.0])))
+        tape.backward(tg.matmul(tg.matmul(pooled, tg.Tensor(np.ones(4), tape)),
+                                tg.Tensor([1.0], tape)))
         assert x.grad.tolist() == [[[0.0, 0.0], [1.0, 1.0]]]
 
     def test_random_matches_oracle(self):
@@ -187,7 +188,7 @@ class TestMaxPool:
             a = rng.uniform(-1, 1, (B, T, f))
             cuts = np.sort(rng.integers(0, T + 1, (B, 4)), axis=1)
             starts, ends = cuts[:, :3], cuts[:, 1:]
-            out = tg.max_pool_over_time(tg.Tape().constant(a), starts, ends).data
+            out = tg.max_pool_over_time(tg.Tensor(a, tg.Tape()), starts, ends).data
             for b in range(B):
                 for s in range(3):
                     seg = a[b, starts[b, s]:ends[b, s]]
@@ -198,7 +199,7 @@ class TestMaxPool:
 def conv_rows(x, w, b):
     """conv1d of a batch of equal-length rows x (B, n, m)."""
     tape = tg.Tape()
-    return tg.conv1d(tape.constant(x), tape.constant(w), tape.constant(b)).data
+    return tg.conv1d(tg.Tensor(x, tape), tg.Tensor(w, tape), tg.Tensor(b, tape)).data
 
 
 class TestConv1d:
@@ -247,7 +248,8 @@ class TestEmbeddingLookup:
         table = tg.Parameter(np.ones((3, 2)), "t")
         tape = tg.Tape()
         rows = tg.embedding_lookup(tape, [table], [[1, 1]], everywhere(2))
-        total = tg.matmul(tg.matmul(tape.constant(np.ones(2)), rows), tape.constant(np.ones(2)))
+        total = tg.matmul(tg.matmul(tg.Tensor(np.ones(2), tape), rows),
+                          tg.Tensor(np.ones(2), tape))
         tape.backward(total)
         assert np.array_equal(table.grad[1], [2.0, 2.0])
         assert np.array_equal(table.grad[0], [0.0, 0.0])
@@ -265,7 +267,7 @@ class TestEmbeddingLookup:
         rows = tg.embedding_lookup(tape, [table], [ids], mask)
         assert rows.data.tolist() == [[[3.0, 4.0], [0.0, 0.0]],
                                       [[5.0, 6.0], [5.0, 6.0]]]
-        ones = tape.constant(np.ones(2))
+        ones = tg.Tensor(np.ones(2), tape)
         tape.backward(tg.matmul(tg.matmul(tg.matmul(rows, ones), ones), ones))
         assert table.grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
 
@@ -278,25 +280,25 @@ def _softmax_rows(v):
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         tape = tg.Tape()
-        out = tg.softmax_cross_entropy(tape.constant([[1000.0, 0.0, 0.0]]), [0])
+        out = tg.softmax_cross_entropy(tg.Tensor([[1000.0, 0.0, 0.0]], tape), [0])
         assert float(out.data) == 0.0
 
     def test_uniform_is_log3(self):
         tape = tg.Tape()
-        out = tg.softmax_cross_entropy(tape.constant([[0.0, 0.0, 0.0]]), [2])
+        out = tg.softmax_cross_entropy(tg.Tensor([[0.0, 0.0, 0.0]], tape), [2])
         assert float(out.data) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_gold_out_of_range(self):
         tape = tg.Tape()
         with pytest.raises(IndexError):
-            tg.softmax_cross_entropy(tape.constant([[0.5, 0.5, 0.0]]), [5])
+            tg.softmax_cross_entropy(tg.Tensor([[0.5, 0.5, 0.0]], tape), [5])
 
     def test_confident_mistake_keeps_gradient(self):
         # p(gold) is about 4e-18, below the 1e-12 at which the old clamped
         # loss dropped the gradient; the fused op still gives p - onehot.
         tape = tg.Tape()
         v = np.array([[40.0, 40.0, 0.0]])
-        logits = tape.constant(v)
+        logits = tg.Tensor(v, tape)
         tape.backward(tg.softmax_cross_entropy(logits, [2]))
         want = _softmax_rows(v) - np.array([[0.0, 0.0, 1.0]])
         assert np.allclose(logits.grad, want, rtol=0, atol=1e-15)
@@ -307,7 +309,7 @@ class TestCrossEntropy:
         v = rng.uniform(-3, 3, (4, 3))
         gold = np.array([0, 2, 1, 1])
         tape = tg.Tape()
-        logits = tape.constant(v)
+        logits = tg.Tensor(v, tape)
         loss = tg.softmax_cross_entropy(logits, gold)
         tape.backward(loss)
         p = _softmax_rows(v)
@@ -323,7 +325,7 @@ class TestGradientCheck:
 
         def f(tape):
             v = tg.einsum("i,i->i", _lift(tape, theta), _lift(tape, theta))
-            return tg.matmul(v, tape.constant([1.0]))
+            return tg.matmul(v, tg.Tensor([1.0], tape))
 
         err = tg.gradient_check(f, [theta])
         assert err < 1e-8
@@ -332,7 +334,7 @@ class TestGradientCheck:
         theta = tg.Parameter([1.0, 2.0], "theta")
 
         def f(tape):
-            return tg.matmul(tape.constant([1.0]), tape.constant([5.0]))
+            return tg.matmul(tg.Tensor([1.0], tape), tg.Tensor([5.0], tape))
 
         assert tg.gradient_check(f, [theta]) == 0.0
 
@@ -342,7 +344,7 @@ class TestGradientCheck:
         x = rng.uniform(-1, 1, 4)
 
         def f(tape):
-            logits = tg.matmul(tape.constant(x[None]), w)
+            logits = tg.matmul(tg.Tensor(x[None], tape), w)
             return tg.softmax_cross_entropy(logits, [1])
 
         assert tg.gradient_check(f, [w]) < 1e-4
@@ -350,7 +352,7 @@ class TestGradientCheck:
 
 def _lift(tape, param):
     # consume a parameter through an op so its gradient is exercised
-    return tg.add(tape.constant(np.zeros(param.data.shape)), param)
+    return tg.add(tg.Tensor(np.zeros(param.data.shape), tape), param)
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -405,7 +407,7 @@ def test_backward_linearity():
     def run(vecs):
         w.zero_grad()
         tape = tg.Tape()
-        losses = [tg.matmul(tape.constant(v), w) for v in vecs]
+        losses = [tg.matmul(tg.Tensor(v, tape), w) for v in vecs]
         total = losses[0]
         for term in losses[1:]:
             total = tg.add(total, term)
@@ -418,7 +420,7 @@ def test_backward_linearity():
 
 def test_gather_rows_and_range():
     tape = tg.Tape()
-    x = tape.constant(np.arange(24.0).reshape(2, 3, 4))
+    x = tg.Tensor(np.arange(24.0).reshape(2, 3, 4), tape)
     assert np.array_equal(tg.gather(x, [2, 0]).data, [x.data[0, 2], x.data[1, 0]])
     both = tg.gather(x, [[1, 1], [0, 2]])
     assert np.array_equal(both.data[0], x.data[0, [1, 1]])
