@@ -6,8 +6,6 @@ its positions in that group. Distributions of these weights are compared
 between neutral contexts (class N) and sentiment-labeled ones (class S).
 """
 
-from collections import defaultdict
-
 import numpy as np
 
 from . import lexicons as lx
@@ -35,25 +33,27 @@ def label_class(label):
 
 
 class DistributionSummary:
-    """Per-group means and KDE curves, split by context class.
+    """One report group's context weights, split by context class: each
+    class's mean, KDE curve on the grid and count of weights.
 
-    Means and curves are None when a class has no contexts; n_count and
-    s_count say how many contexts fed each side.
+    Means and curves are None when a class has no contexts.
     """
 
     __slots__ = ("group", "mean_n", "mean_s", "kde_n", "kde_s", "grid",
                  "n_count", "s_count")
 
-    def __init__(self, group, mean_n, mean_s, kde_n, kde_s, grid,
-                 n_count, s_count):
+    def __init__(self, group, grid, n_weights, s_weights):
         self.group = group
-        self.mean_n = mean_n
-        self.mean_s = mean_s
-        self.kde_n = kde_n
-        self.kde_s = kde_s
         self.grid = grid
-        self.n_count = n_count
-        self.s_count = s_count
+        self.mean_n, self.kde_n, self.n_count = _describe(n_weights, grid)
+        self.mean_s, self.kde_s, self.s_count = _describe(s_weights, grid)
+
+
+def _describe(weights, grid):
+    """(mean, KDE curve, count) of one class's weights."""
+    if not weights:
+        return None, None, 0
+    return float(np.mean(weights)), kde(weights, grid), len(weights)
 
 
 def _alphas(model, samples):
@@ -111,29 +111,15 @@ def summarize_distributions(model, contexts, sentiment_lexicon=None,
     for sample, alpha in zip(contexts, _alphas(model, contexts)):
         terms = sample.terms.terms
         # A context's weight for a group: its terms' weights in position order.
-        totals = defaultdict(int)
+        totals = dict.fromkeys(tz.ANALYSIS_GROUPS, 0)
         for a, term in zip(alpha[:len(terms)].tolist(), terms):
             totals[group_of(term)] += a
         cls = label_class(sample.label)
         for group in REPORT_GROUPS:
             weights[group, cls].append(min(float(totals[group]), 1.0))
-    summaries = []
-    for group in REPORT_GROUPS:
-        sides = {}
-        counts = {}
-        for cls in (CLASS_NEUTRAL, CLASS_SENTIMENT):
-            values = weights[group, cls]
-            counts[cls] = len(values)
-            if values:
-                sides[cls] = (float(np.mean(values)), kde(values, grid))
-            else:
-                sides[cls] = (None, None)
-        summaries.append(DistributionSummary(
-            group,
-            sides[CLASS_NEUTRAL][0], sides[CLASS_SENTIMENT][0],
-            sides[CLASS_NEUTRAL][1], sides[CLASS_SENTIMENT][1],
-            grid, counts[CLASS_NEUTRAL], counts[CLASS_SENTIMENT]))
-    return summaries
+    return [DistributionSummary(group, grid, weights[group, CLASS_NEUTRAL],
+                                weights[group, CLASS_SENTIMENT])
+            for group in REPORT_GROUPS]
 
 
 def export_heatmap(sample, alpha, path, sentiment_lexicon=None,

@@ -110,9 +110,10 @@ def load_config_file(path):
 
 
 class ExperimentConfig:
-    """Validated settings for one command invocation."""
+    """Validated settings for one invocation of `command`."""
 
-    def __init__(self, values):
+    def __init__(self, command, values):
+        self.command = command
         self.values = {}
         for key, raw in values.items():
             if key not in SETTINGS:
@@ -140,11 +141,12 @@ class ExperimentConfig:
             if path is not None and not os.path.exists(path):
                 raise DataError("missing %s file" % key, path=path)
 
-    def get(self, key, required_by=None):
-        value = self.values.get(key)
-        if value is None and required_by:
-            raise UsageError("%s requires the %r setting" % (required_by, key))
-        return value
+    def get(self, key):
+        """The key's value; unset, it is a usage error of the command."""
+        if key not in self.values:
+            raise UsageError("%s requires the %r setting"
+                             % (self.command, key))
+        return self.values[key]
 
     def _arguments(self, target):
         """The set keys' values that are arguments of `target`, by name."""
@@ -152,8 +154,8 @@ class ExperimentConfig:
                 for key, setting in SETTINGS.items()
                 if setting.target is target and key in self.values}
 
-    def encoder_config(self, required_by):
-        self.get("encoder", required_by)
+    def encoder_config(self):
+        self.get("encoder")
         return enc.EncoderConfig(**self._arguments(enc.EncoderConfig))
 
     def embed_options(self, pretrained=True):
@@ -173,9 +175,9 @@ class ExperimentConfig:
         path = self.values.get(key)
         return None if path is None else loader(path)
 
-    def load_corpus(self, required_by):
-        documents = self.get("documents", required_by)
-        return cp.load_corpus(documents, self.values.get("opinions"))
+    def load_corpus(self):
+        return cp.load_corpus(self.get("documents"),
+                              self.values.get("opinions"))
 
 
 def _sample_row(sample, index_of):
@@ -201,13 +203,14 @@ def _row_sample(row, table):
     return cp.ContextSample(doc_id, sentence, seq, label, source, target)
 
 
-def _inputs_sha256(cfg, required_by):
+def _inputs_sha256(cfg):
     """sha256 of the files that the cache's contexts are extracted from:
     the documents and opinions files that load_corpus reads, then the
     frames file. Each counts as the list of lines that read_lines yields,
     or null when absent; documents must be set."""
-    paths = cp.corpus_paths(cfg.get("documents", required_by),
-                            cfg.get("opinions")) + (cfg.get("frames"),)
+    paths = cp.corpus_paths(cfg.get("documents"),
+                            cfg.values.get("opinions"))
+    paths += (cfg.values.get("frames"),)
     digest = hashlib.sha256()
     for path in paths:
         lines = None if path is None else [line for _, line in read_lines(path)]
@@ -277,13 +280,13 @@ def _echo(pairs):
 
 
 def cmd_prepare(cfg):
-    corpus = cfg.load_corpus("prepare")
+    corpus = cfg.load_corpus()
     samples = md.extract_samples(corpus.documents, corpus,
                                  cfg.load("frames", lx.load_frame_lexicon))
     gold = md.opinion_gold(corpus.documents, corpus)
     # A neutral opinion is an augmented pair.
     augmented = sum(label == lx.NEUTRAL for label in gold.values())
-    write_cache(samples, cfg.cache, _inputs_sha256(cfg, "prepare"))
+    write_cache(samples, cfg.cache, _inputs_sha256(cfg))
     by_label = {label: 0 for label in lx.POLARITIES}
     for sample in samples:
         by_label[sample.label] += 1
@@ -298,24 +301,24 @@ def cmd_prepare(cfg):
     return 0
 
 
-def _manifest_split(cfg, corpus, required_by):
+def _manifest_split(cfg, corpus):
     """(train, test) documents of the manifest; a manifest that does not
     list exactly the corpus documents is a data error."""
-    manifest = cp.load_split_manifest(cfg.get("manifest", required_by))
+    manifest = cp.load_split_manifest(cfg.get("manifest"))
     try:
         return cp.train_test_split(corpus.documents, manifest)
     except ValueError as exc:
         raise DataError(str(exc), path=cfg.get("manifest"))
 
 
-def _cached_samples(cfg, n, required_by, doc_ids=None, allow_empty=False):
+def _cached_samples(cfg, n, doc_ids=None, allow_empty=False):
     """prepare's cache, cut to doc_ids when given and cropped to n terms.
 
     Returns (kept, dropped). A cache prepared from other inputs than the
     configured ones is a data error, and so, unless allow_empty, is one
     with no usable context.
     """
-    sha256 = _inputs_sha256(cfg, required_by)
+    sha256 = _inputs_sha256(cfg)
     if not os.path.exists(cfg.cache):
         raise DataError("run prepare first: missing cache", path=cfg.cache)
     samples = read_cache(cfg.cache, sha256)
@@ -328,12 +331,12 @@ def _cached_samples(cfg, n, required_by, doc_ids=None, allow_empty=False):
 
 
 def cmd_train(cfg):
-    encoder_cfg = cfg.encoder_config("train")
+    encoder_cfg = cfg.encoder_config()
     train_ids = None
     if cfg.mode == "traintest":
-        train_docs, _ = _manifest_split(cfg, cfg.load_corpus("train"), "train")
+        train_docs, _ = _manifest_split(cfg, cfg.load_corpus())
         train_ids = {doc.doc_id for doc in train_docs}
-    kept, dropped = _cached_samples(cfg, encoder_cfg.n, "train", train_ids)
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n, train_ids)
     model, history = md.fit(kept, encoder_cfg, cfg.train_config(),
                             cfg.embed_options())
     tg.save_checkpoint(_checkpoint_path(cfg), model.parameters())
@@ -349,12 +352,12 @@ def cmd_train(cfg):
 
 
 def cmd_cv(cfg):
-    corpus = cfg.load_corpus("cv")
+    corpus = cfg.load_corpus()
     if len(corpus.documents) < CV_FOLDS:
         raise DataError("cv needs at least %d documents, got %d"
                         % (CV_FOLDS, len(corpus.documents)),
                         path=cfg.get("documents"))
-    encoder_cfg = cfg.encoder_config("cv")
+    encoder_cfg = cfg.encoder_config()
     result = md.run_cv(corpus, encoder_cfg, cfg.train_config(),
                        frame_lexicon=cfg.load("frames", lx.load_frame_lexicon),
                        embed_options=cfg.embed_options(), k=CV_FOLDS,
@@ -387,12 +390,12 @@ def _restore_model(cfg, encoder_cfg):
 def cmd_eval(cfg):
     if cfg.mode != "traintest":
         raise UsageError("eval requires mode=traintest with a manifest")
-    corpus = cfg.load_corpus("eval")
-    _, test_docs = _manifest_split(cfg, corpus, "eval")
-    encoder_cfg = cfg.encoder_config("eval")
+    corpus = cfg.load_corpus()
+    _, test_docs = _manifest_split(cfg, corpus)
+    encoder_cfg = cfg.encoder_config()
     # A test side whose contexts are all cropped out scores F1 0.
     test_samples, dropped = _cached_samples(
-        cfg, encoder_cfg.n, "eval", {doc.doc_id for doc in test_docs},
+        cfg, encoder_cfg.n, {doc.doc_id for doc in test_docs},
         allow_empty=True)
     model = _restore_model(cfg, encoder_cfg)
     gold = md.opinion_gold(test_docs, corpus)
@@ -409,8 +412,8 @@ def cmd_eval(cfg):
 
 
 def cmd_analyze(cfg):
-    encoder_cfg = cfg.encoder_config("analyze")
-    kept, dropped = _cached_samples(cfg, encoder_cfg.n, "analyze")
+    encoder_cfg = cfg.encoder_config()
+    kept, dropped = _cached_samples(cfg, encoder_cfg.n)
     model = _restore_model(cfg, encoder_cfg)
     sentiment = cfg.load("sentiment", lx.load_lemma_set)
     prepositions = cfg.load("prepositions", lx.load_lemma_set)
@@ -481,14 +484,10 @@ def merge_settings(args):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write("usage error: %s\n" % exc)
-        return 1
+        return COMMANDS[args.command](
+            ExperimentConfig(args.command, merge_settings(args)))
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        cfg = ExperimentConfig(merge_settings(args))
-        return COMMANDS[args.command](cfg)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1

@@ -115,8 +115,16 @@ def build_vocab(samples):
     return Vocab(t.lemma for t in terms if t.kind in (tz.WORD, tz.FRAME))
 
 
+def _check_sizes(**sizes):
+    """Reject a negative size, naming it."""
+    for name, size in sizes.items():
+        if size < 0:
+            raise ValueError("%s must be non-negative, got %d" % (name, size))
+
+
 def load_word_vectors(path, m):
     """Read `token v1 .. vm` lines into a dict of numpy rows."""
+    _check_sizes(m=m)
     vectors = {}
     for lineno, line in read_lines(path):
         parts = line.split()
@@ -240,11 +248,8 @@ class Embedder(Module):
         self.use_position = use_position
         self.position_dim = position_dim
         self.max_distance = (n - 1) if max_distance is None else max_distance
-        for name, size in (("m", m), ("polarity_dim", polarity_dim),
-                           ("position_dim", position_dim),
-                           ("max_distance", self.max_distance)):
-            if size < 0:
-                raise ValueError("%s must be non-negative, got %d" % (name, size))
+        _check_sizes(m=m, polarity_dim=polarity_dim, position_dim=position_dim,
+                     max_distance=self.max_distance)
         self.row_width = m + polarity_dim + (2 * position_dim if use_position
                                              else 0)
 

@@ -605,7 +605,7 @@ def _suite_sample(rng, n_real, participants, row):
                             lx.NEUTRAL, "a", "b")
 
 
-def gradient_suite(trials=20, seed=0):
+def gradient_suite(trials, seed):
     """Gradient-check every encoder kind composed with the head and loss.
 
     Each trial checks one mini-batch of three contexts of mixed lengths:
@@ -639,9 +639,7 @@ def gradient_suite(trials=20, seed=0):
                 _suite_sample(rng, short, adjacent, 1),
                 _suite_sample(rng, free, rng.choice(free, 2, replace=False), 2),
             ]
-            embed_options = {"m": 2, "polarity_dim": 2,
-                             "use_position": enc.default_use_position(kind),
-                             "position_dim": 1}
+            embed_options = {"m": 2, "polarity_dim": 2, "position_dim": 1}
             model = build_model(enc.build_vocab(samples), cfg, embed_options,
                                 rng=rng)
             # Redraw parameters at O(1) scale: in the near-linear regime of

@@ -167,21 +167,22 @@ class TestConfigParsing:
 
     def test_bad_int_rejected(self):
         with pytest.raises(cli.UsageError):
-            cli.ExperimentConfig({"seed": "four"})
+            cli.ExperimentConfig("train", {"seed": "four"})
 
     def test_bad_bool_rejected(self):
         with pytest.raises(cli.UsageError):
-            cli.ExperimentConfig({"use_position": "maybe"})
+            cli.ExperimentConfig("train", {"use_position": "maybe"})
 
     def test_defaults(self):
-        cfg = cli.ExperimentConfig({})
+        cfg = cli.ExperimentConfig("train", {})
         assert cfg.seed == 0
         assert cfg.mode == "cv3"
 
     def test_missing_path_is_data_error(self, tmp_path):
         from attex.errors import DataError
         with pytest.raises(DataError):
-            cli.ExperimentConfig({"documents": str(tmp_path / "absent.jsonl")})
+            cli.ExperimentConfig("prepare",
+                                 {"documents": str(tmp_path / "absent.jsonl")})
 
 
 class TestSettingRoutes:
@@ -206,9 +207,10 @@ class TestSettingRoutes:
         assert sorted(values) == sorted(cli.SETTINGS)
         config = tmp_path / "c.conf"
         config.write_text("".join("%s = %s\n" % kv for kv in values.items()))
-        cfg = cli.ExperimentConfig(cli.load_config_file(str(config)))
+        cfg = cli.ExperimentConfig("gradcheck",
+                                   cli.load_config_file(str(config)))
 
-        ecfg = cfg.encoder_config("test")
+        ecfg = cfg.encoder_config()
         assert {s: getattr(ecfg, s) for s in ecfg.__slots__} == {
             "kind": "att-cnn", "feature_mode": "att-ef", "n": 9, "h": 4,
             "filters": 5, "window": 2, "k": 4}
@@ -258,6 +260,20 @@ class TestUsageErrors:
                  if not l.startswith("encoder")]
         config.write_text("\n".join(lines) + "\n")
         assert cli.main(["cv", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("command, key", [
+        ("prepare", "documents"), ("train", "encoder"), ("cv", "documents"),
+        ("eval", "manifest"), ("analyze", "encoder")])
+    def test_missing_setting_names_the_command(self, tmp_path, capsys,
+                                               command, key):
+        config, _ = write_fixture(tmp_path)
+        lines = [line for line in config.read_text().splitlines()
+                 if line.split(" = ")[0] != key]
+        config.write_text("".join(line + "\n" for line in lines))
+        assert cli.main([command, "--config", str(config),
+                         "--mode", "traintest"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: %s requires the '%s' setting\n" % (command, key))
 
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
@@ -906,15 +922,21 @@ class TestEmbeddingSizes:
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_negative_size_names_the_setting(self, tmp_path, capsys, command,
                                              key, use_position):
+        # Also with an embeddings file whose rows have the configured m = 4
+        # values: a negative m is no fault of the file.
         config, out = prepared(tmp_path, capsys)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("хвалит 0.5 -0.5 0.25 1\n", encoding="utf-8")
         lines = [line for line in config.read_text().splitlines()
                  if line.split(" = ")[0] not in (key, "use_position")]
-        config.write_text("".join(line + "\n" for line in lines + [
-            "%s = -1" % key, "use_position = %s" % use_position]))
-        assert cli.main([command, "--config", str(config)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: %s must be non-negative, got -1\n" % key)
-        assert not (out / "model.ckpt").exists()
+        for extra in ([], ["embeddings = %s" % vectors]):
+            config.write_text("".join(line + "\n" for line in lines + [
+                "%s = -1" % key, "use_position = %s" % use_position] + extra))
+            assert cli.main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == (
+                "configuration error: %s must be non-negative, got -1\n"
+                % key)
+            assert not (out / "model.ckpt").exists()
 
 
 class TestEval:
