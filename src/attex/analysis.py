@@ -21,6 +21,11 @@ REPORT_GROUPS = (tz.GROUP_PREP, tz.GROUP_FRAMES, tz.GROUP_SENTIMENT)
 GRID_POINTS = 201
 GRID_MAX = 0.2
 
+# Float64 values in kde's scratch block. 64 KiB stays below glibc's
+# default 128 KiB mmap threshold, so the scratch comes from heap memory
+# already mapped rather than from fresh pages.
+KDE_BLOCK = 8192
+
 UNDEFINED = "NA"
 
 
@@ -78,20 +83,34 @@ def silverman_bandwidth(samples):
 
 def kde(samples, grid):
     """Gaussian kernel density of the samples on the grid, at the
-    Silverman bandwidth."""
+    Silverman bandwidth.
+
+    The kernel sum runs over blocks of max(1, KDE_BLOCK // N) grid points
+    in one reused scratch array: at most KDE_BLOCK values, or one grid row
+    of N values when there are more samples, whatever the grid's size.
+    Each row takes the same steps over the same sorted samples as one
+    (grid, samples) matrix would, so the curve is the same bit for bit.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("kde needs at least one sample")
     bw = silverman_bandwidth(x)
     grid = np.asarray(grid, dtype=float)
-    # In place: a CV run's study holds one (grid, samples) array at a time.
-    phi = grid[:, None] - x[None, :]
-    phi /= bw
-    phi *= phi
-    phi *= -0.5
-    np.exp(phi, out=phi)
-    phi /= np.sqrt(2.0 * np.pi)
-    return phi.sum(axis=1) / (x.size * bw)
+    rows = max(1, KDE_BLOCK // x.size)
+    scratch = np.empty((min(rows, grid.size), x.size))
+    curve = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        points = grid[start:start + rows]
+        phi = scratch[:points.size]
+        np.subtract(points[:, None], x, out=phi)
+        phi /= bw
+        phi *= phi
+        phi *= -0.5
+        np.exp(phi, out=phi)
+        phi /= np.sqrt(2.0 * np.pi)
+        phi.sum(axis=1, out=curve[start:start + rows])
+    curve /= x.size * bw
+    return curve
 
 
 def summarize_distributions(model, contexts, sentiment_lexicon=None,

@@ -306,15 +306,17 @@ def infer(model, samples, compiled=None):
     """
     if compiled is None:
         compiled = model.compile(samples)
-    probabilities = [np.zeros((0, len(lx.POLARITIES)))]
-    alphas = [np.zeros((0, model.embedder.n))]
+    probabilities = np.empty((len(compiled), len(lx.POLARITIES)))
+    alphas = (np.empty((len(compiled), model.embedder.n))
+              if model.encoder.attentive else None)
     for start in range(0, len(compiled), INFERENCE_CHUNK):
-        chunk = compiled.take(slice(start, start + INFERENCE_CHUNK))
-        logits, out = model.forward(tg.Tape(record=False), chunk)
-        probabilities.append(class_probabilities(logits.data))
-        alphas.append(out.alpha)
-    return (np.concatenate(probabilities),
-            np.concatenate(alphas) if model.encoder.attentive else None)
+        rows = slice(start, start + INFERENCE_CHUNK)
+        logits, out = model.forward(tg.Tape(record=False),
+                                    compiled.take(rows))
+        probabilities[rows] = class_probabilities(logits.data)
+        if alphas is not None:
+            alphas[rows] = out.alpha
+    return probabilities, alphas
 
 
 def predict_opinions(model, samples, compiled=None):

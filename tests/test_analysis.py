@@ -1,5 +1,7 @@
 """Tests for attention weight extraction, KDE, and distribution export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,50 @@ class TestGroupWeight:
             assert abs(total - 1.0) < 1e-9
 
 
+def one_matrix_kde(samples, grid):
+    """an.kde as one (grid, samples) matrix: the formula before the kernel
+    sum ran in blocks."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    bw = an.silverman_bandwidth(x)
+    grid = np.asarray(grid, dtype=float)
+    phi = grid[:, None] - x[None, :]
+    phi /= bw
+    phi *= phi
+    phi *= -0.5
+    np.exp(phi, out=phi)
+    phi /= np.sqrt(2.0 * np.pi)
+    return phi.sum(axis=1) / (x.size * bw)
+
+
+def study_weights(rng, count):
+    """Weights shaped like the study's: unsorted, in [0, 1], with exact
+    zeros, ties and weights clipped to 1."""
+    x = np.minimum(rng.exponential(0.06, count), 1.0)
+    x[rng.random(count) < 0.1] = 0.0
+    return x
+
+
 class TestKde:
+    @pytest.mark.parametrize("points", [1, 17, 201, 1001])
+    @pytest.mark.parametrize("count", [1, 2, 95, 768, an.KDE_BLOCK + 1,
+                                       20_000])
+    def test_blocks_equal_one_matrix_bitwise(self, count, points):
+        x = study_weights(np.random.default_rng([count, points]), count)
+        grid = np.linspace(0.0, 1.0, points)
+        assert an.kde(x, grid).tobytes() == one_matrix_kde(x, grid).tobytes()
+
+    def test_scratch_stays_bounded(self):
+        # One (grid, samples) matrix would take 201 * 20 000 * 8 B = 32 MB.
+        x = np.random.default_rng(3).uniform(0.0, 0.2, 20_000)
+        grid = an.default_grid()
+        tracemalloc.start()
+        try:
+            an.kde(x, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             an.kde([], an.default_grid())

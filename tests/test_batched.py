@@ -114,6 +114,19 @@ def test_infer_chunks_match_one_forward(kind, monkeypatch):
         assert np.allclose(alpha, out.alpha, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_infer_of_no_samples(kind):
+    rng = np.random.default_rng(50 + enc.ENCODER_KINDS.index(kind))
+    model = random_model(rng, kind, "att-ef", pc.random_contexts(rng, 7, 3),
+                         7)
+    probs, alpha = md.infer(model, [])
+    assert probs.shape == (0, 3)
+    if model.encoder.attentive:
+        assert alpha.shape == (0, 7)
+    else:
+        assert alpha is None
+
+
 def training_records(model, batch, golds):
     tape = tg.Tape()
     logits, _ = model.forward(tape, batch)

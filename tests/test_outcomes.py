@@ -8,11 +8,12 @@ period). Each split pins its F1, its stop epoch and each history row's
 epoch and train F1 exactly; its history losses, its trained parameters
 (their count, L2 norm and COORDINATES fixed coordinates of the flat
 buffer) and, for the attentive kinds, the study's per-group mean_N and
-mean_S on its held-out contexts within TOLERANCE. The CLI run (prepare,
-train, eval and analyze in traintest mode on test_cli's fixture) pins its
-stdout exactly with paths removed, except the study means it prints,
-which like means.csv and the values of model.ckpt compare within
-TOLERANCE.
+mean_S and each group/class KDE curve (its sum and COORDINATES fixed
+coordinates) on its held-out contexts within TOLERANCE. The CLI run
+(prepare, train, eval and analyze in traintest mode on test_cli's fixture)
+pins its stdout exactly with paths removed, except the study means it
+prints, which like means.csv, the curves of distributions.csv and the
+values of model.ckpt compare within TOLERANCE.
 
 TOLERANCE is absolute. To choose it, the pins were written under
 OPENBLAS_CORETYPE SkylakeX, Haswell, Sandybridge and Prescott (OpenBLAS
@@ -65,11 +66,21 @@ def train_config(seed):
     return md.TrainConfig(**values)
 
 
+def coordinates(flat):
+    """COORDINATES evenly spaced values of a flat array, ends included."""
+    picks = np.linspace(0, flat.size - 1, COORDINATES).round().astype(int)
+    return flat[picks].tolist()
+
+
 def parameter_pin(values):
     flat = np.asarray(values, dtype=float).reshape(-1)
-    picks = np.linspace(0, flat.size - 1, COORDINATES).round().astype(int)
     return {"count": flat.size, "norm": float(np.linalg.norm(flat)),
-            "coordinates": flat[picks].tolist()}
+            "coordinates": coordinates(flat)}
+
+
+def curve_pin(curve):
+    curve = np.asarray(curve, dtype=float)
+    return {"sum": float(curve.sum()), "coordinates": coordinates(curve)}
 
 
 def cv_outcome(kind, seed):
@@ -88,19 +99,26 @@ def cv_outcome(kind, seed):
             "parameters": parameter_pin(split.model.flat.data),
         }
         if split.model.encoder.attentive:
-            record["study"] = {
-                s.group: [s.mean_n, s.mean_s]
-                for s in an.summarize_distributions(
-                    split.model, split.test_samples,
-                    synth.sentiment_lexicon(), synth.preposition_list())}
+            summaries = an.summarize_distributions(
+                split.model, split.test_samples, synth.sentiment_lexicon(),
+                synth.preposition_list())
+            record["study"] = {s.group: [s.mean_n, s.mean_s]
+                               for s in summaries}
+            record["curves"] = {
+                "%s/%s" % (s.group, cls): curve_pin(curve)
+                for s in summaries
+                for cls, curve in ((an.CLASS_NEUTRAL, s.kde_n),
+                                   (an.CLASS_SENTIMENT, s.kde_s))
+                if curve is not None}
         splits.append(record)
     return splits
 
 
 def cli_outcome(directory, read_stdout):
-    """Stdout of prepare, train, eval and analyze, paths removed, and the
-    values of means.csv and model.ckpt; read_stdout() returns what was
-    written to stdout since its last call."""
+    """Stdout of prepare, train, eval and analyze, paths removed, the
+    values of means.csv and model.ckpt, and the pin of each curve in
+    distributions.csv; read_stdout() returns what was written to stdout
+    since its last call."""
     config, out = write_fixture(directory)
     stdout = {}
     for command in ("prepare", "train", "eval", "analyze"):
@@ -109,12 +127,20 @@ def cli_outcome(directory, read_stdout):
         stdout[command] = read_stdout().replace(
             str(directory), "<dir>")
     means = (out / "means.csv").read_text(encoding="utf-8").splitlines()
+    densities = {}
+    for line in (out / "distributions.csv").read_text(
+            encoding="utf-8").splitlines()[1:]:
+        group, cls, _, density = line.split(",")
+        densities.setdefault("%s/%s" % (group, cls), []).append(
+            float(density))
     return {
         "stdout": stdout,
         "means": {group: [float(v) for v in values] for group, *values
                   in (line.split(",") for line in means[1:])},
         "checkpoint": {name: values.reshape(-1).tolist() for name, values
                        in tg.load_checkpoint(str(out / "model.ckpt")).items()},
+        "curves": {key: curve_pin(values)
+                   for key, values in densities.items()},
     }
 
 
@@ -125,6 +151,16 @@ def assert_close(actual, pinned, where):
     else:
         np.testing.assert_allclose(actual, pinned, rtol=0, atol=TOLERANCE,
                                    err_msg=where)
+
+
+def assert_curves(actual, pinned, where):
+    """The same group/class curves, each sum and coordinate within
+    TOLERANCE."""
+    assert list(actual) == list(pinned), where
+    for key, pin in pinned.items():
+        for field in ("sum", "coordinates"):
+            assert_close(actual[key][field], pin[field],
+                         "%s: curve %s %s" % (where, key, field))
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +189,8 @@ def test_cv_outcomes(pins, kind, seed):
                                                  means):
                 assert_close(value, pinned_value,
                              "%s: mean_%s %s" % (where, side, group))
+        if "curves" in want:
+            assert_curves(got["curves"], want["curves"], where)
 
 
 def test_cli_outcome(pins, tmp_path, capsys):
@@ -177,6 +215,7 @@ def test_cli_outcome(pins, tmp_path, capsys):
     assert list(actual["checkpoint"]) == list(pinned["checkpoint"])
     for name, values in pinned["checkpoint"].items():
         assert_close(actual["checkpoint"][name], values, "model.ckpt " + name)
+    assert_curves(actual["curves"], pinned["curves"], "distributions.csv")
 
 
 def write_pins(path):
