@@ -173,12 +173,11 @@ class Batch:
         return len(self.lengths)
 
     def take(self, index):
-        """The contexts at an index array or slice, as a Batch whose masks
-        are rows of this one's."""
-        batch = Batch.__new__(Batch)
-        for name in Batch.__slots__:
-            setattr(batch, name, getattr(self, name)[index])
-        return batch
+        """The contexts at an index array or slice, as a Batch."""
+        return Batch(self.word_ids[index], self.polarity_ids[index],
+                     self.lengths[index], self.subj_pos[index],
+                     self.obj_pos[index], self.features[index],
+                     self.feature_lengths[index])
 
 
 def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):

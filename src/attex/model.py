@@ -47,12 +47,6 @@ class ClassifierHead(enc.Module):
         return tg.tanh_affine(s, self.w_r, self.b_r)
 
 
-def class_probabilities(logits):
-    """Stable softmax over the last axis of a logit array."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class AttitudeModel:
     """Embedder + encoder + head trained as one parameter set."""
 
@@ -65,6 +59,10 @@ class AttitudeModel:
         self.head = head
         # Every parameter is a view into this one; the optimizer steps it.
         self.flat = tg.Parameter.packed(self.parameters())
+
+    def __reduce__(self):
+        # A copy packs its own buffer from copies of the parts' parameters.
+        return AttitudeModel, (self.embedder, self.encoder, self.head)
 
     def parameters(self):
         # By hand: flat is a Parameter too, so an enc.Module would list it.
@@ -313,7 +311,7 @@ def infer(model, samples, compiled=None):
         rows = slice(start, start + INFERENCE_CHUNK)
         logits, out = model.forward(tg.Tape(record=False),
                                     compiled.take(rows))
-        probabilities[rows] = class_probabilities(logits.data)
+        probabilities[rows] = tg._softmax_rows(logits.data)
         if alphas is not None:
             alphas[rows] = out.alpha
     return probabilities, alphas
@@ -411,13 +409,6 @@ class SplitResult:
         self.dropped = dropped
 
 
-def _split_model(train_samples, encoder_cfg, train_cfg, embed_options, split):
-    """The untrained model of one split, as `fit` documents it."""
-    seed = train_cfg.seed
-    return build_model(enc.build_vocab(train_samples), encoder_cfg,
-                       embed_options, rng=np.random.default_rng([seed, split]))
-
-
 def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
     """Vocabulary, model and training of one split: (model, history).
 
@@ -425,8 +416,9 @@ def fit(train_samples, encoder_cfg, train_cfg, embed_options=None, split=0):
     default_rng([seed, split, 1]), seed being train_cfg.seed; the CV fold
     index or 0 for a train/test manifest is the split.
     """
-    model = _split_model(train_samples, encoder_cfg, train_cfg,
-                         embed_options, split)
+    model = build_model(enc.build_vocab(train_samples), encoder_cfg,
+                        embed_options,
+                        rng=np.random.default_rng([train_cfg.seed, split]))
     history = train(model, train_samples, train_cfg,
                     rng=np.random.default_rng([train_cfg.seed, split, 1]))
     return model, history
@@ -511,10 +503,11 @@ def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
                 embed_options, scope):
     """SplitResults of splits 0..k-1. The corpus is extracted once; split
     i trains on the documents whose test_split.get(doc_id) is not i and
-    scores the others, each side in corpus order. Its model is rebuilt
-    here from the trained parameters, in whichever process it trained.
-    Its `dropped` is the corpus total, as its two sides cover it. A split
-    with no training context is a DataError, raised before any trains."""
+    scores the others, each side in corpus order. It returns the model
+    it trained, its history and its F1; a forked process pickles them
+    back. Its `dropped` is the corpus total, as its two sides cover it.
+    A split with no training context is a DataError, raised before any
+    trains."""
     samples, dropped = samples_for_docs(corpus.documents, corpus,
                                         frame_lexicon, encoder_cfg.n,
                                         tz.lemmatize)
@@ -527,17 +520,12 @@ def _run_splits(corpus, test_split, k, encoder_cfg, train_cfg, frame_lexicon,
     def run(split):
         model, history = fit(sides[split][0], encoder_cfg, train_cfg,
                              embed_options, split)
-        return model.flat.data, history, evaluate_on_samples(
+        return model, history, evaluate_on_samples(
             model, *sides[split][1:], scope)
 
-    results = []
-    for split, (data, history, f1) in enumerate(_in_processes(run, k)):
-        model = _split_model(sides[split][0], encoder_cfg, train_cfg,
-                             embed_options, split)
-        model.flat.data[...] = data
-        results.append(SplitResult(f1, history, model, sides[split][1],
-                                   dropped))
-    return results
+    outcomes = _in_processes(run, k)
+    return [SplitResult(f1, history, model, sides[split][1], dropped)
+            for split, (model, history, f1) in enumerate(outcomes)]
 
 
 class CvResult:

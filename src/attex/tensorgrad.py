@@ -66,6 +66,11 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
+    def __reduce__(self) -> tuple:
+        # The copy owns its values (never a view into the pickle's bytes
+        # or a packed buffer) and starts with a zero gradient.
+        return Parameter, (self.data, self.name)
+
     @classmethod
     def packed(cls, params: Sequence["Parameter"]) -> "Parameter":
         """One parameter whose data and grad hold all of params end to end.

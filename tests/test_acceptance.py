@@ -234,7 +234,7 @@ def _random_attentive_pass(rng, kind):
                             "position_dim": 1},
                            rng=rng)
     logits, out = model.forward(tg.Tape(), model.compile([sample]))
-    return (md.class_probabilities(logits.data)[0], out.alpha[0], seq, n,
+    return (tg._softmax_rows(logits.data)[0], out.alpha[0], seq, n,
             n_real)
 
 

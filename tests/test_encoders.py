@@ -363,6 +363,37 @@ class TestBiLstm:
         assert np.allclose(s, want)
         assert encoder.z == 6
 
+    def test_reverse_half_has_read_only_the_last_term(self):
+        # Pins what bilstm's vector is, not what it should be: both halves
+        # come from step lengths-1, where the reverse direction has read
+        # only the last real term. Its summary of the whole context is the
+        # state at step 0, which the vector leaves out.
+        h, n = 3, 7
+        encoder = build("bilstm", h=h, n=n)
+        rng = np.random.default_rng(11)
+        lengths = np.array([7, 3, 1, 5])
+        real = np.arange(n) < lengths[:, None]
+        x = rng.uniform(-1, 1, (len(lengths), n, 5)) * real[..., None]
+        ids = np.zeros((len(lengths), n), dtype=np.intp)
+        first = np.zeros(len(lengths), dtype=np.intp)
+        batch = enc.Batch(ids, ids, lengths, first, lengths - 1,
+                          np.stack([first, lengths - 1], axis=1),
+                          np.full(len(lengths), 2))
+        s = encoder.encode(tg.Tensor(x, tg.Tape()), batch).s.data
+        for i, length in enumerate(lengths):
+            rows = x[i, :length]
+            alone = encoder.lstm.states(tg.Tensor(rows[None, -1:], tg.Tape()),
+                                        np.array([1])).data[0, 0]
+            assert np.allclose(s[i, h:], alone[h:], rtol=0, atol=1e-12)
+            forward = ref_lstm_states(rows, *cell(encoder.lstm, 0))[-1]
+            assert np.allclose(s[i, :h], forward, rtol=0, atol=1e-12)
+            whole = ref_lstm_states(rows[::-1], *cell(encoder.lstm, 1))[-1]
+            assert np.allclose(encoder.lstm.states(
+                tg.Tensor(x[i:i + 1], tg.Tape()), lengths[i:i + 1]
+            ).data[0, 0, h:], whole, rtol=0, atol=1e-12)
+            if length > 1:
+                assert not np.allclose(s[i, h:], whole)
+
 
 class TestAttBLstm:
     def test_singleton_alpha(self):

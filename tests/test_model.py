@@ -76,7 +76,7 @@ class TestPrediction:
 def head_probabilities(head, s):
     tape = tg.Tape()
     logits = head.forward(tg.Tensor(np.asarray(s, dtype=float)[None], tape))
-    return md.class_probabilities(logits.data)[0]
+    return tg._softmax_rows(logits.data)[0]
 
 
 class TestHead:
@@ -778,8 +778,9 @@ class TestSplitProcesses:
                 three.model.flat.data.tobytes()
             assert one.history.rows == three.history.rows
             assert repr(one.f1) == repr(three.f1)
-            # The rebuilt model's parameters are views into its buffer,
-            # and it scores its held-out contexts as the trained one did.
+            # Each model, trained in this process or pickled back by a
+            # forked one, has its parameters as views into its own buffer,
+            # and scores its held-out contexts as the one-process run's did.
             assert all(np.shares_memory(p.data, three.model.flat.data)
                        for p in three.model.parameters())
             assert md.infer(one.model, one.test_samples)[0].tobytes() == \

@@ -2,21 +2,25 @@
 flat data array and one flat grad array, which the optimizer, the
 numeric guard and the gradient reset of `md.train` use as one."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 import per_context as pc
 from attex import corpus as cp
 from attex import encoders as enc
+from attex import lexicons as lx
 from attex import model as md
 from attex import tensorgrad as tg
 from attex.errors import NumericError
 
 
-def kind_model(kind, seed=0):
+def kind_model(kind, seed=0, feature_mode="att-ends"):
     rng = np.random.default_rng(seed)
     seqs = pc.random_contexts(rng, 6, 4)
-    cfg = enc.EncoderConfig(kind, n=6, h=3, filters=2, window=2, k=3)
+    cfg = enc.EncoderConfig(kind, n=6, h=3, filters=2, window=2, k=3,
+                            feature_mode=feature_mode)
     options = {"m": 3, "polarity_dim": 2, "position_dim": 2,
                "use_position": enc.default_use_position(kind)}
     return md.build_model(pc.vocab_for(seqs), cfg, options, rng=rng), seqs
@@ -49,6 +53,39 @@ def test_every_parameter_is_a_view_of_the_buffer(kind, tmp_path):
     tg.restore_parameters(fresh.parameters(), tg.load_checkpoint(path))
     assert_packed(fresh)
     assert np.array_equal(fresh.flat.data, model.flat.data)
+
+
+@pytest.mark.parametrize("feature_mode", enc.FEATURE_MODES)
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_a_pickled_model_packs_its_own_buffer(kind, feature_mode):
+    # A forked CV split sends its trained model back this way.
+    model, seqs = kind_model(kind, feature_mode=feature_mode)
+    samples = [cp.ContextSample("d%d" % i, 0, s, lx.POLARITIES[i % 3], "a",
+                                "b") for i, s in enumerate(seqs)]
+    md.train(model, samples, md.TrainConfig(max_epochs=2, eval_period=2,
+                                            batch_size=2),
+             np.random.default_rng(0))
+    # A pending gradient, which the copy must not carry.
+    tape = tg.Tape()
+    logits, _ = model.forward(tape, model.compile(samples))
+    tape.backward(tg.softmax_cross_entropy(logits, np.zeros(len(seqs), int)))
+    assert model.flat.grad.any()
+
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy.flat.data.tobytes() == model.flat.data.tobytes()
+    assert_packed(copy)
+    assert not copy.flat.grad.any()
+    for p in copy.parameters():
+        for a in (p.data, p.grad):
+            assert not np.shares_memory(a, model.flat.data), p.name
+            assert not np.shares_memory(a, model.flat.grad), p.name
+    (probs, alpha), (copy_probs, copy_alpha) = (
+        md.infer(m, samples) for m in (model, copy))
+    assert copy_probs.tobytes() == probs.tobytes()
+    if model.encoder.attentive:
+        assert copy_alpha.tobytes() == alpha.tobytes()
+    else:
+        assert alpha is copy_alpha is None
 
 
 def test_zeroing_the_buffer_zeroes_every_grad():
