@@ -11,7 +11,7 @@ Evaluation averages per-context probabilities into one label per
 positive and negative classes, averaged per document by default.
 Cross-validation and the train/test protocol run one routine that
 extracts the corpus once and splits its contexts and gold by document;
-it trains the splits at once, in up to one forked process per usable CPU.
+it trains the splits at once, in up to 2c - 1 processes on c usable CPUs.
 """
 
 import os
@@ -445,30 +445,35 @@ def _until_failure(run, splits):
 
 def _in_processes(run, k):
     """[run(split) for split in range(k)]. Split i runs in process i mod
-    P, P = min(k, usable CPUs), 0 being this one; the first failed split
-    raises its error, as in one process."""
-    count = (min(k, len(os.sched_getaffinity(0)))
+    P, P = min(k, 2c - 1) for c usable CPUs, 0 being this one, so that
+    the kernel time-shares the CPUs among the splits; the splits of a
+    process that cannot be forked run in this one. The first failed
+    split raises its error, as in one process."""
+    count = (min(k, 2 * len(os.sched_getaffinity(0)) - 1)
              if hasattr(os, "sched_getaffinity") else 1)
     workers = {}  # first split: (pid, read end of its pipe), until reaped
     try:
-        for split in range(1, count):
-            workers[split] = _forked(run, range(split, k, count))
-        sent = [_until_failure(run, range(0, k, count))]
-        for split in range(1, count):
-            pid, pipe = workers[split]
+        for first in range(1, count):
+            try:
+                workers[first] = _forked(run, range(first, k, count))
+            except OSError:  # say, no process to spare: its splits run here
+                pass
+        mine = [split for split in range(k) if split % count not in workers]
+        done = dict(zip(mine, _until_failure(run, mine)))
+        for first in list(workers):
+            pid, pipe = workers[first]
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[split]
-            sent.append(pickle.loads(data) if data else [RuntimeError(
-                "the process of split %d exited with code %d"
-                % (split, code))])
-        outcomes = []
+            del workers[first]
+            sent = pickle.loads(data) if data else [RuntimeError(
+                "the process of split %d exited with code %d" % (first, code))]
+            done.update(zip(range(first, k, count), sent))
+        # A split missing from done comes after a failed one of its process.
         for split in range(k):
-            outcomes.append(sent[split % count][split // count])
-            if isinstance(outcomes[-1], Exception):
-                raise outcomes[-1]
-        return outcomes
+            if isinstance(done[split], Exception):
+                raise done[split]
+        return [done[split] for split in range(k)]
     finally:
         for pid, pipe in workers.values():
             pipe.close()
@@ -481,7 +486,12 @@ def _forked(run, splits):
     list to a pipe and exits: (its pid, the pipe's read end)."""
     read, write = os.pipe()
     sys.stderr.flush()  # the forked process flushes it if it fails
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid == 0:  # never returns: the caller's stack is not this process's
         code = 1
         try:

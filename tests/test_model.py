@@ -1,5 +1,6 @@
 """Tests for the classifier head, training protocol, and evaluation."""
 
+import errno
 import multiprocessing
 import os
 import signal
@@ -748,8 +749,19 @@ def assert_no_child_left():
 
 
 class TestSplitProcesses:
-    """Splits run in min(k, usable CPUs) processes with the outcomes of
-    one process."""
+    """Splits run in min(k, 2c - 1) processes on c usable CPUs with the
+    outcomes of one process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_process_count_rule(self, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        for k in range(1, 8):
+            pids = md._in_processes(lambda split: os.getpid(), k)
+            count = min(k, 2 * cpus - 1)
+            assert len(set(pids)) == count
+            assert pids[0] == os.getpid()
+            assert pids == [pids[split % count] for split in range(k)]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("kind", ["att-blstm", "pcnn"])
     def test_same_results_at_any_process_count(self, monkeypatch, kind):
@@ -758,7 +770,7 @@ class TestSplitProcesses:
         forks = counted_forks(monkeypatch)
         extract = md.samples_for_docs
         runs = []
-        for cpus in (1, 3):
+        for cpus, forked in ((1, 0), (2, 2), (3, 2)):
             usable_cpus(monkeypatch, cpus)
             extracted = []
             monkeypatch.setattr(md, "samples_for_docs", lambda *args: (
@@ -770,25 +782,59 @@ class TestSplitProcesses:
                 assert split.test_samples
                 assert all(id(s) in kept for s in split.test_samples)
             runs.append(result)
-            assert len(forks) == (0 if cpus == 1 else 2)
-        fold_of_doc = runs[1].folds.fold_of_doc
-        for split, (one, three) in enumerate(zip(runs[0].splits,
-                                                 runs[1].splits)):
+            assert len(forks) == forked
+            forks.clear()
+        for run in runs[1:]:
+            fold_of_doc = run.folds.fold_of_doc
+            for split, (one, other) in enumerate(zip(runs[0].splits,
+                                                     run.splits)):
+                assert one.model.flat.data.tobytes() == \
+                    other.model.flat.data.tobytes()
+                assert one.history.rows == other.history.rows
+                assert repr(one.f1) == repr(other.f1)
+                # Each model, trained in this process or pickled back by a
+                # forked one, has its parameters as views into its own
+                # buffer, and scores its held-out contexts as the
+                # one-process run's did.
+                assert all(np.shares_memory(p.data, other.model.flat.data)
+                           for p in other.model.parameters())
+                assert md.infer(one.model, one.test_samples)[0].tobytes() \
+                    == md.infer(other.model, other.test_samples)[0].tobytes()
+                gold = md.opinion_gold(
+                    [d for d in corpus.documents
+                     if fold_of_doc[d.doc_id] == split], corpus)
+                assert md.evaluate_on_samples(other.model, other.test_samples,
+                                              gold) == other.f1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [(1, 2), (2,)])
+    def test_failed_fork_runs_its_splits_here(self, monkeypatch, failing):
+        """When os.fork raises on its `failing` calls, the splits of those
+        processes train in this one, with the one-process run's outcomes,
+        and no pipe or process is left behind."""
+        corpus = tiny_corpus(5)
+        fork, runs = os.fork, []
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            calls = []
+
+            def flaky():
+                calls.append(1)
+                if len(calls) in failing:
+                    raise BlockingIOError(errno.EAGAIN, "no process to spare")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", flaky)
+            fds = len(os.listdir("/proc/self/fd"))
+            runs.append(md.run_cv(corpus, CHEAP_ENCODER, cheap_train_cfg(),
+                                  embed_options=CHEAP_EMBED, k=3))
+            assert len(os.listdir("/proc/self/fd")) == fds
+            assert len(calls) == (0 if cpus == 1 else 2)
+        for one, other in zip(runs[0].splits, runs[1].splits):
             assert one.model.flat.data.tobytes() == \
-                three.model.flat.data.tobytes()
-            assert one.history.rows == three.history.rows
-            assert repr(one.f1) == repr(three.f1)
-            # Each model, trained in this process or pickled back by a
-            # forked one, has its parameters as views into its own buffer,
-            # and scores its held-out contexts as the one-process run's did.
-            assert all(np.shares_memory(p.data, three.model.flat.data)
-                       for p in three.model.parameters())
-            assert md.infer(one.model, one.test_samples)[0].tobytes() == \
-                md.infer(three.model, three.test_samples)[0].tobytes()
-            gold = md.opinion_gold([d for d in corpus.documents
-                                    if fold_of_doc[d.doc_id] == split], corpus)
-            assert md.evaluate_on_samples(three.model, three.test_samples,
-                                          gold) == three.f1
+                other.model.flat.data.tobytes()
+            assert one.history.rows == other.history.rows
+            assert repr(one.f1) == repr(other.f1)
         assert_no_child_left()
 
     def test_run_train_test_never_forks(self, monkeypatch):
@@ -819,9 +865,10 @@ class TestSplitProcesses:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_failed_split_raises(self, monkeypatch, cpus):
-        """Splits 1 and 2 fail; split 1 runs in a worker in both the 2-
-        and the 3-process run, split 2 in this process in the 2-process
-        run. Each run raises split 1's error, as one process does."""
+        """Splits 1 and 2 fail. On 1 CPU both run in this process; on 2
+        and 3 CPUs, three processes run one split each, so both fail in
+        forked processes. Each run raises split 1's error, as one process
+        does."""
         fit = md.fit
 
         def failing(train_samples, encoder_cfg, train_cfg, embed_options,
