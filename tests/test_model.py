@@ -885,6 +885,41 @@ class TestSplitProcesses:
                       embed_options=CHEAP_EMBED, k=3)
         assert_no_child_left()
 
+    @pytest.mark.parametrize("lost", [None, 1, 2])
+    def test_first_failure_beside_a_failed_fork(self, monkeypatch, lost):
+        """At 2 CPUs and k = 4, P = 3: this process runs splits 0 and 3,
+        and if process `lost` cannot be forked, its split too, in split
+        order. Splits 1 to 3 fail, some here, some in forked processes,
+        and this process stops at its first failed split. Each run raises
+        split 1's error and leaves no child."""
+        usable_cpus(monkeypatch, 2)
+        fork, caller, calls = os.fork, os.getpid(), []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) == lost:
+                raise BlockingIOError(errno.EAGAIN, "no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", flaky)
+        here = [split for split in range(4) if split % 3 in (0, lost)]
+        pids = md._in_processes(lambda split: os.getpid(), 4)
+        assert [s for s in range(4) if pids[s] == caller] == here
+        assert len(set(pids)) == (3 if lost is None else 2)
+        ran = []
+
+        def run(split):
+            ran.append(split)  # holds only the splits run in this process
+            if split:
+                raise ValueError("split %d failed" % split)
+            return split
+
+        calls.clear()
+        with pytest.raises(ValueError, match="^split 1 failed$"):
+            md._in_processes(run, 4)
+        assert ran == here[:2]
+        assert_no_child_left()
+
     @staticmethod
     def failing_in_process(monkeypatch, split, failure):
         """Patch fit so that `split`, run in a forked process, calls
