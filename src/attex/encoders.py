@@ -147,23 +147,22 @@ class Batch:
     word_ids, polarity_ids  (B, n)  table rows of each term, 0 on padding
     lengths                 (B,)    real terms per context
     mask                    (B, n)  True on real terms
-    subj_pos, obj_pos       (B,)    participant positions
     features                (B, k)  feature positions: subject, object,
-                                    then (att-ef) frames in order
+                                    then (att-ef) frames in order; k >= 2
+                                    (EncoderConfig requires it), so
+                                    columns 0 and 1 are the participants
     feature_lengths         (B,)    real feature positions per context
     feature_mask            (B, k)  True on real feature positions
     """
 
-    __slots__ = ("word_ids", "polarity_ids", "lengths", "subj_pos", "obj_pos",
-                 "features", "feature_lengths", "mask", "feature_mask")
+    __slots__ = ("word_ids", "polarity_ids", "lengths", "features",
+                 "feature_lengths", "mask", "feature_mask")
 
-    def __init__(self, word_ids, polarity_ids, lengths, subj_pos, obj_pos,
-                 features, feature_lengths):
+    def __init__(self, word_ids, polarity_ids, lengths, features,
+                 feature_lengths):
         self.word_ids = word_ids
         self.polarity_ids = polarity_ids
         self.lengths = lengths
-        self.subj_pos = subj_pos
-        self.obj_pos = obj_pos
         self.features = features
         self.feature_lengths = feature_lengths
         self.mask = np.arange(word_ids.shape[1]) < lengths[:, None]
@@ -175,8 +174,7 @@ class Batch:
     def take(self, index):
         """The contexts at an index array or slice, as a Batch."""
         return Batch(self.word_ids[index], self.polarity_ids[index],
-                     self.lengths[index], self.subj_pos[index],
-                     self.obj_pos[index], self.features[index],
+                     self.lengths[index], self.features[index],
                      self.feature_lengths[index])
 
 
@@ -212,10 +210,7 @@ def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
                       for t in row_of], dtype=np.intp).reshape(-1, 2)
     real = np.arange(n) < lengths[:, None]
     word_ids[real], polarity_ids[real] = table[[row_of[t] for t in terms]].T
-    subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
-    obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
-    return Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos, features,
-                 feature_lengths)
+    return Batch(word_ids, polarity_ids, lengths, features, feature_lengths)
 
 
 class Module:
@@ -277,22 +272,12 @@ class Embedder(Module):
         ids = [batch.word_ids, batch.polarity_ids]
         if self.use_position:
             steps = np.arange(batch.word_ids.shape[1])
-            for anchor in (batch.subj_pos, batch.obj_pos):
+            for anchor in batch.features[:, :2].T:
                 distance = np.clip(steps - anchor[:, None], -self.max_distance,
                                    self.max_distance)
                 tables.append(self.position_table)
                 ids.append(distance + self.max_distance)
         return tg.embedding_lookup(tape, tables, ids, batch.mask)
-
-
-class EncoderOutput:
-    """s (B, z); alpha (B, n) attention weights, exactly 0 on padding, or None."""
-
-    __slots__ = ("s", "alpha")
-
-    def __init__(self, s, alpha=None):
-        self.s = s
-        self.alpha = alpha
 
 
 def _glorot(rng, shape, name):
@@ -332,11 +317,17 @@ def _mean_pool(states, mask):
     return tg.einsum("bt,btd->bd", weights, states)
 
 
+def _attend(scores, mask, states):
+    """(the alpha-weighted sum of states (B, T, d), alpha (B, T) as an
+    array), alpha the softmax of scores (B, T) over the real rows."""
+    alpha = tg.softmax(scores, mask)
+    return tg.einsum("bt,btd->bd", alpha, states), alpha.data
+
+
 def _pcnn_segments(batch):
     """(starts, ends), each (B, 3): up to the first participant, up to the
     second, and the rest of the real terms."""
-    p1 = np.minimum(batch.subj_pos, batch.obj_pos) + 1
-    p2 = np.maximum(batch.subj_pos, batch.obj_pos) + 1
+    p1, p2 = np.sort(batch.features[:, :2], axis=1).T + 1
     return np.array((0 * p1, p1, p2)).T, np.array((p1, p2, batch.lengths)).T
 
 
@@ -353,8 +344,7 @@ class CnnEncoder(Module):
     def encode(self, x, batch):
         conv = tg.tanh(tg.conv1d(x, self.w, self.b))
         whole = np.zeros((len(batch), 1), dtype=np.intp)
-        return EncoderOutput(tg.max_pool_over_time(conv, whole,
-                                                   batch.lengths[:, None]))
+        return tg.max_pool_over_time(conv, whole, batch.lengths[:, None]), None
 
 
 class PcnnEncoder(Module):
@@ -369,7 +359,7 @@ class PcnnEncoder(Module):
 
     def encode(self, x, batch):
         conv = tg.conv1d(x, self.w, self.b)
-        return EncoderOutput(tg.max_pool_over_time(conv, *_pcnn_segments(batch)))
+        return tg.max_pool_over_time(conv, *_pcnn_segments(batch)), None
 
 
 class LstmEncoder(Module):
@@ -384,7 +374,7 @@ class LstmEncoder(Module):
 
     def encode(self, x, batch):
         states = self.lstm.states(x, batch.lengths)
-        return EncoderOutput(tg.gather(states, batch.lengths - 1))
+        return tg.gather(states, batch.lengths - 1), None
 
 
 class BiLstmEncoder(LstmEncoder):
@@ -404,10 +394,9 @@ class AttBLstmEncoder(Module):
 
     def encode(self, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
-        scores = tg.matmul(tg.tanh(h_mat), self.w)
-        alpha = tg.softmax(scores, batch.mask)
-        s = tg.tanh(tg.einsum("bt,btd->bd", alpha, h_mat))
-        return EncoderOutput(s, alpha=alpha.data)
+        attended, alpha = _attend(tg.matmul(tg.tanh(h_mat), self.w),
+                                  batch.mask, h_mat)
+        return tg.tanh(attended), alpha
 
 
 class AttBLstmZYangEncoder(Module):
@@ -426,9 +415,7 @@ class AttBLstmZYangEncoder(Module):
     def encode(self, x, batch):
         h_mat = self.bilstm.states(x, batch.lengths)
         projected = tg.tanh(tg.add(tg.matmul(h_mat, self.w_a), self.b_a))
-        alpha = tg.softmax(tg.matmul(projected, self.u_w), batch.mask)
-        s = tg.einsum("bt,btd->bd", alpha, h_mat)
-        return EncoderOutput(s, alpha=alpha.data)
+        return _attend(tg.matmul(projected, self.u_w), batch.mask, h_mat)
 
 
 class AttCnnEncoder(Module):
@@ -444,12 +431,11 @@ class AttCnnEncoder(Module):
         self.w2 = _glorot(rng, (cfg.h,), "attcnn.att.w2")
 
     def encode(self, x, batch):
-        pooled = self.pcnn.encode(x, batch)
+        pooled, _ = self.pcnn.encode(x, batch)
         attended, alpha = tg.feature_attention(
             x, batch.features, batch.feature_mask, batch.mask, self.w1,
             self.b1, self.w2)
-        return EncoderOutput(tg.concat([pooled.s, attended], axis=1),
-                             alpha=alpha)
+        return tg.concat([pooled, attended], axis=1), alpha
 
 
 class IanEncoder(Module):
@@ -467,10 +453,10 @@ class IanEncoder(Module):
         self.w_t = _glorot(rng, (h2, h2), "ian.att.w_t")
         self.b_t = tg.Parameter(np.zeros(1), "ian.att.b_t")
 
-    def _attend(self, states, mask, pooled, w, b):
+    def _pool(self, states, mask, pooled, w, b):
+        """_attend, each row of states scored against the other side's mean."""
         scores = tg.einsum("btd,bd->bt", tg.matmul(states, w), pooled)
-        weights = tg.softmax(tg.tanh(tg.add(scores, b)), mask)
-        return tg.einsum("bt,btd->bd", weights, states), weights
+        return _attend(tg.tanh(tg.add(scores, b)), mask, states)
 
     def encode(self, x, batch):
         feature_mask = batch.feature_mask
@@ -479,12 +465,11 @@ class IanEncoder(Module):
             tg.gather(x, batch.features), batch.feature_lengths)
         c_mean = _mean_pool(context_states, batch.mask)
         t_mean = _mean_pool(feature_states, feature_mask)
-        attended_c, gamma = self._attend(context_states, batch.mask, t_mean,
-                                         self.w_c, self.b_c)
-        attended_t, _ = self._attend(feature_states, feature_mask, c_mean,
-                                     self.w_t, self.b_t)
-        s = tg.concat([attended_c, attended_t], axis=1)
-        return EncoderOutput(s, alpha=gamma.data)
+        attended_c, gamma = self._pool(context_states, batch.mask, t_mean,
+                                       self.w_c, self.b_c)
+        attended_t, _ = self._pool(feature_states, feature_mask, c_mean,
+                                   self.w_t, self.b_t)
+        return tg.concat([attended_c, attended_t], axis=1), gamma
 
 
 # gradient_suite seeds each kind by its index, so this order is pinned.

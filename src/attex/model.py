@@ -77,10 +77,11 @@ class AttitudeModel:
                                      cfg.k, cfg.feature_mode)
 
     def forward(self, tape, batch):
-        """Batch of B contexts -> (logits (B, 3), EncoderOutput)."""
-        x = self.embedder.embed(tape, batch)
-        out = self.encoder.encode(x, batch)
-        return self.head.forward(out.s), out
+        """Batch of B contexts -> (logits (B, 3), alpha): alpha (B, n) is
+        the encoder's attention weights, exactly 0 on padding, or None for
+        a kind without attention."""
+        s, alpha = self.encoder.encode(self.embedder.embed(tape, batch), batch)
+        return self.head.forward(s), alpha
 
 
 def build_model(vocab, encoder_cfg, embed_options=None, rng=None):
@@ -116,6 +117,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if neutral_ratio is not None and not 0 < neutral_ratio < np.inf:
             raise ValueError("neutral_ratio must be positive and finite")
+        if not 0 < learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         self.max_epochs = max_epochs
         self.eval_period = eval_period
         self.stop_threshold = stop_threshold
@@ -309,11 +312,11 @@ def infer(model, samples, compiled=None):
               if model.encoder.attentive else None)
     for start in range(0, len(compiled), INFERENCE_CHUNK):
         rows = slice(start, start + INFERENCE_CHUNK)
-        logits, out = model.forward(tg.Tape(record=False),
-                                    compiled.take(rows))
+        logits, alpha = model.forward(tg.Tape(record=False),
+                                      compiled.take(rows))
         probabilities[rows] = tg._softmax_rows(logits.data)
         if alphas is not None:
-            alphas[rows] = out.alpha
+            alphas[rows] = alpha
     return probabilities, alphas
 
 

@@ -370,7 +370,7 @@ def embed_batch(tape, embedder, batch):
                               batch.polarity_ids, mask)]
     if embedder.use_position:
         steps = np.arange(batch.word_ids.shape[1])
-        for anchor in (batch.subj_pos, batch.obj_pos):
+        for anchor in batch.features[:, :2].T:
             distance = np.clip(steps - anchor[:, None], -embedder.max_distance,
                                embedder.max_distance)
             parts.append(embedding_lookup(
@@ -602,7 +602,5 @@ def compile_sequences(seqs, vocab, n, k=2, feature_mode="att-ends"):
         feats = feats[:k]
         features[i, :len(feats)] = feats
         feature_lengths[i] = len(feats)
-    subj_pos = np.array([seq.subj_pos for seq in seqs], dtype=np.intp)
-    obj_pos = np.array([seq.obj_pos for seq in seqs], dtype=np.intp)
-    return enc.Batch(word_ids, polarity_ids, lengths, subj_pos, obj_pos,
-                     features, feature_lengths)
+    return enc.Batch(word_ids, polarity_ids, lengths, features,
+                     feature_lengths)

@@ -233,8 +233,8 @@ def _random_attentive_pass(rng, kind):
                             "use_position": en.default_use_position(kind),
                             "position_dim": 1},
                            rng=rng)
-    logits, out = model.forward(tg.Tape(), model.compile([sample]))
-    return (tg._softmax_rows(logits.data)[0], out.alpha[0], seq, n,
+    logits, alpha = model.forward(tg.Tape(), model.compile([sample]))
+    return (tg._softmax_rows(logits.data)[0], alpha[0], seq, n,
             n_real)
 
 

@@ -61,19 +61,19 @@ def test_batched_forward_matches_per_context_oracle(kind, mode):
         golds = rng.integers(0, 3, size=len(seqs))
         batch = model.compile(samples_of(seqs))
 
-        logits, out = model.forward(tg.Tape(), batch)
+        logits, alpha = model.forward(tg.Tape(), batch)
         probs = tg._softmax_rows(logits.data)
         for i, seq in enumerate(seqs):
             want_p, want_alpha = pc.forward(tg.Tape(), model, seq)
             assert np.allclose(probs[i], want_p.data, rtol=0, atol=TOL)
             n_real = len(seq.terms)
             if want_alpha is None:
-                assert out.alpha is None
+                assert alpha is None
             else:
-                assert out.alpha.shape == (len(seqs), n)
-                assert np.allclose(out.alpha[i, :n_real], want_alpha,
+                assert alpha.shape == (len(seqs), n)
+                assert np.allclose(alpha[i, :n_real], want_alpha,
                                    rtol=0, atol=TOL)
-                assert np.all(out.alpha[i, n_real:] == 0.0)
+                assert np.all(alpha[i, n_real:] == 0.0)
 
         def batched(tape):
             logits, _ = model.forward(tape, batch)
@@ -103,15 +103,15 @@ def test_infer_chunks_match_one_forward(kind, monkeypatch):
     seqs = pc.random_contexts(rng, 7, 9)
     model = random_model(rng, kind, "att-ef", seqs, 7)
     samples = samples_of(seqs)
-    logits, out = model.forward(tg.Tape(), model.compile(samples))
+    logits, want_alpha = model.forward(tg.Tape(), model.compile(samples))
     monkeypatch.setattr(md, "INFERENCE_CHUNK", 2)
     probs, alpha = md.infer(model, samples)
     assert np.allclose(probs, tg._softmax_rows(logits.data),
                        rtol=0, atol=1e-15)
-    if out.alpha is None:
+    if want_alpha is None:
         assert alpha is None
     else:
-        assert np.allclose(alpha, out.alpha, rtol=0, atol=1e-15)
+        assert np.allclose(alpha, want_alpha, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", enc.ENCODER_KINDS)

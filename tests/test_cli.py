@@ -839,6 +839,20 @@ class TestTrain:
         assert not (out / "model.ckpt").exists()
         assert not (out / "history.csv").exists()
 
+    @pytest.mark.parametrize("rate", ["-0.02", "0", "inf", "nan"])
+    def test_learning_rate_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                       rate):
+        # Not a run that learns nothing, climbs the loss or ends in a
+        # numeric failure: a configuration error before any training.
+        config, out = prepared(tmp_path, capsys)
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "learning_rate = 0.02", "learning_rate = " + rate),
+            encoding="utf-8")
+        assert cli.main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: learning_rate must be positive and finite\n")
+        assert not (out / "model.ckpt").exists()
+
     def test_train_without_cache_fails(self, tmp_path, capsys):
         config, out = write_fixture(tmp_path)
         assert cli.main(["train", "--config", str(config)]) == 2
@@ -1084,12 +1098,14 @@ class TestCv:
         assert stdout_pairs(capsys)["dropped"] == str(dropped)
 
 
-def cv_in_subprocess(config, cpus):
+def cv_in_subprocess(config, cpus, prelude=""):
     """`attex cv --config config` in a new interpreter that sees `cpus`
-    usable CPUs, its stdout a pipe: (exit code, stdout, stderr)."""
+    usable CPUs and first runs the Python lines `prelude`, its stdout a
+    pipe: (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(%d))"
-            "; from attex import cli; sys.exit(cli.main(sys.argv[1:]))" % cpus)
+            "\n%s\nfrom attex import cli; sys.exit(cli.main(sys.argv[1:]))"
+            % (cpus, prelude))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)  # stdout, a pipe, is buffered
     done = subprocess.run(
@@ -1118,13 +1134,18 @@ class TestCvProcesses:
                                       "history_fold2.csv"]
 
     def test_numeric_failure_exits_3_once(self, tmp_path):
+        # Every SGD step is infinite; the configuration cannot ask for
+        # that, since a learning rate must be finite.
         config, out = write_fixture(tmp_path)
-        config.write_text(config.read_text(encoding="utf-8").replace(
-            "learning_rate = 0.02", "learning_rate = inf")
-            + "optimizer = sgd\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "optimizer = sgd\n", encoding="utf-8")
+        infinite_step = ("from attex import model as md\n"
+                         "md.OPTIMIZERS['sgd'] = "
+                         "lambda param, rate: md.Sgd(param, float('inf'))")
         failures = []
         for cpus in (1, 3):
-            code, stdout, stderr = cv_in_subprocess(config, cpus)
+            code, stdout, stderr = cv_in_subprocess(config, cpus,
+                                                    infinite_step)
             assert code == 3
             assert stdout == ""
             # One line, with no numpy warning before it.

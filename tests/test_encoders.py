@@ -115,8 +115,8 @@ def manual_batch(tape, rows, subj, obj, n=None, frame_positions=(), k=2,
     feats = np.zeros((1, max(k, len(features))), dtype=np.intp)
     feats[0, :len(features)] = features
     ids = np.zeros((1, rows.shape[0]), dtype=np.intp)
-    batch = enc.Batch(ids, ids, np.array([n_real]), np.array([subj]),
-                      np.array([obj]), feats, np.array([len(features)]))
+    batch = enc.Batch(ids, ids, np.array([n_real]), feats,
+                      np.array([len(features)]))
     return tg.Tensor(rows[None], tape), batch
 
 
@@ -126,8 +126,8 @@ def encode_one(encoder, rows, subj, obj, n=None, frame_positions=(),
     tape = tg.Tape()
     x, batch = manual_batch(tape, rows, subj, obj, n, frame_positions,
                             encoder.cfg.k, encoder.cfg.feature_mode, features)
-    out = encoder.encode(x, batch)
-    return out.s.data[0], None if out.alpha is None else out.alpha[0]
+    s, alpha = encoder.encode(x, batch)
+    return s.data[0], None if alpha is None else alpha[0]
 
 
 def embed_one(embedder, seq, k=2, feature_mode="att-ends"):
@@ -376,10 +376,10 @@ class TestBiLstm:
         x = rng.uniform(-1, 1, (len(lengths), n, 5)) * real[..., None]
         ids = np.zeros((len(lengths), n), dtype=np.intp)
         first = np.zeros(len(lengths), dtype=np.intp)
-        batch = enc.Batch(ids, ids, lengths, first, lengths - 1,
+        batch = enc.Batch(ids, ids, lengths,
                           np.stack([first, lengths - 1], axis=1),
                           np.full(len(lengths), 2))
-        s = encoder.encode(tg.Tensor(x, tg.Tape()), batch).s.data
+        s = encoder.encode(tg.Tensor(x, tg.Tape()), batch)[0].data
         for i, length in enumerate(lengths):
             rows = x[i, :length]
             alone = encoder.lstm.states(tg.Tensor(rows[None, -1:], tg.Tape()),
@@ -646,8 +646,8 @@ class TestAllEncoders:
                                       cfg.feature_mode)
 
         def f(tape):
-            out = encoder.encode(embedder.embed(tape, batch), batch)
-            return tg.matmul(tg.matmul(out.s, tg.Tensor(readout, tape)),
+            s, _ = encoder.encode(embedder.embed(tape, batch), batch)
+            return tg.matmul(tg.matmul(s, tg.Tensor(readout, tape)),
                              tg.Tensor([1.0, 0.5], tape))
 
         params = embedder.parameters() + encoder.parameters()

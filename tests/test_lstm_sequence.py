@@ -331,8 +331,8 @@ def test_encode_matches_per_row_path(kind):
             p.zero_grad()
         tape = tg.Tape()
         x = tg.Tensor(np.stack([c[0] for c in contexts]), tape)
-        out = encoder.encode(x, batch)
-        tape.backward(_weighted_sum(tape, out.s, readout))
+        s_all, alpha_all = encoder.encode(x, batch)
+        tape.backward(_weighted_sum(tape, s_all, readout))
         got = [p.grad.copy() for p in params]
 
         for p in params:
@@ -342,13 +342,13 @@ def test_encode_matches_per_row_path(kind):
             ctx = pc.Context(tg.Tensor(rows, tape), n_real, subj, obj, frames)
             s, alpha = pc.encode(tape, encoder, ctx)
             tape.backward(tg.matmul(s, tg.Tensor(readout[row], tape)))
-            assert np.allclose(out.s.data[row], s.data, rtol=0, atol=TOL)
+            assert np.allclose(s_all.data[row], s.data, rtol=0, atol=TOL)
             if alpha is None:
-                assert out.alpha is None
+                assert alpha_all is None
             else:
-                assert np.allclose(out.alpha[row, :n_real], alpha,
+                assert np.allclose(alpha_all[row, :n_real], alpha,
                                    rtol=0, atol=TOL)
-                assert np.all(out.alpha[row, n_real:] == 0.0)
+                assert np.all(alpha_all[row, n_real:] == 0.0)
             assert np.allclose(x.grad[row], ctx.x.grad, rtol=0, atol=TOL)
             assert np.all(x.grad[row, n_real:] == 0.0)
         for g, p in zip(got, params):
@@ -367,7 +367,5 @@ def batch_of(contexts, cfg):
     for row, f in enumerate(feats):
         features[row, :len(f)] = f
     ids = np.zeros((len(contexts), n), dtype=np.intp)
-    return enc.Batch(ids, ids, np.array([c[1] for c in contexts]),
-                     np.array([c[2] for c in contexts]),
-                     np.array([c[3] for c in contexts]), features,
+    return enc.Batch(ids, ids, np.array([c[1] for c in contexts]), features,
                      np.array([len(f) for f in feats]))

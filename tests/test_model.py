@@ -182,6 +182,10 @@ class TestTrainConfig:
         dict(neutral_ratio=0.0),
         dict(neutral_ratio=float("inf")),
         dict(neutral_ratio=float("nan")),
+        dict(learning_rate=-0.02),
+        dict(learning_rate=0.0),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -510,8 +514,8 @@ class TestTrain:
         # step itself must be caught, naming the parameter and the epoch.
         samples = toy_samples(1)
         model = toy_model(samples, seed=6)
-        cfg = md.TrainConfig(max_epochs=10, eval_period=10, optimizer="sgd",
-                             learning_rate=np.inf)
+        cfg = md.TrainConfig(max_epochs=10, eval_period=10, optimizer="sgd")
+        cfg.learning_rate = np.inf  # past TrainConfig's own check
         with pytest.raises(NumericError,
                            match="parameter 'emb.word' .*epoch 1$"), \
                 np.errstate(invalid="ignore"):
@@ -763,6 +767,15 @@ class TestSplitProcesses:
             assert pids == [pids[split % count] for split in range(k)]
         assert_no_child_left()
 
+    def test_one_process_without_affinity(self, monkeypatch):
+        # No os.sched_getaffinity (macOS, for one): every split runs here.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        forks = counted_forks(monkeypatch)
+        assert md._in_processes(lambda split: os.getpid(), 3) == [
+            os.getpid()] * 3
+        assert forks == []
+        assert_no_child_left()
+
     @pytest.mark.parametrize("kind", ["att-blstm", "pcnn"])
     def test_same_results_at_any_process_count(self, monkeypatch, kind):
         corpus = tiny_corpus(5)
@@ -849,9 +862,9 @@ class TestSplitProcesses:
 
     def test_numeric_failure_is_the_one_process_error(self, monkeypatch):
         corpus = tiny_corpus(5)
-        cfg = md.TrainConfig(max_epochs=20, eval_period=10,
-                             learning_rate=float("inf"), optimizer="sgd",
+        cfg = md.TrainConfig(max_epochs=20, eval_period=10, optimizer="sgd",
                              batch_size=4, seed=9)
+        cfg.learning_rate = np.inf  # past TrainConfig's own check
         messages = []
         for cpus in (1, 3):
             usable_cpus(monkeypatch, cpus)

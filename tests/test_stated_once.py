@@ -1,9 +1,9 @@
 """Source guards: a model part's parameters come from its attributes, its
 sizes are attributes, every Glorot limit comes from `_glorot`, only
-`Lstm` calls the LSTM op, a term and an opinion state no equality of
-their own, the polarity order is stated once, every definition in the
-package is used somewhere, every parameter is read, and a tensor is made
-one way."""
+`Lstm` calls the LSTM op, only `_attend` calls the softmax op, a term
+and an opinion state no equality of their own, the polarity order is
+stated once, every definition in the package is used somewhere, every
+parameter is read, and a tensor is made one way."""
 
 import ast
 import pathlib
@@ -82,6 +82,23 @@ def test_lstm_sequence_called_only_by_lstm_states():
     assert sum(text.count("lstm_sequence(") for text in texts().values()) == 2
 
 
+def _calls(tree, name):
+    """Every call of name or of an attribute name (tg.name) under tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_softmax_called_only_by_attend():
+    # Attention weights are made one way: the masked softmax of _attend.
+    _, attend = segment_of("encoders.py:_attend")
+    calls = [(name, call.lineno) for name, tree in trees().items()
+             for call in _calls(tree, "softmax")]
+    assert len(calls) == 1
+    assert calls == [("encoders.py", call.lineno)
+                     for call in _calls(attend, "softmax")]
+
+
 def test_a_term_equals_only_itself():
     # One instance per term value: sameness is identity, so Term states
     # no equality, hash or second constructor of its own.
@@ -144,24 +161,17 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-def _tensor_calls(tree):
-    """Every call of Tensor or tg.Tensor under tree."""
-    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and "Tensor" in (getattr(node.func, "id", None),
-                             getattr(node.func, "attr", None))]
-
-
 def test_one_way_to_make_a_tensor():
     # Tape._record alone makes and records an op's output, a leaf is
     # tg.Tensor(data, tape), and so every tensor belongs to one tape.
     tree = trees()["tensorgrad.py"]
     record = dict(_functions(tree, ""))["Tape._record"]
-    calls = _tensor_calls(tree)
-    assert len(calls) == 1 and calls == _tensor_calls(record)
+    calls = _calls(tree, "Tensor")
+    assert len(calls) == 1 and calls == _calls(record, "Tensor")
     assert "constant" not in vars(tg.Tape)
     tapeless = ["%s:%d" % (name, call.lineno)
                 for name, tree in trees().items()
-                for call in _tensor_calls(tree)
+                for call in _calls(tree, "Tensor")
                 if len(call.args) + len(call.keywords) != 2]
     assert tapeless == []
 
